@@ -212,3 +212,7 @@ def cli_main(argv=None) -> int:
 
 def main() -> None:
     raise SystemExit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

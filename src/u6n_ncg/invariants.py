@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph
+from .graphs import Graph, _bits
 from .polynomials import IntPolynomial
 
 UNREACHABLE = -1
@@ -36,13 +36,6 @@ class CapacityError(ValueError):
 
 class DisconnectedGraphError(ValueError):
     """A distance-based invariant needs a connected graph."""
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _check_cap(name: str, count: int, cap: int) -> None:
@@ -92,7 +85,6 @@ def eccentricity(graph: Graph, v: int) -> int:
 
 
 def eccentricities(graph: Graph) -> tuple[int, ...]:
-    _require_connected(graph, "eccentricity")
     return tuple(eccentricity(graph, v) for v in range(graph.vertex_count))
 
 
@@ -183,23 +175,26 @@ def detour_index(graph: Graph, cap: int = DEFAULT_CAPS.detour) -> int:
 # -- independence, covers, cliques, colourings -------------------------
 
 def independence_number(graph: Graph) -> int:
-    """Maximum independent set size by branch and bound on bitsets."""
+    """Maximum independent set size by branch and bound on bitsets.
+
+    The search depth grows with the vertex count, so it runs on an explicit
+    stack rather than the interpreter's; the include branch is pushed last
+    so it is explored first.
+    """
     adj = graph.adj
     best = 0
-
-    def explore(mask: int, size: int) -> None:
-        nonlocal best
+    stack = [((1 << graph.vertex_count) - 1, 0)]
+    while stack:
+        mask, size = stack.pop()
         if size + mask.bit_count() <= best:
-            return
+            continue
         if not mask:
             best = size
-            return
+            continue
         # max-degree pivot keeps branching shallow on dense graphs
         pivot = max(_bits(mask), key=lambda u: (adj[u] & mask).bit_count())
-        explore(mask & ~(adj[pivot] | (1 << pivot)), size + 1)
-        explore(mask & ~(1 << pivot), size)
-
-    explore((1 << graph.vertex_count) - 1, 0)
+        stack.append((mask & ~(1 << pivot), size))
+        stack.append((mask & ~(adj[pivot] | (1 << pivot)), size + 1))
     return best
 
 
@@ -235,23 +230,15 @@ def vertex_cover_number(graph: Graph) -> int:
 def vertex_cover_polynomial(graph: Graph, cap: int = DEFAULT_CAPS.indep) -> IntPolynomial:
     """Counts of vertex covers by size.
 
-    Enumerates complements: a set S covers every edge exactly when no edge
-    has both endpoints outside S, tested incrementally on the outside set.
+    A set covers every edge exactly when its complement is independent, so
+    complementation maps each independent k-set to a cover of size V - k:
+    the cover counts are the independence counts read backwards.
     """
     v_count = graph.vertex_count
     _check_cap("vertex_cover_polynomial", v_count, cap)
-    adj = graph.adj
-    counts = [0] * (v_count + 1)
-    counts[v_count] += 1  # outside = empty, S = everything
-    escaped = bytearray(1 << v_count)  # outside set contains a full edge
-    for outside in range(1, 1 << v_count):
-        low = outside & -outside
-        rest = outside ^ low
-        if escaped[rest] or adj[low.bit_length() - 1] & rest:
-            escaped[outside] = 1
-        else:
-            counts[v_count - outside.bit_count()] += 1
-    return IntPolynomial.from_terms(enumerate(counts))
+    return IntPolynomial.from_terms(
+        (v_count - k, count) for k, count in independence_polynomial(graph, cap=cap).terms()
+    )
 
 
 def clique_number(graph: Graph) -> int:
@@ -358,22 +345,44 @@ class ResolvingSequence:
     counts: tuple[int, ...]
 
 
-def is_resolving(graph: Graph, witness) -> bool:
-    """True when distance vectors to the witness set separate all
-    vertices."""
-    members = sorted(set(witness))
-    for w in members:
-        graph._check_vertex(w)
+def _disagreement_masks(graph: Graph) -> list[int]:
+    """For each vertex pair, the bitmask of vertices whose distances to the
+    two differ, sparsest first so a non-resolving set fails early.
+
+    A set resolves the graph exactly when it meets every one of these
+    masks.
+    """
     dist = distance_matrix(graph)
     if any(UNREACHABLE in row for row in dist):
         raise DisconnectedGraphError("resolving sets require a connected graph")
-    seen = set()
-    for v in range(graph.vertex_count):
-        rep = tuple(dist[v][w] for w in members)
-        if rep in seen:
+    v_count = graph.vertex_count
+    masks = []
+    for u in range(v_count):
+        for v in range(u + 1, v_count):
+            mask = 0
+            for w in range(v_count):
+                if dist[u][w] != dist[v][w]:
+                    mask |= 1 << w
+            masks.append(mask)
+    masks.sort(key=int.bit_count)
+    return masks
+
+
+def _hits_all(subset: int, masks: list[int]) -> bool:
+    for mask in masks:
+        if not subset & mask:
             return False
-        seen.add(rep)
     return True
+
+
+def is_resolving(graph: Graph, witness) -> bool:
+    """True when distance vectors to the witness set separate all
+    vertices."""
+    subset = 0
+    for w in witness:
+        graph._check_vertex(w)
+        subset |= 1 << w
+    return _hits_all(subset, _disagreement_masks(graph))
 
 
 def _gosper_masks(v_count: int, k: int):
@@ -395,32 +404,16 @@ def metric_dimension(graph: Graph, cap: int = DEFAULT_CAPS.metric) -> int:
     """Smallest resolving-set size, enumerating subsets by increasing
     cardinality (colex within each size) and stopping at the first hit.
 
-    The per-subset test intersects the witness mask with precomputed
-    disagreement masks, one per vertex pair; a pair whose distances to the
-    whole graph barely differ fails first, so hopeless subsets exit early.
+    Each subset is tested against the pairwise disagreement masks; a pair
+    whose distances to the whole graph barely differ fails first, so
+    hopeless subsets exit early.
     """
     v_count = graph.vertex_count
     _check_cap("metric_dimension", v_count, cap)
-    dist = distance_matrix(graph)
-    if any(UNREACHABLE in row for row in dist):
-        raise DisconnectedGraphError("metric dimension requires a connected graph")
-    if v_count <= 1:
-        return 0
-    diffs = []
-    for u in range(v_count):
-        for v in range(u + 1, v_count):
-            mask = 0
-            for w in range(v_count):
-                if dist[u][w] != dist[v][w]:
-                    mask |= 1 << w
-            diffs.append(mask)
-    diffs.sort(key=lambda m: m.bit_count())
-    for k in range(1, v_count + 1):
+    masks = _disagreement_masks(graph)
+    for k in range(v_count + 1):
         for subset in _gosper_masks(v_count, k):
-            for mask in diffs:
-                if not subset & mask:
-                    break
-            else:
+            if _hits_all(subset, masks):
                 return k
     raise AssertionError("a connected graph is resolved by its full vertex set")
 
@@ -430,19 +423,16 @@ def resolving_polynomial(
 ) -> tuple[IntPolynomial, ResolvingSequence]:
     """Counts of resolving sets by cardinality over all 2^V subsets.
 
-    Every subset is tested directly (sorted representation vectors); no
-    monotonicity shortcuts, so the counts are a genuine enumeration.
+    Every subset is tested directly against the pairwise disagreement
+    masks; no monotonicity shortcuts, so the counts are a genuine
+    enumeration.
     """
     v_count = graph.vertex_count
     _check_cap("resolving_polynomial", v_count, cap)
-    dist = distance_matrix(graph)
-    if any(UNREACHABLE in row for row in dist):
-        raise DisconnectedGraphError("resolving sets require a connected graph")
+    masks = _disagreement_masks(graph)
     counts = [0] * (v_count + 1)
     for subset in range(1 << v_count):
-        members = tuple(_bits(subset))
-        reps = sorted(tuple(dist[v][w] for w in members) for v in range(v_count))
-        if all(reps[i] != reps[i + 1] for i in range(v_count - 1)):
+        if _hits_all(subset, masks):
             counts[subset.bit_count()] += 1
     poly = IntPolynomial.from_terms(enumerate(counts))
     beta = next(k for k, c in enumerate(counts) if c)

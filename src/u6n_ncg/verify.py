@@ -11,14 +11,15 @@ Statuses:
                          polynomials at n = 1)
   skipped_cap            the exhaustive side would exceed its vertex cap
 
-Failures never raise; they become entries, and the exhaustive side is the
-authority whenever the two disagree.
+A disagreement never raises: it becomes an entry, and the exhaustive
+side is the authority. Exceptions from the engines themselves propagate.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from time import perf_counter
 
 from . import closed_forms, invariants
@@ -174,19 +175,11 @@ def verify_all(n: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
             status = "mismatch"
         entries.append(ReportEntry(name, n, predicted, computed, status, elapsed))
 
-    # shared lazily-computed intermediates, so sibling entries do not redo
-    # the expensive searches
-    cache: dict[str, object] = {}
-
-    def brute_resolving():
-        if "resolving" not in cache:
-            cache["resolving"] = invariants.resolving_polynomial(graph, cap=caps.resolving)
-        return cache["resolving"]
-
-    def brute_detour():
-        if "detour" not in cache:
-            cache["detour"] = invariants.detour_matrix(graph, cap=caps.detour)
-        return cache["detour"]
+    # computed on first use and shared, so sibling entries do not redo the
+    # expensive searches
+    resolving = cache(lambda: invariants.resolving_polynomial(graph, cap=caps.resolving))
+    detour = cache(lambda: invariants.detour_polynomial(graph, cap=caps.detour))
+    witness = cache(lambda: is_complete_multipartite(graph))
 
     # centralizers and center
     for cls in (1, 2, 3, 4):
@@ -220,15 +213,13 @@ def verify_all(n: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
 
     # complete multipartite structure against the omega classes
     def witness_sizes():
-        witness = is_complete_multipartite(graph)
-        return None if witness is None else tuple(witness.sizes())
+        return None if witness() is None else witness().sizes()
 
     def witness_classes():
-        witness = is_complete_multipartite(graph)
-        if witness is None:
+        if witness() is None:
             return None
         return _canonical_classes(
-            sorted(graph.labels[v] for v in c) for c in witness.classes
+            sorted(graph.labels[v] for v in c) for c in witness().classes
         )
 
     add("partition_sizes", closed_forms.cf_partition_sizes(n), witness_sizes)
@@ -272,52 +263,39 @@ def verify_all(n: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
     add(
         "resolving_polynomial",
         closed_forms.cf_resolving_polynomial(n),
-        lambda: brute_resolving()[0],
+        lambda: resolving()[0],
         cap=caps.resolving,
     )
     add(
         "resolving_sequence",
         closed_forms.cf_resolving_sequence(n),
-        lambda: brute_resolving()[1].counts,
+        lambda: resolving()[1].counts,
         cap=caps.resolving,
     )
     add(
         "resolving_roots",
         closed_forms.cf_resolving_roots(n),
-        lambda: integer_roots(brute_resolving()[0]),
+        lambda: integer_roots(resolving()[0]),
         cap=caps.resolving,
     )
 
-    # detour distances
-    def detour_values():
-        matrix = brute_detour()
-        return tuple(
-            sorted(
-                {
-                    matrix[u][v]
-                    for u in range(v_count)
-                    for v in range(u + 1, v_count)
-                }
-            )
-        )
-
-    def brute_detour_polynomial():
-        matrix = brute_detour()
-        return IntPolynomial.from_terms(
-            (matrix[u][v], 1) for u in range(v_count) for v in range(u + 1, v_count)
-        )
-
-    add("detour_distances", (5 * n - 1,), detour_values, cap=caps.detour)
+    # detour distances: the distinct values are the polynomial's exponents
+    add(
+        "detour_distances",
+        (5 * n - 1,),
+        lambda: tuple(e for e, _ in detour().terms()),
+        cap=caps.detour,
+    )
     add(
         "detour_polynomial",
         closed_forms.cf_detour_polynomial(n),
-        brute_detour_polynomial,
+        detour,
         cap=caps.detour,
     )
     add(
         "detour_index",
         closed_forms.cf_detour_index(n),
-        lambda: brute_detour_polynomial().derivative_at_one(),
+        lambda: detour().derivative_at_one(),
         cap=caps.detour,
     )
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -200,3 +204,18 @@ class TestUsageErrors:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "verify" in out
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        result = subprocess.run(
+            [sys.executable, "-m", "u6n_ncg.cli", "verify", "--n", "1", "--format", "json"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["n"] == 1

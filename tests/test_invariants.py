@@ -196,6 +196,10 @@ class TestIndependence:
         with pytest.raises(CapacityError):
             independence_polynomial(graph)
 
+    def test_search_depth_not_bounded_by_recursion_limit(self):
+        graph = Graph.from_edges([f"v{i}" for i in range(1500)], [])
+        assert independence_number(graph) == 1500
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_maximum_set_count_positive(self, n):
         graph = ncg(n)
@@ -357,16 +361,69 @@ class TestDetourAgainstNaiveSearch:
         assert [list(row) for row in matrix] == expected
 
 
+def resolves_by_vectors(dist, members):
+    """Reference resolving test: the representation vectors of all
+    vertices, sorted, contain no repeat."""
+    reps = sorted(tuple(row[w] for w in members) for row in dist)
+    return all(reps[i] != reps[i + 1] for i in range(len(reps) - 1))
+
+
+def naive_resolving_counts(graph):
+    """Resolving sets by size, each subset tested by its distance
+    vectors; independent of the disagreement masks it checks."""
+    v = graph.vertex_count
+    dist = distance_matrix(graph)
+    return [
+        sum(1 for combo in combinations(range(v), k) if resolves_by_vectors(dist, combo))
+        for k in range(v + 1)
+    ]
+
+
+def naive_cover_counts(graph):
+    """Vertex covers by size, each subset checked edge by edge."""
+    v = graph.vertex_count
+    edges = graph.edges()
+    return [
+        sum(
+            1
+            for combo in combinations(range(v), k)
+            if all(a in combo or b in combo for a, b in edges)
+        )
+        for k in range(v + 1)
+    ]
+
+
 class TestResolvingAgainstDirectEnumeration:
     @pytest.mark.parametrize("graph", [ncg(1), cycle_graph(5), path_graph(4)])
     def test_counts_match_subset_checks(self, graph):
         poly, _ = resolving_polynomial(graph)
+        expected = naive_resolving_counts(graph)
+        assert [poly.coefficient(k) for k in range(graph.vertex_count + 1)] == expected
+
+    @given(random_graphs())
+    @settings(max_examples=60)
+    def test_engines_match_distance_vectors(self, graph):
+        assume(is_connected(graph))
         v = graph.vertex_count
+        expected = naive_resolving_counts(graph)
+        poly, seq = resolving_polynomial(graph)
+        assert [poly.coefficient(k) for k in range(v + 1)] == expected
+        beta = next(k for k, c in enumerate(expected) if c)
+        assert seq.beta == beta
+        assert metric_dimension(graph) == beta
+        dist = distance_matrix(graph)
         for k in range(v + 1):
-            direct = sum(
-                1 for combo in combinations(range(v), k) if is_resolving(graph, combo)
-            )
-            assert poly.coefficient(k) == direct
+            for combo in combinations(range(v), k):
+                assert is_resolving(graph, combo) == resolves_by_vectors(dist, combo)
+
+
+class TestCoverAgainstDirectEnumeration:
+    @given(random_graphs())
+    @settings(max_examples=60)
+    def test_counts_match_edge_checks(self, graph):
+        poly = vertex_cover_polynomial(graph)
+        expected = naive_cover_counts(graph)
+        assert [poly.coefficient(k) for k in range(graph.vertex_count + 1)] == expected
 
 
 class TestRandomGraphProperties:
