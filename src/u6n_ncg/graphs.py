@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .groups import FiniteGroup
 
-# Induced-pattern search is exhaustive over vertex subsets, so the pattern
-# order stays small. Only paths and 5-cycles are ever needed here.
+# Induced-pattern search enumerates induced paths, whose number can grow like
+# V^(k-1), so the pattern order stays small. Only paths and 5-cycles are ever
+# needed here.
 MAX_PATTERN_ORDER = 8
 
 
@@ -173,39 +173,67 @@ def _parse_pattern(pattern: str) -> tuple[str, int]:
     return kind, k
 
 
-def _connected_within(graph: Graph, mask: int) -> bool:
-    start = mask & -mask
-    seen = start
-    frontier = start
-    while frontier:
-        reach = 0
-        for u in _bits(frontier):
-            reach |= graph.adj[u]
-        frontier = reach & mask & ~seen
-        seen |= frontier
-    return seen == mask
+def _grow(adj, closed, end, blocked, allowed, steps):
+    """Yield (vertices, blocked) for every way to extend an induced path that
+    ends at `end` by `steps` more vertices from `allowed`.
+
+    `blocked` is the union of the closed neighbourhoods of the path's
+    vertices other than `end`; every candidate is a neighbour of the end
+    outside it, so each partial path is induced by construction. The
+    yielded mask is the same union for the extended path.
+    """
+    if not steps:
+        yield (), blocked
+        return
+    blocked_next = blocked | closed[end]
+    for x in _bits(adj[end] & allowed & ~blocked):
+        for rest, final in _grow(adj, closed, x, blocked_next, allowed, steps - 1):
+            yield (x,) + rest, final
+
+
+def _copies_at(adj, closed, kind, k, m):
+    """Yield, once each, the vertex tuples of every induced copy of the
+    pattern whose smallest vertex is m.
+
+    A cycle is the induced path m, c1, ..., c_{k-2} closed by a common
+    neighbour of m and c_{k-2} that sees no interior vertex; taking it above
+    c1 fixes the orientation. A path is two arms grown from m, the first no
+    longer than the second, and with equal arms the first starts lower.
+    """
+    above = -1 << (m + 1)
+    if kind == "cycle":
+        for c1 in _bits(adj[m] & above):
+            for inner, blocked in _grow(adj, closed, c1, 0, above & ~closed[m], k - 3):
+                last = inner[-1] if inner else c1
+                for c in _bits(adj[last] & adj[m] & ~blocked & (-1 << (c1 + 1))):
+                    yield (m, c1, *inner, c)
+        return
+    for short in range((k + 1) // 2):
+        for left, _ in _grow(adj, closed, m, 0, above, short):
+            left_closed = 0
+            for u in left:
+                left_closed |= closed[u]
+            for right, _ in _grow(adj, closed, m, left_closed, above, k - 1 - short):
+                if not (short and 2 * short == k - 1 and right[0] < left[0]):
+                    yield (m, *left, *right)
 
 
 def find_induced(graph: Graph, pattern: str) -> tuple[int, ...] | None:
-    """First vertex subset (lexicographic) whose induced subgraph is the
-    requested path or cycle, or None after exhausting all subsets."""
+    """First vertex subset (lexicographic, as a sorted tuple) whose induced
+    subgraph is the requested path or cycle, or None if there is none.
+
+    Each vertex m in ascending order is tried as the smallest vertex of a
+    copy, whose induced paths are grown on the vertices above m. The first
+    m with a copy gives the answer: the smallest of its copies.
+    """
     kind, k = _parse_pattern(pattern)
-    v = graph.vertex_count
-    if kind == "cycle":
-        want_degrees = [2] * k
-    elif k == 1:
-        want_degrees = [0]
-    else:
-        want_degrees = sorted([1, 1] + [2] * (k - 2))
-    for combo in combinations(range(v), k):
-        mask = 0
-        for u in combo:
-            mask |= 1 << u
-        degrees = sorted((graph.adj[u] & mask).bit_count() for u in combo)
-        if degrees != want_degrees:
-            continue
-        if _connected_within(graph, mask):
-            return combo
+    adj = graph.adj
+    closed = [row | (1 << u) for u, row in enumerate(adj)]
+    for m in range(graph.vertex_count):
+        copies = _copies_at(adj, closed, kind, k, m)
+        best = min((tuple(sorted(c)) for c in copies), default=None)
+        if best is not None:
+            return best
     return None
 
 

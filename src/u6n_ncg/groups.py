@@ -185,9 +185,19 @@ def _validate_table(labels: Sequence[str], table: Sequence[Sequence[int]]) -> in
 
 def group_from_table(labels: Sequence[str], table: Sequence[Sequence[int]]) -> FiniteGroup:
     """Validate a Cayley table (closure, identity, associativity, inverses)
-    and wrap it as a FiniteGroup. The identity may sit at any index."""
+    and wrap it as a FiniteGroup. The identity may sit at any index.
+
+    Entries are checked as given, so a float or bool entry is rejected
+    rather than coerced to an int.
+    """
+    if not isinstance(labels, (list, tuple)):
+        raise ValueError(f"labels must be a list, got {type(labels).__name__}")
+    if not isinstance(table, (list, tuple)) or not all(
+        isinstance(row, (list, tuple)) for row in table
+    ):
+        raise ValueError("table must be a list of rows, each a list of entries")
     labels = tuple(str(s) for s in labels)
-    table_t = tuple(tuple(int(v) for v in row) for row in table)
+    table_t = tuple(tuple(row) for row in table)
     identity = _validate_table(labels, table_t)
     return FiniteGroup(labels=labels, table=table_t, identity=identity)
 

@@ -116,11 +116,11 @@ def test_criterion_04_alpha_tau_omega_chi():
 
 def test_criterion_05_forbidden_subgraphs():
     def body():
-        for _, graph in graphs_up_to(3):
+        for _, graph in graphs_up_to(12):
             assert find_induced(graph, "cycle_5") is None
             assert find_induced(graph, "path_4") is None
 
-    criterion(5, "no induced C5 and no induced P4, exhaustive for n=1..3", 10.0, body)
+    criterion(5, "no induced C5 and no induced P4, exhaustive for n=1..12", 10.0, body)
 
 
 def test_criterion_06_regularity():

@@ -144,6 +144,18 @@ class TestBuildCommand:
         assert code == 1
         assert "closure" in err
 
+    @pytest.mark.parametrize(
+        "doc",
+        [{"labels": ["e", "x"], "table": 5}, {"labels": 5, "table": [[0, 1], [1, 0]]}],
+    )
+    def test_non_list_table_or_labels(self, capsys, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "build", "--table", str(path))
+        assert code == 1
+        assert err.startswith("u6n-ncg: error:")
+        assert "Traceback" not in err
+
 
 class TestGraphCommand:
     @pytest.mark.parametrize(

@@ -1,6 +1,9 @@
 import json
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from u6n_ncg.graphs import (
     Graph,
@@ -41,6 +44,51 @@ def ncg(n):
 
 def vid(graph, label):
     return graph.labels.index(label)
+
+
+def sweep_induced(graph, pattern):
+    """Reference search: every k-subset in lexicographic order, tested by its
+    degree sequence and connectivity."""
+    kind, _, tail = pattern.partition("_")
+    k = int(tail)
+    if kind == "cycle":
+        want_degrees = [2] * k
+    elif k == 1:
+        want_degrees = [0]
+    else:
+        want_degrees = sorted([1, 1] + [2] * (k - 2))
+    for combo in combinations(range(graph.vertex_count), k):
+        mask = sum(1 << u for u in combo)
+        degrees = sorted((graph.adj[u] & mask).bit_count() for u in combo)
+        if degrees != want_degrees:
+            continue
+        seen = frontier = mask & -mask
+        while frontier:
+            reach = 0
+            for u in combo:
+                if (frontier >> u) & 1:
+                    reach |= graph.adj[u]
+            frontier = reach & mask & ~seen
+            seen |= frontier
+        if seen == mask:
+            return combo
+    return None
+
+
+@st.composite
+def random_graphs(draw, max_vertices=10):
+    v = draw(st.integers(min_value=0, max_value=max_vertices))
+    pairs = list(combinations(range(v), 2))
+    fill = draw(st.sampled_from(["random", "edgeless", "complete"]))
+    if fill == "random":
+        picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    else:
+        picks = [fill == "complete"] * len(pairs)
+    edges = [e for e, keep in zip(pairs, picks) if keep]
+    return Graph.from_edges([f"v{i}" for i in range(v)], edges)
+
+
+PATTERNS = [f"path_{k}" for k in range(1, 9)] + [f"cycle_{k}" for k in range(3, 9)]
 
 
 class TestConstruction:
@@ -196,6 +244,12 @@ class TestFindInduced:
             find_induced(TRIANGLE, "star_3")
         with pytest.raises(ValueError):
             find_induced(TRIANGLE, "cycle_2")
+
+    @given(random_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_subset_sweep(self, graph):
+        for pattern in PATTERNS:
+            assert find_induced(graph, pattern) == sweep_induced(graph, pattern), pattern
 
 
 class TestRegularity:

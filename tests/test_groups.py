@@ -244,6 +244,12 @@ class TestCayleyTableLoading:
         with pytest.raises(ValueError, match="closure fails"):
             group_from_table(["e", "x"], [[0, 1], [1, 7]])
 
+    @pytest.mark.parametrize("entry", [1.9, 1.0, True])
+    def test_non_integer_entry_rejected(self, entry):
+        # int() would turn each of these into 1 and accept the table as Z2
+        with pytest.raises(ValueError, match="closure fails"):
+            group_from_table(["e", "x"], [[0, entry], [1, 0]])
+
     def test_non_square_table(self):
         with pytest.raises(ValueError, match="row 1"):
             group_from_table(["e", "x"], [[0, 1], [1]])
