@@ -134,19 +134,20 @@ class PartitionWitness:
         return tuple(sorted(len(c) for c in self.classes))
 
 
+def twin_classes(graph: Graph) -> tuple[tuple[int, ...], ...]:
+    """Vertices grouped by identical adjacency row (false twins, never
+    adjacent), classes in order of their smallest vertex; two classes are
+    fully joined or not joined at all."""
+    groups: dict[int, list[int]] = {}
+    for u, row in enumerate(graph.adj):
+        groups.setdefault(row, []).append(u)
+    return tuple(tuple(c) for c in groups.values())
+
+
 def is_complete_multipartite(graph: Graph) -> PartitionWitness | None:
     """Group vertices by identical neighbourhoods, then check the
     certificate. Returns None when the graph is not complete multipartite."""
-    v = graph.vertex_count
-    groups: dict[int, list[int]] = {}
-    order: list[int] = []
-    for u in range(v):
-        row = graph.adj[u]
-        if row not in groups:
-            groups[row] = []
-            order.append(row)
-        groups[row].append(u)
-    classes = [frozenset(groups[row]) for row in order]
+    classes = [frozenset(c) for c in twin_classes(graph)]
     # identical open neighbourhoods already force non-adjacency inside a
     # class; cross-class pairs must all be edges
     masks = [sum(1 << u for u in c) for c in classes]

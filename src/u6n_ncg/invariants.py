@@ -4,13 +4,20 @@ Distances, longest simple paths, independence and cover counts, cliques,
 colourings, and resolving sets, all computed exactly over adjacency
 bitsets. The NP-hard searches carry explicit vertex caps (Caps); going
 past a cap raises CapacityError instead of silently approximating.
+
+Independent sets, covers, resolving sets and longest paths are swept over
+type vectors (k_1..k_m), the number of chosen vertices in each class of
+false twins: swapping twins is an automorphism, so one representative per
+vector is tested and weighted by prod C(|C_i|, k_i). The caps still count
+vertices; the cost grows with prod(|C_i| + 1), 2^V only without twins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb, prod
 
-from .graphs import Graph, _bits
+from .graphs import Graph, _bits, twin_classes
 from .polynomials import IntPolynomial
 
 UNREACHABLE = -1
@@ -43,45 +50,43 @@ def _check_cap(name: str, count: int, cap: int) -> None:
         raise CapacityError(f"{name} handles at most {cap} vertices, got {count}")
 
 
-def _bfs_row(graph: Graph, source: int) -> list[int]:
-    dist = [UNREACHABLE] * graph.vertex_count
-    dist[source] = 0
+def _bfs_layers(graph: Graph, source: int) -> list[int]:
+    """Bitmasks of the vertices at distance 0, 1, 2, ... from the source."""
+    layers = []
     seen = frontier = 1 << source
-    step = 0
     while frontier:
+        layers.append(frontier)
         reach = 0
         for v in _bits(frontier):
             reach |= graph.adj[v]
         frontier = reach & ~seen
-        step += 1
-        for v in _bits(frontier):
-            dist[v] = step
         seen |= frontier
-    return dist
+    return layers
 
 
 def distance_matrix(graph: Graph) -> tuple[tuple[int, ...], ...]:
     """All-pairs shortest-path hop counts; UNREACHABLE marks missing paths."""
-    return tuple(tuple(_bfs_row(graph, s)) for s in range(graph.vertex_count))
+    rows = []
+    for source in range(graph.vertex_count):
+        row = [UNREACHABLE] * graph.vertex_count
+        for step, layer in enumerate(_bfs_layers(graph, source)):
+            for v in _bits(layer):
+                row[v] = step
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def is_connected(graph: Graph) -> bool:
-    if graph.vertex_count == 0:
-        return True
-    return UNREACHABLE not in _bfs_row(graph, 0)
-
-
-def _require_connected(graph: Graph, what: str) -> None:
-    if not is_connected(graph):
-        raise DisconnectedGraphError(f"{what} requires a connected graph")
+    v_count = graph.vertex_count
+    return v_count == 0 or sum(_bfs_layers(graph, 0)) == (1 << v_count) - 1
 
 
 def eccentricity(graph: Graph, v: int) -> int:
     graph._check_vertex(v)
-    row = _bfs_row(graph, v)
-    if UNREACHABLE in row:
+    layers = _bfs_layers(graph, v)
+    if sum(layers) != (1 << graph.vertex_count) - 1:
         raise DisconnectedGraphError("eccentricity requires a connected graph")
-    return max(row)
+    return len(layers) - 1
 
 
 def eccentricities(graph: Graph) -> tuple[int, ...]:
@@ -101,56 +106,111 @@ def eccentric_connectivity_polynomial(graph: Graph) -> IntPolynomial:
     )
 
 
+# -- twin-class type vectors --------------------------------------------
+
+def _type_vectors(classes) -> list[tuple[int, int, int]]:
+    """Every type vector over `classes` in mixed radix, the first class
+    least significant, as (rep, size, weight): the representative set (the
+    first k_i members of each class), its size, and the number of vertex
+    sets of that type."""
+    table = [(0, 0, 1)]
+    for members in classes:
+        block, rep = table, 0
+        for k, v in enumerate(members, 1):
+            rep |= 1 << v
+            weight = comb(len(members), k)
+            table = table + [(r | rep, s + k, w * weight) for r, s, w in block]
+    return table
+
+
+def _type_tables(classes):
+    """The type vectors as low and high tables of about sqrt(T) entries,
+    T = prod(|C_i| + 1): state h * len(low) + l joins high[h] and low[l]."""
+    total = prod(len(c) + 1 for c in classes)
+    mid, low_count = 0, 1
+    while low_count * low_count < total:
+        low_count *= len(classes[mid]) + 1
+        mid += 1
+    return _type_vectors(classes[:mid]), _type_vectors(classes[mid:])
+
+
+def _reach(adj, rep: int) -> int:
+    nb = 0
+    for v in _bits(rep):
+        nb |= adj[v]
+    return nb
+
+
 # -- longest simple paths ----------------------------------------------
 
 def detour_matrix(graph: Graph, cap: int = DEFAULT_CAPS.detour) -> tuple[tuple[int, ...], ...]:
     """All-pairs longest-simple-path lengths.
 
-    Dynamic programme over (visited subset, endpoint) states; each state
-    keeps the bitmask of possible path starts, so one sweep serves every
-    source at once. Memory and time are O(2^V * V), hence the cap.
+    Dynamic programme over (type vector, last class) states, each keeping
+    the bitmask of classes a path can start in. Twins are never adjacent
+    and classes join all-or-none, so a class sequence is a path exactly
+    when consecutive classes are joined and no class is overused.
     """
     v_count = graph.vertex_count
     _check_cap("detour_matrix", v_count, cap)
     if v_count == 0:
         return ()
-    _require_connected(graph, "detour distance")
+    if not is_connected(graph):
+        raise DisconnectedGraphError("detour distance requires a connected graph")
 
     adj = graph.adj
-    top = 1 << v_count
-    starts = [0] * (top * v_count)
-    for u in range(v_count):
-        starts[(1 << u) * v_count + u] = 1 << u
-    # longest[L * V + w] accumulates start masks of paths with L edges
-    # ending at w
+    classes = twin_classes(graph)
+    # a class is named by its first member; starts[s * V + w] holds the start
+    # classes of paths in state s ending in class w, a step into u's class
+    # adds offset[u] to that index
+    key, offset = [0] * v_count, [0] * v_count
+    firsts, lasts, radix = 0, 0, 1
+    for members in classes:
+        first = members[0]
+        for u in members:
+            key[u], offset[u] = first, radix * v_count + first
+        firsts |= 1 << first
+        lasts |= 1 << members[-1]
+        radix *= len(members) + 1
+    starts = [0] * (radix * v_count)
+    for u in _bits(firsts):
+        starts[offset[u]] = 1 << u
+    # longest[L * V + w]: start classes of paths with L edges ending in w
     longest = [0] * (v_count * v_count)
-    for subset in range(1, top):
-        base = subset * v_count
-        row = (subset.bit_count() - 1) * v_count
-        rem = subset
-        while rem:
-            wbit = rem & -rem
-            rem ^= wbit
-            w = wbit.bit_length() - 1
-            sm = starts[base + w]
-            if not sm:
-                continue
-            longest[row + w] |= sm
-            ext = adj[w] & ~subset
-            while ext:
-                xbit = ext & -ext
-                ext ^= xbit
-                starts[(subset | xbit) * v_count + (xbit.bit_length() - 1)] |= sm
+    low, high = _type_tables(classes)
+    state = 0
+    for rep_h, size_h, _ in high:
+        for rep_l, size_l, _ in low:
+            subset = rep_h | rep_l
+            base = state * v_count
+            row = (size_h + size_l - 1) * v_count
+            room = lasts & ~subset
+            rem = subset & firsts
+            while rem:
+                wbit = rem & -rem
+                rem ^= wbit
+                w = wbit.bit_length() - 1
+                sm = starts[base + w]
+                if not sm:
+                    continue
+                longest[row + w] |= sm
+                ext = adj[w] & room
+                while ext:
+                    xbit = ext & -ext
+                    ext ^= xbit
+                    x = xbit.bit_length() - 1
+                    starts[base + offset[x]] |= sm
+            state += 1
 
-    matrix = [[0] * v_count for _ in range(v_count)]
-    for w in range(v_count):
-        assigned = 0
-        for length in range(v_count - 1, -1, -1):
-            fresh = longest[length * v_count + w] & ~assigned
-            assigned |= fresh
-            for u in _bits(fresh):
-                matrix[u][w] = length
-    return tuple(tuple(r) for r in matrix)
+    best = [[0] * v_count for _ in range(v_count)]
+    for length in range(1, v_count):  # ascending, so the longest one stays
+        for w in _bits(firsts):
+            for u in _bits(longest[length * v_count + w]):
+                best[u][w] = length
+    return tuple(
+        tuple(best[key[u]][key[w]] if u != w else 0 for w in range(v_count))
+        for u in range(v_count)
+    )
 
 
 def detour_distance(graph: Graph, u: int, v: int, cap: int = DEFAULT_CAPS.detour) -> int:
@@ -199,25 +259,21 @@ def independence_number(graph: Graph) -> int:
 
 
 def independence_polynomial(graph: Graph, cap: int = DEFAULT_CAPS.indep) -> IntPolynomial:
-    """Counts of independent sets by size (the empty set included).
-
-    Subset sweep with an incremental independence test: S is independent
-    iff S minus its lowest vertex is, and that vertex has no neighbour in
-    the rest.
-    """
+    """Counts of independent sets by size (the empty set included): a high
+    and a low part are each independent, and not joined to each other."""
     v_count = graph.vertex_count
     _check_cap("independence_polynomial", v_count, cap)
     adj = graph.adj
+    low, high = _type_tables(twin_classes(graph))
+    low = [entry for entry in low if not _reach(adj, entry[0]) & entry[0]]
     counts = [0] * (v_count + 1)
-    counts[0] = 1
-    independent = bytearray(1 << v_count)
-    independent[0] = 1
-    for subset in range(1, 1 << v_count):
-        low = subset & -subset
-        rest = subset ^ low
-        if independent[rest] and not adj[low.bit_length() - 1] & rest:
-            independent[subset] = 1
-            counts[subset.bit_count()] += 1
+    for rep_h, size_h, weight_h in high:
+        nb = _reach(adj, rep_h)
+        if nb & rep_h:
+            continue
+        for rep_l, size_l, weight_l in low:
+            if not nb & rep_l:
+                counts[size_h + size_l] += weight_h * weight_l
     return IntPolynomial.from_terms(enumerate(counts))
 
 
@@ -346,26 +402,41 @@ class ResolvingSequence:
 
 
 def _disagreement_masks(graph: Graph) -> list[int]:
-    """For each vertex pair, the bitmask of vertices whose distances to the
-    two differ, sparsest first so a non-resolving set fails early.
+    """The distinct inclusion-minimal bitmasks of vertices whose distances
+    to some vertex pair differ, sparsest first so a non-resolving set fails
+    early.
 
-    A set resolves the graph exactly when it meets every one of these
-    masks.
+    A set resolves the graph exactly when it meets every pair's mask, and
+    a set meeting a mask meets all its supersets.
     """
-    dist = distance_matrix(graph)
-    if any(UNREACHABLE in row for row in dist):
-        raise DisconnectedGraphError("resolving sets require a connected graph")
     v_count = graph.vertex_count
-    masks = []
+    everything = (1 << v_count) - 1
+    layers = [_bfs_layers(graph, u) for u in range(v_count)]
+    if any(sum(layer) != everything for layer in layers):
+        raise DisconnectedGraphError("resolving sets require a connected graph")
+    masks = set()
+    # a pair agrees on w exactly when w lies in the same layer for both
     for u in range(v_count):
         for v in range(u + 1, v_count):
-            mask = 0
-            for w in range(v_count):
-                if dist[u][w] != dist[v][w]:
-                    mask |= 1 << w
-            masks.append(mask)
-    masks.sort(key=int.bit_count)
-    return masks
+            same = 0
+            for a, b in zip(layers[u], layers[v]):
+                same |= a & b
+            masks.add(everything ^ same)
+    # kept masks are filed under their lowest bit, which lies in any superset
+    minimal, by_low = [], {}
+    for mask in sorted(masks, key=lambda m: (m.bit_count(), m)):
+        rem, redundant = mask, False
+        while rem and not redundant:
+            low = rem & -rem
+            rem ^= low
+            for kept in by_low.get(low, ()):
+                if kept & mask == kept:
+                    redundant = True
+                    break
+        if not redundant:
+            minimal.append(mask)
+            by_low.setdefault(mask & -mask, []).append(mask)
+    return minimal
 
 
 def _hits_all(subset: int, masks: list[int]) -> bool:
@@ -385,55 +456,42 @@ def is_resolving(graph: Graph, witness) -> bool:
     return _hits_all(subset, _disagreement_masks(graph))
 
 
-def _gosper_masks(v_count: int, k: int):
-    """All k-subsets of range(v_count) as bitmasks, ascending numeric order
-    (equivalently colexicographic subset order)."""
-    if k == 0:
-        yield 0
-        return
-    subset = (1 << k) - 1
-    top = 1 << v_count
-    while subset < top:
-        yield subset
-        low = subset & -subset
-        ripple = subset + low
-        subset = (((ripple ^ subset) >> 2) // low) | ripple
-
-
 def metric_dimension(graph: Graph, cap: int = DEFAULT_CAPS.metric) -> int:
-    """Smallest resolving-set size, enumerating subsets by increasing
-    cardinality (colex within each size) and stopping at the first hit.
-
-    Each subset is tested against the pairwise disagreement masks; a pair
-    whose distances to the whole graph barely differ fails first, so
-    hopeless subsets exit early.
-    """
+    """Smallest resolving-set size: the twin-class type vectors are tested
+    by increasing size against the disagreement masks, stopping at the
+    first hit."""
     v_count = graph.vertex_count
     _check_cap("metric_dimension", v_count, cap)
     masks = _disagreement_masks(graph)
+    low, high = _type_tables(twin_classes(graph))
+    low_by_size, high_by_size = ([[] for _ in range(v_count + 1)] for _ in range(2))
+    for table, by_size in ((low, low_by_size), (high, high_by_size)):
+        for rep, size, _ in table:
+            by_size[size].append(rep)
     for k in range(v_count + 1):
-        for subset in _gosper_masks(v_count, k):
-            if _hits_all(subset, masks):
-                return k
+        for size_h in range(k + 1):
+            for rep_h in high_by_size[size_h]:
+                for rep_l in low_by_size[k - size_h]:
+                    if _hits_all(rep_h | rep_l, masks):
+                        return k
     raise AssertionError("a connected graph is resolved by its full vertex set")
 
 
 def resolving_polynomial(
     graph: Graph, cap: int = DEFAULT_CAPS.resolving
 ) -> tuple[IntPolynomial, ResolvingSequence]:
-    """Counts of resolving sets by cardinality over all 2^V subsets.
-
-    Every subset is tested directly against the pairwise disagreement
-    masks; no monotonicity shortcuts, so the counts are a genuine
-    enumeration.
-    """
+    """Counts of resolving sets by cardinality. Every type vector is tested;
+    the masks its high part meets are dropped before the low parts."""
     v_count = graph.vertex_count
     _check_cap("resolving_polynomial", v_count, cap)
     masks = _disagreement_masks(graph)
+    low, high = _type_tables(twin_classes(graph))
     counts = [0] * (v_count + 1)
-    for subset in range(1 << v_count):
-        if _hits_all(subset, masks):
-            counts[subset.bit_count()] += 1
+    for rep_h, size_h, weight_h in high:
+        rest = [mask for mask in masks if not mask & rep_h]
+        for rep_l, size_l, weight_l in low:
+            if _hits_all(rep_l, rest):
+                counts[size_h + size_l] += weight_h * weight_l
     poly = IntPolynomial.from_terms(enumerate(counts))
     beta = next(k for k, c in enumerate(counts) if c)
     return poly, ResolvingSequence(beta=beta, counts=tuple(counts[beta:]))

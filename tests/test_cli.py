@@ -43,6 +43,17 @@ class TestVerifyCommand:
         reports = json.loads(out)
         assert [r["n"] for r in reports] == [1, 2]
 
+    def test_range_json_matches_golden_report(self, capsys):
+        # every reported value for n = 1..4, pinned; only timings may change
+        code, out, _ = run(capsys, "verify", "--n-range", "1:4", "--format", "json")
+        assert code == 0
+        reports = json.loads(out)
+        for report in reports:
+            for entry in report["entries"]:
+                del entry["elapsed_ms"]
+        golden = Path(__file__).parent / "data" / "verify_n1_4.json"
+        assert json.dumps(reports, indent=2) + "\n" == golden.read_text()
+
     def test_text_format(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "2")
         assert code == 0

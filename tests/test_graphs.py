@@ -14,6 +14,7 @@ from u6n_ncg.graphs import (
     non_commuting_graph,
     to_dot,
     to_json,
+    twin_classes,
 )
 from u6n_ncg.groups import group_from_table, omega_partition, u6n_group
 
@@ -207,6 +208,26 @@ class TestCompleteMultipartite:
                 for u in ci:
                     for v in cj:
                         assert graph.has_edge(u, v)
+
+
+class TestTwinClasses:
+    @given(random_graphs())
+    def test_classes_are_the_distinct_rows(self, graph):
+        classes = twin_classes(graph)
+        assert sorted(v for c in classes for v in c) == list(range(graph.vertex_count))
+        assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+        for c in classes:
+            assert list(c) == sorted(c)
+            assert len({graph.adj[v] for v in c}) == 1
+        assert len({graph.adj[c[0]] for c in classes}) == len(classes)
+
+    def test_path_is_twin_free_and_star_leaves_are_twins(self):
+        assert twin_classes(PATH4) == ((0,), (1,), (2,), (3,))
+        star = Graph.from_edges(["c", "x", "y", "z"], [(0, 1), (0, 2), (0, 3)])
+        assert twin_classes(star) == ((0,), (1, 2, 3))
+
+    def test_triangle_vertices_are_not_false_twins(self):
+        assert twin_classes(TRIANGLE) == ((0,), (1,), (2,))
 
 
 class TestFindInduced:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from u6n_ncg.graphs import Graph, non_commuting_graph
 from u6n_ncg.groups import u6n_group
 from u6n_ncg.invariants import (
+    DEFAULT_CAPS,
     CapacityError,
     DisconnectedGraphError,
     UNREACHABLE,
@@ -29,6 +30,7 @@ from u6n_ncg.invariants import (
     total_eccentricity_polynomial,
     vertex_cover_number,
     vertex_cover_polynomial,
+    _disagreement_masks,
 )
 from u6n_ncg.polynomials import IntPolynomial
 
@@ -59,8 +61,8 @@ DISCONNECTED = Graph.from_edges(["u", "v", "w"], [(0, 1)])
 
 
 @st.composite
-def random_graphs(draw, max_vertices=8):
-    v = draw(st.integers(min_value=1, max_value=max_vertices))
+def random_graphs(draw, max_vertices=8, min_vertices=1):
+    v = draw(st.integers(min_value=min_vertices, max_value=max_vertices))
     pairs = list(combinations(range(v), 2))
     picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     edges = [e for e, keep in zip(pairs, picks) if keep]
@@ -459,3 +461,206 @@ class TestRandomGraphProperties:
                 if all(not graph.has_edge(a, b) for a, b in combinations(combo, 2))
             )
             assert poly.coefficient(k) == direct
+
+
+# -- 2^V subset engines, kept as oracles for the twin-class engines ------
+
+def subset_independence_polynomial(graph):
+    """Independent sets by size over all 2^V subsets: S is independent iff
+    S minus its lowest vertex is, and that vertex has no neighbour in the
+    rest."""
+    v = graph.vertex_count
+    counts = [0] * (v + 1)
+    counts[0] = 1
+    independent = bytearray(1 << v)
+    independent[0] = 1
+    for subset in range(1, 1 << v):
+        low = subset & -subset
+        rest = subset ^ low
+        if independent[rest] and not graph.adj[low.bit_length() - 1] & rest:
+            independent[subset] = 1
+            counts[subset.bit_count()] += 1
+    return IntPolynomial.from_terms(enumerate(counts))
+
+
+def pair_disagreement_masks(graph):
+    """One mask per vertex pair: the vertices whose distances to the two
+    differ, sparsest first; raises on a disconnected graph."""
+    dist = distance_matrix(graph)
+    if any(UNREACHABLE in row for row in dist):
+        raise DisconnectedGraphError("resolving sets require a connected graph")
+    v = graph.vertex_count
+    masks = []
+    for a in range(v):
+        for b in range(a + 1, v):
+            masks.append(sum(1 << w for w in range(v) if dist[a][w] != dist[b][w]))
+    masks.sort(key=int.bit_count)
+    return masks
+
+
+def hits_all(subset, masks):
+    return all(subset & mask for mask in masks)
+
+
+def subset_resolving_counts(graph):
+    """Resolving sets by size over all 2^V subsets."""
+    v = graph.vertex_count
+    masks = pair_disagreement_masks(graph)
+    counts = [0] * (v + 1)
+    for subset in range(1 << v):
+        if hits_all(subset, masks):
+            counts[subset.bit_count()] += 1
+    return counts
+
+
+def gosper_masks(v, k):
+    """All k-subsets of range(v) as bitmasks, ascending."""
+    if k == 0:
+        yield 0
+        return
+    subset = (1 << k) - 1
+    while subset < 1 << v:
+        yield subset
+        low = subset & -subset
+        ripple = subset + low
+        subset = (((ripple ^ subset) >> 2) // low) | ripple
+
+
+def gosper_metric_dimension(graph):
+    """Smallest resolving set, subsets by increasing size (colex within
+    each size), stopping at the first hit."""
+    v = graph.vertex_count
+    masks = pair_disagreement_masks(graph)
+    for k in range(v + 1):
+        for subset in gosper_masks(v, k):
+            if hits_all(subset, masks):
+                return k
+    raise AssertionError("a connected graph is resolved by its full vertex set")
+
+
+def subset_detour_matrix(graph):
+    """Longest simple paths by a DP over (visited subset, endpoint) states,
+    each keeping the bitmask of possible path starts."""
+    v = graph.vertex_count
+    if v == 0:
+        return ()
+    if not is_connected(graph):
+        raise DisconnectedGraphError("detour distance requires a connected graph")
+    starts = [0] * ((1 << v) * v)
+    for u in range(v):
+        starts[(1 << u) * v + u] = 1 << u
+    longest = [0] * (v * v)
+    for subset in range(1, 1 << v):
+        row = (subset.bit_count() - 1) * v
+        for w in range(v):
+            sm = starts[subset * v + w]
+            if not sm:
+                continue
+            longest[row + w] |= sm
+            for x in range(v):
+                if graph.adj[w] >> x & 1 and not subset >> x & 1:
+                    starts[(subset | 1 << x) * v + x] |= sm
+    matrix = [[0] * v for _ in range(v)]
+    for w in range(v):
+        assigned = 0
+        for length in range(v - 1, -1, -1):
+            fresh = longest[length * v + w] & ~assigned
+            assigned |= fresh
+            for u in range(v):
+                if fresh >> u & 1:
+                    matrix[u][w] = length
+    return tuple(tuple(r) for r in matrix)
+
+
+@st.composite
+def twin_blowups(draw, max_vertices=12):
+    """A random base graph on at most 5 vertices with each vertex replaced
+    by an independent set of 1-4 twins, relabelled at random so that the
+    twin classes interleave; at most max_vertices vertices in all."""
+    base = draw(random_graphs(max_vertices=5))
+    sizes, room = [], max_vertices - base.vertex_count
+    for _ in range(base.vertex_count):
+        extra = draw(st.integers(min_value=0, max_value=min(3, room)))
+        sizes.append(1 + extra)
+        room -= extra
+    owner = [b for b, size in enumerate(sizes) for _ in range(size)]
+    order = draw(st.permutations(range(len(owner))))
+    owner = [owner[i] for i in order]
+    edges = [
+        (a, b)
+        for a, b in combinations(range(len(owner)), 2)
+        if base.has_edge(owner[a], owner[b])
+    ]
+    return Graph.from_edges([f"v{i}" for i in range(len(owner))], edges)
+
+
+def assert_engines_match_oracles(graph):
+    v = graph.vertex_count
+    expected = subset_independence_polynomial(graph)
+    assert independence_polynomial(graph) == expected
+    assert vertex_cover_polynomial(graph) == IntPolynomial.from_terms(
+        (v - k, c) for k, c in expected.terms()
+    )
+    if not is_connected(graph):
+        for engine in (resolving_polynomial, metric_dimension, detour_matrix):
+            with pytest.raises(DisconnectedGraphError):
+                engine(graph)
+        return
+    counts = subset_resolving_counts(graph)
+    poly, seq = resolving_polynomial(graph)
+    assert [poly.coefficient(k) for k in range(v + 1)] == counts
+    beta = next(k for k, c in enumerate(counts) if c)
+    assert (seq.beta, seq.counts) == (beta, tuple(counts[beta:]))
+    assert metric_dimension(graph) == gosper_metric_dimension(graph) == beta
+    assert detour_matrix(graph) == subset_detour_matrix(graph)
+
+
+class TestTwinClassEnginesAgainstSubsetOracles:
+    @given(random_graphs(max_vertices=10, min_vertices=0))
+    @settings(max_examples=60, deadline=None)
+    def test_random_graphs(self, graph):
+        assert_engines_match_oracles(graph)
+
+    @given(twin_blowups())
+    @settings(max_examples=60, deadline=None)
+    def test_planted_twin_blowups(self, graph):
+        assert_engines_match_oracles(graph)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_non_commuting_graphs(self, n):
+        assert_engines_match_oracles(ncg(n))
+
+    @pytest.mark.parametrize("v", [0, 1])
+    def test_tiny_graphs(self, v):
+        graph = Graph.from_edges([f"v{i}" for i in range(v)], [])
+        assert_engines_match_oracles(graph)
+        assert independence_polynomial(graph) == (IntPolynomial.monomial(1) + 1) ** v
+        assert resolving_polynomial(graph)[1].beta == 0
+        assert detour_matrix(graph) == ((0,),) * v
+
+    @pytest.mark.parametrize(
+        "engine, cap",
+        [
+            (independence_polynomial, DEFAULT_CAPS.indep),
+            (vertex_cover_polynomial, DEFAULT_CAPS.indep),
+            (resolving_polynomial, DEFAULT_CAPS.resolving),
+            (metric_dimension, DEFAULT_CAPS.metric),
+            (detour_matrix, DEFAULT_CAPS.detour),
+        ],
+    )
+    def test_one_vertex_over_the_cap_is_refused_before_any_work(self, engine, cap):
+        # edgeless, hence disconnected: the cap is checked before anything
+        graph = Graph.from_edges([f"v{i}" for i in range(cap + 1)], [])
+        with pytest.raises(CapacityError):
+            engine(graph)
+
+    @given(random_graphs(max_vertices=9))
+    @settings(max_examples=60, deadline=None)
+    def test_masks_are_the_minimal_pair_masks(self, graph):
+        assume(is_connected(graph))
+        pairs = set(pair_disagreement_masks(graph))
+        masks = _disagreement_masks(graph)
+        assert len(set(masks)) == len(masks)
+        assert [m.bit_count() for m in masks] == sorted(m.bit_count() for m in masks)
+        minimal = {m for m in pairs if not any(o != m and o & m == o for o in pairs)}
+        assert set(masks) == minimal
