@@ -5,7 +5,9 @@ Subcommands: build (group summary), graph (single invariant), poly
 verify (full brute-vs-closed report).
 
 Exit codes: 0 success, 1 usage or I/O error, 2 at least one mismatch in a
-verification report.
+verification report, 3 at least one `error` entry in a verification report
+(an engine raised; each such entry is also written to stderr). 3 takes
+precedence over 2: a report with both exits 3.
 """
 
 from __future__ import annotations
@@ -185,6 +187,11 @@ def _cmd_verify(args) -> int:
         print(report_to_json(reports))
     else:
         print("\n\n".join(r.to_text() for r in reports))
+    errors = [(r.n, e) for r in reports for e in r.entries if e.status == "error"]
+    for n, e in errors:
+        sys.stderr.write(f"u6n-ncg: error: n = {n}, {e.name}: {e.error}\n")
+    if errors:
+        return 3
     return 2 if any(r.has_mismatch() for r in reports) else 0
 
 

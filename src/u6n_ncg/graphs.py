@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .groups import FiniteGroup
@@ -18,6 +19,9 @@ from .groups import FiniteGroup
 # V^(k-1), so the pattern order stays small. Only paths and 5-cycles are ever
 # needed here.
 MAX_PATTERN_ORDER = 8
+
+# commutation bytes (1 = the pair does not commute) to binary digits
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _bits(mask: int):
@@ -43,6 +47,11 @@ class Graph:
                 raise ValueError(f"adjacency row {u} has bits outside the vertex range")
             if (row >> u) & 1:
                 raise ValueError(f"loop at vertex {u} ({self.labels[u]!r})")
+        # character w of strings[u] is bit w of row u; the rows are symmetric
+        # exactly when each string equals its column, read one at a time
+        strings = [format(row, f"0{v}b")[::-1] for row in self.adj]
+        if all(s == "".join(col) for s, col in zip(strings, zip(*strings))):
+            return
         for u in range(v):
             for w in _bits(self.adj[u]):
                 if not (self.adj[w] >> u) & 1:
@@ -107,20 +116,21 @@ class Graph:
 
 def non_commuting_graph(g: FiniteGroup) -> Graph:
     """Graph on the non-central elements of g, joined when they do not
-    commute. Vertices follow element-index order."""
-    if g.is_abelian():
+    commute. Vertices follow element-index order.
+
+    Row v is the commutation row of the v-th non-central element, restricted
+    to the non-central elements and read as binary digits, lowest first.
+    """
+    rows = [g.non_commuting_row(x) for x in range(g.order)]
+    vertices = [x for x, row in enumerate(rows) if 1 in row]
+    if not vertices:
         raise ValueError("abelian group: the non-commuting graph has no vertices")
-    vertices = g.non_central()
-    pos = {x: i for i, x in enumerate(vertices)}
-    t = g.table
-    rows = [0] * len(vertices)
-    for i, x in enumerate(vertices):
-        for j in range(i + 1, len(vertices)):
-            y = vertices[j]
-            if t[x][y] != t[y][x]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(labels=tuple(g.labels[x] for x in vertices), adj=tuple(rows))
+    # an element outside the center fails to commute with another one, so
+    # there are at least two vertices and pick returns a tuple
+    pick = itemgetter(*vertices)
+    adj = tuple(int(bytes(pick(rows[x])).translate(_DIGITS)[::-1], 2) for x in vertices)
+    del rows  # order² bytes, freed before Graph validates V² more
+    return Graph(labels=tuple(g.labels[x] for x in vertices), adj=adj)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,12 @@ and the product obeys
 
     (a^i b^k)(a^j b^l) = a^((i+j) mod 2n) b^(((-1)^j k + l) mod 3).
 
-Everything here is computed from the multiplication table by definition
-(linear scans); no closed-form shortcuts, so these routines stay honest
-inputs for the verification pipeline.
+Everything here is computed from the multiplication table by definition;
+no closed-form shortcuts, so these routines stay honest inputs for the
+verification pipeline. Commutation is read from one primitive, the
+commutation row of x: row x of the table compared with column x, one
+byte per element. The center, the centralizers and the non-commuting
+graph all derive from these rows.
 """
 
 from __future__ import annotations
@@ -16,12 +19,17 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from operator import add, itemgetter, ne
 from typing import Iterable, Sequence
 
 # Tables at most this large are checked for associativity exhaustively;
 # larger ones get a fixed-seed random sample of triples.
 _EXHAUSTIVE_ASSOC_LIMIT = 200
 _ASSOC_SAMPLES = 100_000
+
+# u6n_group refuses a dense table with more entries than this: order 6000
+# (n = 1000) still builds, at about 1.3 GB.
+_DENSE_TABLE_LIMIT = 6000 * 6000
 
 
 @dataclass(frozen=True)
@@ -90,31 +98,27 @@ class FiniteGroup:
                 return y
         raise ValueError(f"element {self.labels[x]!r} has no inverse")
 
-    def is_abelian(self) -> bool:
-        t = self.table
-        return all(
-            t[x][y] == t[y][x] for x in range(self.order) for y in range(x + 1, self.order)
-        )
-
-    def centralizer(self, x: int) -> frozenset[int]:
-        """All y with x*y == y*x, by direct commutation test."""
+    def non_commuting_row(self, x: int) -> bytes:
+        """Byte y is 1 when x*y != y*x and 0 when x and y commute: row x of
+        the table against column x, which is built for this x alone."""
         self._check_index(x)
         t = self.table
-        return frozenset(y for y in range(self.order) if t[x][y] == t[y][x])
+        return bytes(map(ne, t[x], map(itemgetter(x), t)))
+
+    def is_abelian(self) -> bool:
+        return not any(1 in self.non_commuting_row(x) for x in range(self.order))
+
+    def centralizer(self, x: int) -> frozenset[int]:
+        """All y with x*y == y*x."""
+        row = self.non_commuting_row(x)
+        return frozenset(y for y, differs in enumerate(row) if not differs)
 
     def center(self) -> frozenset[int]:
-        """Elements commuting with everything, by direct scan."""
-        t = self.table
-        out = []
-        for x in range(self.order):
-            row = t[x]
-            if all(row[y] == t[y][x] for y in range(self.order)):
-                out.append(x)
-        return frozenset(out)
+        """Elements commuting with everything."""
+        return frozenset(x for x in range(self.order) if 1 not in self.non_commuting_row(x))
 
     def non_central(self) -> tuple[int, ...]:
-        central = self.center()
-        return tuple(x for x in range(self.order) if x not in central)
+        return tuple(x for x in range(self.order) if 1 in self.non_commuting_row(x))
 
     def __repr__(self) -> str:
         tag = f", n={self.parameter_n}" if self.parameter_n is not None else ""
@@ -211,22 +215,33 @@ def group_from_json(text: str) -> FiniteGroup:
 
 
 def u6n_group(n: int) -> FiniteGroup:
-    """Construct U(6n) from its presentation, order 6n, identity at index 0."""
+    """Construct U(6n) from its presentation, order 6n, identity at index 0.
+
+    Raises ValueError when the dense table would hold more than
+    _DENSE_TABLE_LIMIT entries, before anything of that size is built.
+    """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     two_n = 2 * n
     order = 6 * n
+    if order * order > _DENSE_TABLE_LIMIT:
+        raise ValueError(
+            f"U(6n) at n = {n} needs a Cayley table of {order * order} entries, "
+            f"over the limit of {_DENSE_TABLE_LIMIT}"
+        )
     labels = tuple(U6nElement.from_index(idx, n).label() for idx in range(order))
+    # In the product of x = a^i b^k and y = a^j b^l (y = 3j + l), the a-part
+    # 3 * ((i + j) mod 2n) is row 0's a-part rotated left by 3i entries, and
+    # the b-part ((-1)^j k + l) mod 3 depends on k alone.
+    a_part = [3 * j for j in range(two_n) for _ in range(3)]
+    b_parts = [
+        [((k if j % 2 == 0 else -k) + l) % 3 for j in range(two_n) for l in range(3)]
+        for k in range(3)
+    ]
     rows = []
-    for x in range(order):
-        i, k = divmod(x, 3)
-        row = []
-        for y in range(order):
-            j, l = divmod(y, 3)
-            a = (i + j) % two_n
-            b = ((k if j % 2 == 0 else -k) + l) % 3
-            row.append(3 * a + b)
-        rows.append(tuple(row))
+    for i in range(two_n):
+        rotated = a_part[3 * i :] + a_part[: 3 * i]
+        rows.extend(tuple(map(add, rotated, b_part)) for b_part in b_parts)
     return FiniteGroup(labels=labels, table=tuple(rows), identity=0, parameter_n=n)
 
 

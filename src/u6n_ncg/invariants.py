@@ -10,6 +10,8 @@ type vectors (k_1..k_m), the number of chosen vertices in each class of
 false twins: swapping twins is an automorphism, so one representative per
 vector is tested and weighted by prod C(|C_i|, k_i). The caps still count
 vertices; the cost grows with prod(|C_i| + 1), 2^V only without twins.
+The independence, clique and chromatic numbers search the twin quotient,
+one vertex per class, and eccentricities take one BFS per class.
 """
 
 from __future__ import annotations
@@ -90,7 +92,14 @@ def eccentricity(graph: Graph, v: int) -> int:
 
 
 def eccentricities(graph: Graph) -> tuple[int, ...]:
-    return tuple(eccentricity(graph, v) for v in range(graph.vertex_count))
+    """Eccentricity of every vertex, from one BFS per class of false twins:
+    twins share their distances to every other vertex."""
+    eccs = [0] * graph.vertex_count
+    for members in twin_classes(graph):
+        ecc = eccentricity(graph, members[0])
+        for v in members:
+            eccs[v] = ecc
+    return tuple(eccs)
 
 
 def total_eccentricity_polynomial(graph: Graph) -> IntPolynomial:
@@ -234,19 +243,41 @@ def detour_index(graph: Graph, cap: int = DEFAULT_CAPS.detour) -> int:
 
 # -- independence, covers, cliques, colourings -------------------------
 
+def _twin_quotient(graph: Graph) -> tuple[Graph, list[int]]:
+    """The subgraph induced by the smallest vertex of each class of false
+    twins, and the class sizes in the same order."""
+    classes = twin_classes(graph)
+    if len(classes) == graph.vertex_count:  # no twins: the quotient is the graph
+        return graph, [1] * graph.vertex_count
+    return graph.induced_subgraph(c[0] for c in classes), [len(c) for c in classes]
+
+
 def independence_number(graph: Graph) -> int:
     """Maximum independent set size by branch and bound on bitsets.
 
-    The search depth grows with the vertex count, so it runs on an explicit
-    stack rather than the interpreter's; the include branch is pushed last
-    so it is explored first.
+    An independent set may take a whole class of false twins or none of it,
+    so the search runs on the twin quotient with the class sizes as
+    weights. The search depth grows with the class count, so it runs on an
+    explicit stack rather than the interpreter's; the include branch is
+    pushed last so it is explored first.
     """
-    adj = graph.adj
+    quotient, weights = _twin_quotient(graph)
+    adj = quotient.adj
+    # the weight of a mask is its bit count plus (w - 1) per class of size
+    # w > 1: one extra bit_count per distinct class size, none without twins
+    extra: dict[int, int] = {}
+    for u, w in enumerate(weights):
+        if w > 1:
+            extra[w - 1] = extra.get(w - 1, 0) | (1 << u)
+    extra_masks = tuple(extra.items())
     best = 0
-    stack = [((1 << graph.vertex_count) - 1, 0)]
+    stack = [((1 << quotient.vertex_count) - 1, 0)]
     while stack:
         mask, size = stack.pop()
-        if size + mask.bit_count() <= best:
+        bound = size + mask.bit_count()
+        for excess, m in extra_masks:
+            bound += excess * (mask & m).bit_count()
+        if bound <= best:
             continue
         if not mask:
             best = size
@@ -254,7 +285,7 @@ def independence_number(graph: Graph) -> int:
         # max-degree pivot keeps branching shallow on dense graphs
         pivot = max(_bits(mask), key=lambda u: (adj[u] & mask).bit_count())
         stack.append((mask & ~(1 << pivot), size))
-        stack.append((mask & ~(adj[pivot] | (1 << pivot)), size + 1))
+        stack.append((mask & ~(adj[pivot] | (1 << pivot)), size + weights[pivot]))
     return best
 
 
@@ -298,7 +329,13 @@ def vertex_cover_polynomial(graph: Graph, cap: int = DEFAULT_CAPS.indep) -> IntP
 
 
 def clique_number(graph: Graph) -> int:
-    """Maximum clique size by Bron-Kerbosch with pivoting."""
+    """Maximum clique size by Bron-Kerbosch with pivoting on the twin
+    quotient: false twins are never adjacent, so a clique takes at most one
+    vertex per class, and any one will do."""
+    return _bron_kerbosch(_twin_quotient(graph)[0])
+
+
+def _bron_kerbosch(graph: Graph) -> int:
     adj = graph.adj
     best = 0
 
@@ -373,14 +410,16 @@ def _is_k_colorable(graph: Graph, k: int) -> bool:
 
 def chromatic_number(graph: Graph, cap: int = DEFAULT_CAPS.chromatic) -> int:
     """Exact chromatic number: clique lower bound, DSATUR upper bound,
-    then backtracking between them."""
-    v_count = graph.vertex_count
-    _check_cap("chromatic_number", v_count, cap)
-    if v_count == 0:
+    then backtracking between them, on the twin quotient: a colouring of
+    the quotient lifts to the graph by giving twins their class's colour.
+    The cap counts the vertices of the graph."""
+    _check_cap("chromatic_number", graph.vertex_count, cap)
+    graph = _twin_quotient(graph)[0]
+    if graph.vertex_count == 0:
         return 0
     if graph.edge_count() == 0:
         return 1
-    lower = clique_number(graph)
+    lower = _bron_kerbosch(graph)
     upper = _dsatur_upper_bound(graph)
     if lower == upper:
         return lower

@@ -10,9 +10,12 @@ Statuses:
                          not applying at this n (only the eccentricity
                          polynomials at n = 1)
   skipped_cap            the exhaustive side would exceed its vertex cap
+  error                  the exhaustive side raised; computed is None and
+                         the entry's `error` holds the exception
 
 A disagreement never raises: it becomes an entry, and the exhaustive
-side is the authority. Exceptions from the engines themselves propagate.
+side is the authority. An exception from an engine becomes an `error`
+entry, and the report goes on with the next entry.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ class ReportEntry:
     computed: object
     status: str
     elapsed_ms: int
+    error: str | None = None
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,7 @@ class VerificationReport:
         return any(e.status == "mismatch" for e in self.entries)
 
     def counts(self) -> dict[str, int]:
-        out = {"match": 0, "mismatch": 0, "known_paper_exception": 0, "skipped_cap": 0}
+        out = {"match": 0, "mismatch": 0, "known_paper_exception": 0, "skipped_cap": 0, "error": 0}
         for e in self.entries:
             out[e.status] += 1
         return out
@@ -82,7 +86,7 @@ class VerificationReport:
         lines.append(
             f"n={self.n}: {len(self.entries)} entries, {c['match']} match, "
             f"{c['mismatch']} mismatch, {c['known_paper_exception']} known_paper_exception, "
-            f"{c['skipped_cap']} skipped_cap"
+            f"{c['skipped_cap']} skipped_cap, {c['error']} error"
         )
         return "\n".join(lines)
 
@@ -154,8 +158,9 @@ def verify_all(n: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
     graph = non_commuting_graph(g)
     omega = omega_partition(g)
     v_count = graph.vertex_count
-    # graph vertices keep element-index order, so this map is a bijection
-    vertex_of = {x: i for i, x in enumerate(g.non_central())}
+    # graph vertices carry the labels of their elements
+    element_of = {label: x for x, label in enumerate(g.labels)}
+    vertex_of = {element_of[label]: v for v, label in enumerate(graph.labels)}
     element_classes = omega.classes()
     entries: list[ReportEntry] = []
 
@@ -165,15 +170,20 @@ def verify_all(n: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
             entries.append(ReportEntry(name, n, predicted, None, "skipped_cap", 0))
             return
         start = perf_counter()
-        computed = _normalize(compute())
+        try:
+            computed, error = _normalize(compute()), None
+        except Exception as exc:  # an engine fault is reported, not raised
+            computed, error = None, f"{type(exc).__name__}: {exc}"
         elapsed = int((perf_counter() - start) * 1000)
-        if computed == predicted:
+        if error is not None:
+            status = "error"
+        elif computed == predicted:
             status = "match"
         elif validity == VALIDITY_N_GE_2 and n < 2:
             status = "known_paper_exception"
         else:
             status = "mismatch"
-        entries.append(ReportEntry(name, n, predicted, computed, status, elapsed))
+        entries.append(ReportEntry(name, n, predicted, computed, status, elapsed, error))
 
     # computed on first use and shared, so sibling entries do not redo the
     # expensive searches

@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from u6n_ncg import closed_forms
+from u6n_ncg import closed_forms, invariants
 from u6n_ncg.cli import cli_main
 
 
@@ -68,6 +69,31 @@ class TestVerifyCommand:
         statuses = {e["name"]: e["status"] for e in report["entries"]}
         assert statuses["detour_polynomial"] == "skipped_cap"
         assert statuses["resolving_polynomial"] == "skipped_cap"
+
+    def test_engine_exception_is_an_error_entry_and_exits_three(self, capsys, monkeypatch):
+        def broken(graph):
+            raise RuntimeError("engine fault")
+
+        monkeypatch.setattr(invariants, "clique_number", broken)
+        code, out, err = run(capsys, "verify", "--n", "2", "--format", "json")
+        assert code == 3
+        entries = {e["name"]: e for e in json.loads(out)["entries"]}
+        assert entries["omega"]["status"] == "error"
+        assert entries["omega"]["computed"] is None
+        assert all(e["status"] == "match" for name, e in entries.items() if name != "omega")
+        assert err == "u6n-ncg: error: n = 2, omega: RuntimeError: engine fault\n"
+
+    def test_error_entry_takes_precedence_over_mismatch(self, capsys, monkeypatch):
+        def broken(graph):
+            raise RuntimeError("engine fault")
+
+        monkeypatch.setattr(invariants, "clique_number", broken)
+        monkeypatch.setattr(closed_forms, "cf_edge_count", lambda n: 1)
+        code, out, _ = run(capsys, "verify", "--n", "2", "--format", "json")
+        assert code == 3
+        statuses = {e["name"]: e["status"] for e in json.loads(out)["entries"]}
+        assert statuses["omega"] == "error"
+        assert statuses["edge_count"] == "mismatch"
 
     def test_bad_caps_key(self, capsys):
         code, _, err = run(capsys, "verify", "--n", "2", "--caps", "bogus=3")
@@ -193,6 +219,17 @@ class TestGraphCommand:
         code, out, _ = run(capsys, "graph", "--n", "1", "--invariant", "ecc")
         assert code == 0
         assert out.strip() == "1,2"
+
+    def test_oversized_group_refused_before_allocating(self, capsys):
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "graph", "--n", "100000", "--invariant", "edges")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert err.startswith("u6n-ncg: error:") and "limit" in err
+        assert peak < 1_000_000
 
     def test_detour_index_n2(self, capsys):
         code, out, _ = run(capsys, "graph", "--n", "2", "--invariant", "detour-index")

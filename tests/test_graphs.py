@@ -319,3 +319,66 @@ class TestExport:
     def test_edges_lexicographic(self):
         graph = ncg(2)
         assert list(graph.edges()) == sorted(graph.edges())
+
+
+# -- reference constructions, kept as oracles for the commutation rows -----
+
+def pair_loop_non_commuting_graph(g):
+    """Every pair of non-central elements tested by its table entries."""
+    vertices = g.non_central()
+    t = g.table
+    rows = [0] * len(vertices)
+    for i, x in enumerate(vertices):
+        for j in range(i + 1, len(vertices)):
+            y = vertices[j]
+            if t[x][y] != t[y][x]:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return Graph(labels=tuple(g.labels[x] for x in vertices), adj=tuple(rows))
+
+
+def edge_loop_asymmetry(adj):
+    """The error an edge-by-edge symmetry check raises first, or None."""
+    for u in range(len(adj)):
+        for w in range(len(adj)):
+            if (adj[u] >> w) & 1 and not (adj[w] >> u) & 1:
+                return f"asymmetric adjacency between {u} and {w}"
+    return None
+
+
+@st.composite
+def loopless_rows(draw, max_vertices=8):
+    """Adjacency rows without loops: a random graph, then a few arcs
+    flipped one way only, so that about half come out asymmetric."""
+    graph = draw(random_graphs(max_vertices=max_vertices))
+    v = graph.vertex_count
+    rows = list(graph.adj)
+    arcs = [(u, w) for u in range(v) for w in range(v) if u != w]
+    if arcs:
+        for u, w in draw(st.lists(st.sampled_from(arcs), max_size=3)):
+            rows[u] ^= 1 << w
+    return tuple(rows)
+
+
+class TestConstructionAgainstPairLoop:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_u6n(self, n):
+        g = u6n_group(n)
+        assert non_commuting_graph(g) == pair_loop_non_commuting_graph(g)
+
+    def test_s3_from_its_table(self):
+        g1 = u6n_group(1)
+        g = group_from_table(list(g1.labels), [list(row) for row in g1.table])
+        assert non_commuting_graph(g) == pair_loop_non_commuting_graph(g)
+
+    @given(loopless_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_symmetry_check_matches_edge_loop(self, rows):
+        labels = tuple(f"v{i}" for i in range(len(rows)))
+        expected = edge_loop_asymmetry(rows)
+        if expected is None:
+            assert Graph(labels=labels, adj=rows).adj == rows
+        else:
+            with pytest.raises(ValueError) as info:
+                Graph(labels=labels, adj=rows)
+            assert str(info.value) == expected

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from u6n_ncg import groups
 from u6n_ncg.groups import (
     FiniteGroup,
     U6nElement,
@@ -283,3 +284,91 @@ class TestCayleyTableLoading:
         assert g1 == g2
         with pytest.raises(AttributeError):
             g1.identity = 2
+
+
+# -- reference scans, kept as oracles for the commutation rows -------------
+
+def double_loop_u6n_table(n):
+    """The table entry by entry from the normal-form product."""
+    two_n, order = 2 * n, 6 * n
+    rows = []
+    for x in range(order):
+        i, k = divmod(x, 3)
+        row = []
+        for y in range(order):
+            j, l = divmod(y, 3)
+            a = (i + j) % two_n
+            b = ((k if j % 2 == 0 else -k) + l) % 3
+            row.append(3 * a + b)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def scan_is_abelian(g):
+    t = g.table
+    return all(t[x][y] == t[y][x] for x in range(g.order) for y in range(x + 1, g.order))
+
+
+def scan_centralizer(g, x):
+    t = g.table
+    return frozenset(y for y in range(g.order) if t[x][y] == t[y][x])
+
+
+def scan_center(g):
+    t = g.table
+    return frozenset(
+        x for x in range(g.order) if all(t[x][y] == t[y][x] for y in range(g.order))
+    )
+
+
+# every group the suite loads from a table, and S3 (= U(6)) from its table
+TABLE_GROUPS = [
+    (["e"], [[0]]),
+    (["e", "x"], [[0, 1], [1, 0]]),
+    (C3_LABELS, C3_TABLE),
+    (["g", "e", "g2"], [[2, 0, 1], [0, 1, 2], [1, 2, 0]]),
+    (list(u6n_group(1).labels), [list(row) for row in u6n_group(1).table]),
+]
+
+
+def assert_commutation_matches_scans(g):
+    assert g.is_abelian() == scan_is_abelian(g)
+    center = scan_center(g)
+    assert g.center() == center
+    assert g.non_central() == tuple(x for x in range(g.order) if x not in center)
+    for x in range(g.order):
+        row = g.non_commuting_row(x)
+        assert row == bytes(g.table[x][y] != g.table[y][x] for y in range(g.order))
+        assert g.centralizer(x) == scan_centralizer(g, x)
+
+
+class TestCommutationRowsAgainstScans:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_table_matches_double_loop(self, n):
+        g = u6n_group(n)
+        assert g.table == double_loop_u6n_table(n)
+        assert type(g.table) is tuple and all(type(row) is tuple for row in g.table)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_u6n(self, n):
+        assert_commutation_matches_scans(u6n_group(n))
+
+    @pytest.mark.parametrize("labels, table", TABLE_GROUPS)
+    def test_table_groups(self, labels, table):
+        assert_commutation_matches_scans(group_from_table(labels, table))
+
+    def test_row_index_checked(self):
+        with pytest.raises(IndexError):
+            u6n_group(1).non_commuting_row(6)
+
+
+class TestTableSizeLimit:
+    def test_baseline_order_fits(self):
+        # n = 1000 (order 6000), the recorded large-n baseline, must still build
+        assert groups._DENSE_TABLE_LIMIT >= 6000 * 6000
+
+    def test_limit_is_on_the_entry_count(self, monkeypatch):
+        monkeypatch.setattr(groups, "_DENSE_TABLE_LIMIT", 12 * 12)
+        assert u6n_group(2).order == 12
+        with pytest.raises(ValueError, match="144"):
+            u6n_group(3)

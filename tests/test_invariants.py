@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from u6n_ncg.graphs import Graph, non_commuting_graph
+from u6n_ncg.graphs import Graph, _bits, non_commuting_graph, twin_classes
 from u6n_ncg.groups import u6n_group
 from u6n_ncg.invariants import (
     DEFAULT_CAPS,
@@ -31,6 +31,8 @@ from u6n_ncg.invariants import (
     vertex_cover_number,
     vertex_cover_polynomial,
     _disagreement_masks,
+    _dsatur_upper_bound,
+    _is_k_colorable,
 )
 from u6n_ncg.polynomials import IntPolynomial
 
@@ -200,6 +202,23 @@ class TestIndependence:
 
     def test_search_depth_not_bounded_by_recursion_limit(self):
         graph = Graph.from_edges([f"v{i}" for i in range(1500)], [])
+        assert independence_number(graph) == 1500
+
+    def test_search_depth_without_twins(self):
+        # The edgeless graph above is one class of twins, so its quotient has
+        # one vertex. Here a 56-clique K is joined to 1500 independent
+        # vertices, each missing a different set of at most two vertices of K:
+        # no two vertices are twins, and the search excludes K one vertex at
+        # a time, then takes the 1500 one at a time, about 1556 levels deep.
+        # (A matching or a path has no twins either, but the size + weight
+        # bound prunes so little there that the search is exponential.)
+        k = 56
+        missed = [()] + [(a,) for a in range(k)] + list(combinations(range(k), 2))
+        edges = list(combinations(range(k), 2))
+        for i, gaps in enumerate(missed[:1500]):
+            edges += [(k + i, a) for a in range(k) if a not in gaps]
+        graph = Graph.from_edges([f"v{i}" for i in range(k + 1500)], edges)
+        assert len(twin_classes(graph)) == graph.vertex_count
         assert independence_number(graph) == 1500
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -664,3 +683,98 @@ class TestTwinClassEnginesAgainstSubsetOracles:
         assert [m.bit_count() for m in masks] == sorted(m.bit_count() for m in masks)
         minimal = {m for m in pairs if not any(o != m and o & m == o for o in pairs)}
         assert set(masks) == minimal
+
+
+# -- full-graph searches, kept as oracles for the twin-quotient ones ------
+
+def full_independence_number(graph):
+    """Unweighted branch and bound over every vertex of the graph."""
+    adj = graph.adj
+    best = 0
+    stack = [((1 << graph.vertex_count) - 1, 0)]
+    while stack:
+        mask, size = stack.pop()
+        if size + mask.bit_count() <= best:
+            continue
+        if not mask:
+            best = size
+            continue
+        pivot = max(_bits(mask), key=lambda u: (adj[u] & mask).bit_count())
+        stack.append((mask & ~(1 << pivot), size))
+        stack.append((mask & ~(adj[pivot] | (1 << pivot)), size + 1))
+    return best
+
+
+def full_clique_number(graph):
+    """Bron-Kerbosch with pivoting over every vertex of the graph."""
+    adj = graph.adj
+    best = 0
+
+    def expand(size, candidates, excluded):
+        nonlocal best
+        if not candidates and not excluded:
+            best = max(best, size)
+            return
+        if size + candidates.bit_count() <= best:
+            return
+        pivot = max(
+            _bits(candidates | excluded),
+            key=lambda u: (adj[u] & candidates).bit_count(),
+        )
+        for v in _bits(candidates & ~adj[pivot]):
+            expand(size + 1, candidates & adj[v], excluded & adj[v])
+            candidates &= ~(1 << v)
+            excluded |= 1 << v
+
+    expand(0, (1 << graph.vertex_count) - 1, 0)
+    return best
+
+
+def full_chromatic_number(graph):
+    """Clique bound, DSATUR bound and backtracking on the whole graph."""
+    if graph.vertex_count == 0:
+        return 0
+    if graph.edge_count() == 0:
+        return 1
+    lower, upper = full_clique_number(graph), _dsatur_upper_bound(graph)
+    return next((k for k in range(lower, upper) if _is_k_colorable(graph, k)), upper)
+
+
+def per_vertex_eccentricities(graph):
+    """One eccentricity, hence one BFS, per vertex."""
+    return tuple(eccentricity(graph, v) for v in range(graph.vertex_count))
+
+
+def assert_quotient_searches_match_oracles(graph):
+    assert independence_number(graph) == full_independence_number(graph)
+    assert clique_number(graph) == full_clique_number(graph)
+    assert chromatic_number(graph) == full_chromatic_number(graph)
+    if is_connected(graph):
+        assert eccentricities(graph) == per_vertex_eccentricities(graph)
+    else:
+        with pytest.raises(DisconnectedGraphError):
+            per_vertex_eccentricities(graph)
+        with pytest.raises(DisconnectedGraphError):
+            eccentricities(graph)
+
+
+class TestTwinQuotientSearchesAgainstFullGraphOracles:
+    @given(random_graphs(max_vertices=12, min_vertices=0))
+    @settings(max_examples=100, deadline=None)
+    def test_random_graphs(self, graph):
+        assert_quotient_searches_match_oracles(graph)
+
+    @given(twin_blowups())
+    @settings(max_examples=100, deadline=None)
+    def test_planted_twin_blowups(self, graph):
+        assert_quotient_searches_match_oracles(graph)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_non_commuting_graphs(self, n):
+        assert_quotient_searches_match_oracles(ncg(n))
+
+    @pytest.mark.parametrize("v", [0, 1])
+    def test_tiny_graphs(self, v):
+        graph = Graph.from_edges([f"v{i}" for i in range(v)], [])
+        assert_quotient_searches_match_oracles(graph)
+        assert eccentricities(graph) == (0,) * v

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from u6n_ncg import closed_forms
+from u6n_ncg import closed_forms, invariants
 from u6n_ncg.invariants import Caps
 from u6n_ncg.verify import verify_all
 
@@ -65,6 +65,22 @@ class TestStatuses:
         report = verify_all(2)
         assert entry_map(report)["edge_count"].status == "mismatch"
         assert report.has_mismatch()
+
+    def test_engine_exception_becomes_error_entry(self, monkeypatch):
+        def broken(graph):
+            raise RuntimeError("engine fault")
+
+        monkeypatch.setattr(invariants, "independence_number", broken)
+        report = verify_all(2)
+        by_name = entry_map(report)
+        # tau reaches the engine through vertex_cover_number
+        for name in ("alpha", "tau"):
+            entry = by_name[name]
+            assert (entry.status, entry.computed) == ("error", None)
+            assert entry.error == "RuntimeError: engine fault"
+        assert report.counts()["error"] == 2
+        assert not report.has_mismatch()
+        assert by_name["vertex_cover_polynomial"].status == "match"
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
