@@ -5,19 +5,19 @@ colourings, and resolving sets, all computed exactly over adjacency
 bitsets. The NP-hard searches carry explicit vertex caps (Caps); going
 past a cap raises CapacityError instead of silently approximating.
 
-Independent sets, covers, resolving sets and longest paths are swept over
-type vectors (k_1..k_m), the number of chosen vertices in each class of
-false twins: swapping twins is an automorphism, so one representative per
-vector is tested and weighted by prod C(|C_i|, k_i). The caps still count
-vertices; the cost grows with prod(|C_i| + 1), 2^V only without twins.
-The independence, clique and chromatic numbers search the twin quotient,
-one vertex per class, and eccentricities take one BFS per class.
+Independent sets, covers, resolving sets and longest paths work on the
+classes C_1..C_m of false twins (equal neighbourhoods): resolving sets
+test 2^m class patterns, each class whole or one member short;
+independence counts recurse on the twin quotient, one vertex per class;
+longest paths advance T-bit integers, T = prod(|C_i| + 1). The caps still
+count vertices; without twins m = V and the cost is 2^V. The
+independence, clique and chromatic numbers search the twin quotient, and
+eccentricities take one BFS per class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, prod
 
 from .graphs import Graph, _bits, twin_classes
 from .polynomials import IntPolynomial
@@ -115,50 +115,19 @@ def eccentric_connectivity_polynomial(graph: Graph) -> IntPolynomial:
     )
 
 
-# -- twin-class type vectors --------------------------------------------
-
-def _type_vectors(classes) -> list[tuple[int, int, int]]:
-    """Every type vector over `classes` in mixed radix, the first class
-    least significant, as (rep, size, weight): the representative set (the
-    first k_i members of each class), its size, and the number of vertex
-    sets of that type."""
-    table = [(0, 0, 1)]
-    for members in classes:
-        block, rep = table, 0
-        for k, v in enumerate(members, 1):
-            rep |= 1 << v
-            weight = comb(len(members), k)
-            table = table + [(r | rep, s + k, w * weight) for r, s, w in block]
-    return table
-
-
-def _type_tables(classes):
-    """The type vectors as low and high tables of about sqrt(T) entries,
-    T = prod(|C_i| + 1): state h * len(low) + l joins high[h] and low[l]."""
-    total = prod(len(c) + 1 for c in classes)
-    mid, low_count = 0, 1
-    while low_count * low_count < total:
-        low_count *= len(classes[mid]) + 1
-        mid += 1
-    return _type_vectors(classes[:mid]), _type_vectors(classes[mid:])
-
-
-def _reach(adj, rep: int) -> int:
-    nb = 0
-    for v in _bits(rep):
-        nb |= adj[v]
-    return nb
-
-
 # -- longest simple paths ----------------------------------------------
 
 def detour_matrix(graph: Graph, cap: int = DEFAULT_CAPS.detour) -> tuple[tuple[int, ...], ...]:
     """All-pairs longest-simple-path lengths.
 
-    Dynamic programme over (type vector, last class) states, each keeping
-    the bitmask of classes a path can start in. Twins are never adjacent
-    and classes join all-or-none, so a class sequence is a path exactly
-    when consecutive classes are joined and no class is overused.
+    Twins are never adjacent and classes join all-or-none, so a class
+    sequence is a path exactly when consecutive classes are joined and no
+    class is used more often than it has members. Count vectors
+    (k_1..k_m), k_i <= |C_i|, are numbered in mixed radix, and bit c of
+    ends[a][w] is set when some path starts in class a, ends in class w
+    and has count vector c. A layer adds one vertex to every path at once:
+    a step into class x keeps the states with k_x < |C_x| and adds
+    stride[x] to the index.
     """
     v_count = graph.vertex_count
     _check_cap("detour_matrix", v_count, cap)
@@ -167,57 +136,37 @@ def detour_matrix(graph: Graph, cap: int = DEFAULT_CAPS.detour) -> tuple[tuple[i
     if not is_connected(graph):
         raise DisconnectedGraphError("detour distance requires a connected graph")
 
-    adj = graph.adj
-    classes = twin_classes(graph)
-    # a class is named by its first member; starts[s * V + w] holds the start
-    # classes of paths in state s ending in class w, a step into u's class
-    # adds offset[u] to that index
-    key, offset = [0] * v_count, [0] * v_count
-    firsts, lasts, radix = 0, 0, 1
-    for members in classes:
-        first = members[0]
-        for u in members:
-            key[u], offset[u] = first, radix * v_count + first
-        firsts |= 1 << first
-        lasts |= 1 << members[-1]
-        radix *= len(members) + 1
-    starts = [0] * (radix * v_count)
-    for u in _bits(firsts):
-        starts[offset[u]] = 1 << u
-    # longest[L * V + w]: start classes of paths with L edges ending in w
-    longest = [0] * (v_count * v_count)
-    low, high = _type_tables(classes)
-    state = 0
-    for rep_h, size_h, _ in high:
-        for rep_l, size_l, _ in low:
-            subset = rep_h | rep_l
-            base = state * v_count
-            row = (size_h + size_l - 1) * v_count
-            room = lasts & ~subset
-            rem = subset & firsts
-            while rem:
-                wbit = rem & -rem
-                rem ^= wbit
-                w = wbit.bit_length() - 1
-                sm = starts[base + w]
-                if not sm:
-                    continue
-                longest[row + w] |= sm
-                ext = adj[w] & room
-                while ext:
-                    xbit = ext & -ext
-                    ext ^= xbit
-                    x = xbit.bit_length() - 1
-                    starts[base + offset[x]] |= sm
-            state += 1
+    quotient, sizes = _twin_quotient(graph)
+    m = len(sizes)
+    stride, total = [], 1
+    for size in sizes:
+        stride.append(total)
+        total *= size + 1
+    # room[x] repeats stride * |C_x| set bits and stride clear ones; built
+    # by doubling, as big-int division would be quadratic
+    room = []
+    for size, step in zip(sizes, stride):
+        bits, width = (1 << step * size) - 1, step * (size + 1)
+        while width < total:
+            bits |= bits << width
+            width *= 2
+        room.append(bits & ((1 << total) - 1))
+    joined = [list(_bits(row)) for row in quotient.adj]
+    ends = [[1 << stride[a] if w == a else 0 for w in range(m)] for a in range(m)]
+    best = [[0] * m for _ in range(m)]
+    for length in range(v_count):  # ascending, so the longest one stays
+        for a, row in enumerate(ends):
+            grown = [0] * m
+            for w in range(m):
+                if row[w]:
+                    best[a][w] = length
+                    for x in joined[w]:
+                        grown[x] |= row[w]
+            ends[a] = [(g & r) << step for g, r, step in zip(grown, room, stride)]
 
-    best = [[0] * v_count for _ in range(v_count)]
-    for length in range(1, v_count):  # ascending, so the longest one stays
-        for w in _bits(firsts):
-            for u in _bits(longest[length * v_count + w]):
-                best[u][w] = length
+    class_of = {u: i for i, members in enumerate(twin_classes(graph)) for u in members}
     return tuple(
-        tuple(best[key[u]][key[w]] if u != w else 0 for w in range(v_count))
+        tuple(best[class_of[u]][class_of[w]] if u != w else 0 for w in range(v_count))
         for u in range(v_count)
     )
 
@@ -290,22 +239,40 @@ def independence_number(graph: Graph) -> int:
 
 
 def independence_polynomial(graph: Graph, cap: int = DEFAULT_CAPS.indep) -> IntPolynomial:
-    """Counts of independent sets by size (the empty set included): a high
-    and a low part are each independent, and not joined to each other."""
+    """Counts of independent sets by size (the empty set included).
+
+    An independent set takes a nonempty part of each class of an
+    independent set of the twin quotient, so on the quotient
+    I(S) = I(S - v) + ((1 + x)^|C_v| - 1) * I(S - N[v]), memoised by
+    mask and unrolled along S - v. A polynomial is held as the integer it
+    takes at x = 2^B: no count exceeds 2^V, so B = V + 1 bits keep the
+    coefficients apart, and the products are big-int products.
+    """
     v_count = graph.vertex_count
     _check_cap("independence_polynomial", v_count, cap)
-    adj = graph.adj
-    low, high = _type_tables(twin_classes(graph))
-    low = [entry for entry in low if not _reach(adj, entry[0]) & entry[0]]
-    counts = [0] * (v_count + 1)
-    for rep_h, size_h, weight_h in high:
-        nb = _reach(adj, rep_h)
-        if nb & rep_h:
-            continue
-        for rep_l, size_l, weight_l in low:
-            if not nb & rep_l:
-                counts[size_h + size_l] += weight_h * weight_l
-    return IntPolynomial.from_terms(enumerate(counts))
+    quotient, sizes = _twin_quotient(graph)
+    adj = quotient.adj
+    width = v_count + 1
+    gain = [((1 << width) + 1) ** size - 1 for size in sizes]
+    memo = {0: 1}
+
+    def count(mask: int) -> int:
+        total = memo.get(mask)
+        if total is None:
+            total, rest = 1, mask
+            while rest:  # v is the smallest vertex taken
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                total += gain[v] * count(rest & ~adj[v])
+            memo[mask] = total
+        return total
+
+    packed = count((1 << quotient.vertex_count) - 1)
+    digit = (1 << width) - 1
+    return IntPolynomial.from_terms(
+        (k, packed >> (k * width) & digit) for k in range(v_count + 1)
+    )
 
 
 def vertex_cover_number(graph: Graph) -> int:
@@ -440,27 +407,54 @@ class ResolvingSequence:
     counts: tuple[int, ...]
 
 
-def _disagreement_masks(graph: Graph) -> list[int]:
-    """The distinct inclusion-minimal bitmasks of vertices whose distances
-    to some vertex pair differ, sparsest first so a non-resolving set fails
-    early.
+def _pattern_tables(classes):
+    """The class patterns as low and high tables over the two halves of
+    the classes, entries (rep, size, weight). A pattern takes each class
+    whole (its first member in rep) or leaves out one member, so size
+    counts the chosen vertices and weight the vertex sets of that pattern,
+    one per choice of the members left out."""
+    mid = (len(classes) + 1) // 2
+    tables = []
+    for half in (classes[:mid], classes[mid:]):
+        table = [(0, 0, 1)]
+        for members in half:
+            size, first = len(members), 1 << members[0]
+            table = [(r, s + size - 1, w * size) for r, s, w in table] + [
+                (r | first, s + size, w) for r, s, w in table
+            ]
+        tables.append(table)
+    return tables
 
-    A set resolves the graph exactly when it meets every pair's mask, and
-    a set meeting a mask meets all its supersets.
+
+def _disagreement_masks(graph: Graph) -> list[int]:
+    """The distinct inclusion-minimal masks that a class pattern must meet
+    to resolve the graph, sparsest first so a non-resolving one fails
+    early; every mask holds first members of classes only.
+
+    A resolving set leaves out at most one member of each class of false
+    twins, since only twins tell twins apart, and swapping twins is an
+    automorphism, so the member left out may be the first. Two left-out
+    firsts are told apart by the vertices whose distances to them differ.
+    If one of those is not a first it is always chosen; otherwise the
+    pattern must take one of those firsts, the pair's own two included.
     """
     v_count = graph.vertex_count
     everything = (1 << v_count) - 1
-    layers = [_bfs_layers(graph, u) for u in range(v_count)]
+    firsts = [members[0] for members in twin_classes(graph)]
+    others = everything ^ sum(1 << u for u in firsts)
+    layers = [_bfs_layers(graph, u) for u in firsts]
     if any(sum(layer) != everything for layer in layers):
         raise DisconnectedGraphError("resolving sets require a connected graph")
     masks = set()
     # a pair agrees on w exactly when w lies in the same layer for both
-    for u in range(v_count):
-        for v in range(u + 1, v_count):
+    for i in range(len(firsts)):
+        for j in range(i + 1, len(firsts)):
             same = 0
-            for a, b in zip(layers[u], layers[v]):
+            for a, b in zip(layers[i], layers[j]):
                 same |= a & b
-            masks.add(everything ^ same)
+            mask = everything ^ same
+            if not mask & others:
+                masks.add(mask)
     # kept masks are filed under their lowest bit, which lies in any superset
     minimal, by_low = [], {}
     for mask in sorted(masks, key=lambda m: (m.bit_count(), m)):
@@ -492,17 +486,25 @@ def is_resolving(graph: Graph, witness) -> bool:
     for w in witness:
         graph._check_vertex(w)
         subset |= 1 << w
-    return _hits_all(subset, _disagreement_masks(graph))
+    masks = _disagreement_masks(graph)
+    pattern = 0
+    for members in twin_classes(graph):
+        left_out = [u for u in members if not subset >> u & 1]
+        if len(left_out) > 1:  # only twins tell twins apart
+            return False
+        if not left_out:
+            pattern |= 1 << members[0]
+    return _hits_all(pattern, masks)
 
 
 def metric_dimension(graph: Graph, cap: int = DEFAULT_CAPS.metric) -> int:
-    """Smallest resolving-set size: the twin-class type vectors are tested
-    by increasing size against the disagreement masks, stopping at the
-    first hit."""
+    """Smallest resolving-set size: the class patterns are tested by
+    increasing size against the disagreement masks, stopping at the first
+    hit."""
     v_count = graph.vertex_count
     _check_cap("metric_dimension", v_count, cap)
     masks = _disagreement_masks(graph)
-    low, high = _type_tables(twin_classes(graph))
+    low, high = _pattern_tables(twin_classes(graph))
     low_by_size, high_by_size = ([[] for _ in range(v_count + 1)] for _ in range(2))
     for table, by_size in ((low, low_by_size), (high, high_by_size)):
         for rep, size, _ in table:
@@ -519,12 +521,13 @@ def metric_dimension(graph: Graph, cap: int = DEFAULT_CAPS.metric) -> int:
 def resolving_polynomial(
     graph: Graph, cap: int = DEFAULT_CAPS.resolving
 ) -> tuple[IntPolynomial, ResolvingSequence]:
-    """Counts of resolving sets by cardinality. Every type vector is tested;
-    the masks its high part meets are dropped before the low parts."""
+    """Counts of resolving sets by cardinality. Every class pattern is
+    tested; the masks its high part meets are dropped before the low
+    parts."""
     v_count = graph.vertex_count
     _check_cap("resolving_polynomial", v_count, cap)
     masks = _disagreement_masks(graph)
-    low, high = _type_tables(twin_classes(graph))
+    low, high = _pattern_tables(twin_classes(graph))
     counts = [0] * (v_count + 1)
     for rep_h, size_h, weight_h in high:
         rest = [mask for mask in masks if not mask & rep_h]

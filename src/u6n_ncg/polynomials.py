@@ -7,6 +7,7 @@ therefore an honest exact comparison.
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Iterable, Mapping
 
 
@@ -183,11 +184,15 @@ class IntPolynomial:
 def integer_roots(poly: IntPolynomial) -> tuple[int, ...]:
     """All integer roots of a nonzero polynomial, ascending.
 
-    Scans the Cauchy bound interval; exact because evaluation is exact.
+    Once x^k is factored out, a nonzero integer root divides the lowest
+    coefficient, so only 0 (when k > 0) and plus or minus each divisor of
+    that coefficient are evaluated; exact because evaluation is exact.
     """
     if not poly:
         raise ValueError("the zero polynomial vanishes everywhere")
-    terms = poly.terms()
-    lead = abs(terms[-1][1])
-    bound = 1 + max(abs(c) for _, c in terms) // lead
-    return tuple(r for r in range(-bound, bound + 1) if poly.evaluate(r) == 0)
+    low_exp, trailing = poly.terms()[0]
+    candidates = {0} if low_exp else set()
+    for d in range(1, isqrt(abs(trailing)) + 1):
+        if trailing % d == 0:
+            candidates.update((d, -d, trailing // d, -trailing // d))
+    return tuple(sorted(r for r in candidates if poly.evaluate(r) == 0))

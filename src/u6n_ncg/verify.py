@@ -29,7 +29,7 @@ from . import closed_forms, invariants
 from .closed_forms import VALIDITY_FULL, VALIDITY_N_GE_2
 from .graphs import find_induced, is_complete_multipartite, is_k_regular, non_commuting_graph
 from .groups import FiniteGroup, U6nElement, omega_partition, u6n_group
-from .invariants import Caps, DEFAULT_CAPS
+from .invariants import Caps, CapacityError, DEFAULT_CAPS
 from .polynomials import IntPolynomial, integer_roots
 
 
@@ -157,21 +157,20 @@ def verify_all(n: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
     g = u6n_group(n)
     graph = non_commuting_graph(g)
     omega = omega_partition(g)
-    v_count = graph.vertex_count
     # graph vertices carry the labels of their elements
     element_of = {label: x for x, label in enumerate(g.labels)}
     vertex_of = {element_of[label]: v for v, label in enumerate(graph.labels)}
     element_classes = omega.classes()
     entries: list[ReportEntry] = []
 
-    def add(name, predicted, compute, validity=VALIDITY_FULL, cap=None):
+    def add(name, predicted, compute, validity=VALIDITY_FULL):
         predicted = _normalize(predicted)
-        if cap is not None and v_count > cap:
-            entries.append(ReportEntry(name, n, predicted, None, "skipped_cap", 0))
-            return
         start = perf_counter()
         try:
             computed, error = _normalize(compute()), None
+        except CapacityError:  # capped engines refuse before any other work
+            entries.append(ReportEntry(name, n, predicted, None, "skipped_cap", 0))
+            return
         except Exception as exc:  # an engine fault is reported, not raised
             computed, error = None, f"{type(exc).__name__}: {exc}"
         elapsed = int((perf_counter() - start) * 1000)
@@ -247,7 +246,6 @@ def verify_all(n: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
         "chi",
         closed_forms.cf_chi_omega(n),
         lambda: invariants.chromatic_number(graph, cap=caps.chromatic),
-        cap=caps.chromatic,
     )
 
     # forbidden induced subgraphs and regularity
@@ -268,45 +266,30 @@ def verify_all(n: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
         "metric_dimension",
         closed_forms.cf_metric_dimension(n),
         lambda: invariants.metric_dimension(graph, cap=caps.metric),
-        cap=caps.metric,
     )
     add(
         "resolving_polynomial",
         closed_forms.cf_resolving_polynomial(n),
         lambda: resolving()[0],
-        cap=caps.resolving,
     )
     add(
         "resolving_sequence",
         closed_forms.cf_resolving_sequence(n),
         lambda: resolving()[1].counts,
-        cap=caps.resolving,
     )
     add(
         "resolving_roots",
         closed_forms.cf_resolving_roots(n),
         lambda: integer_roots(resolving()[0]),
-        cap=caps.resolving,
     )
 
     # detour distances: the distinct values are the polynomial's exponents
-    add(
-        "detour_distances",
-        (5 * n - 1,),
-        lambda: tuple(e for e, _ in detour().terms()),
-        cap=caps.detour,
-    )
-    add(
-        "detour_polynomial",
-        closed_forms.cf_detour_polynomial(n),
-        detour,
-        cap=caps.detour,
-    )
+    add("detour_distances", (5 * n - 1,), lambda: tuple(e for e, _ in detour().terms()))
+    add("detour_polynomial", closed_forms.cf_detour_polynomial(n), detour)
     add(
         "detour_index",
         closed_forms.cf_detour_index(n),
         lambda: detour().derivative_at_one(),
-        cap=caps.detour,
     )
 
     # eccentricities; the closed forms carry the n >= 2 validity flag
@@ -336,13 +319,11 @@ def verify_all(n: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
         "independence_polynomial",
         closed_forms.cf_independence_polynomial(n),
         lambda: invariants.independence_polynomial(graph, cap=caps.indep),
-        cap=caps.indep,
     )
     add(
         "vertex_cover_polynomial",
         closed_forms.cf_vertex_cover_polynomial(n),
         lambda: invariants.vertex_cover_polynomial(graph, cap=caps.indep),
-        cap=caps.indep,
     )
 
     return VerificationReport(n=n, entries=tuple(entries))

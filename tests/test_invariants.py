@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from u6n_ncg import closed_forms
 from u6n_ncg.graphs import Graph, _bits, non_commuting_graph, twin_classes
 from u6n_ncg.groups import u6n_group
 from u6n_ncg.invariants import (
@@ -677,12 +678,52 @@ class TestTwinClassEnginesAgainstSubsetOracles:
     @settings(max_examples=60, deadline=None)
     def test_masks_are_the_minimal_pair_masks(self, graph):
         assume(is_connected(graph))
+        assume(len(twin_classes(graph)) == graph.vertex_count)
         pairs = set(pair_disagreement_masks(graph))
         masks = _disagreement_masks(graph)
         assert len(set(masks)) == len(masks)
         assert [m.bit_count() for m in masks] == sorted(m.bit_count() for m in masks)
         minimal = {m for m in pairs if not any(o != m and o & m == o for o in pairs)}
         assert set(masks) == minimal
+
+    @given(twin_blowups())
+    @settings(max_examples=60, deadline=None)
+    def test_masks_hold_first_members_only(self, graph):
+        assume(is_connected(graph))
+        firsts = sum(1 << c[0] for c in twin_classes(graph))
+        masks = _disagreement_masks(graph)
+        assert len(set(masks)) == len(masks)
+        assert [m.bit_count() for m in masks] == sorted(m.bit_count() for m in masks)
+        assert all(m & firsts == m for m in masks)
+
+    @given(twin_blowups(max_vertices=10))
+    @settings(max_examples=40, deadline=None)
+    def test_is_resolving_matches_distance_vectors_with_twins(self, graph):
+        assume(is_connected(graph))
+        v = graph.vertex_count
+        dist = distance_matrix(graph)
+        for k in range(v + 1):
+            for combo in combinations(range(v), k):
+                assert is_resolving(graph, combo) == resolves_by_vectors(dist, combo)
+
+
+class TestClosedFormsPastTheOracles:
+    """The 2^V oracles stop at V = 12; here classes of up to 2n twins meet
+    the paper's closed forms."""
+
+    @pytest.mark.parametrize("n", range(5, 11))
+    def test_counting_engines_match_closed_forms(self, n):
+        graph = ncg(n)
+        big = 10**6
+        poly, seq = resolving_polynomial(graph, cap=big)
+        assert poly == closed_forms.cf_resolving_polynomial(n)
+        assert seq.counts == closed_forms.cf_resolving_sequence(n)
+        assert metric_dimension(graph, cap=big) == closed_forms.cf_metric_dimension(n)
+        assert independence_polynomial(graph, cap=big) == closed_forms.cf_independence_polynomial(n)
+        assert vertex_cover_polynomial(graph, cap=big) == closed_forms.cf_vertex_cover_polynomial(n)
+        matrix = detour_matrix(graph, cap=big)
+        v = graph.vertex_count
+        assert all(matrix[a][b] == (0 if a == b else 5 * n - 1) for a in range(v) for b in range(v))
 
 
 # -- full-graph searches, kept as oracles for the twin-quotient ones ------

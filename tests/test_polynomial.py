@@ -11,6 +11,27 @@ small_polys = st.lists(
 ).map(lambda cs: IntPolynomial.from_terms(enumerate(cs)))
 
 
+def scan_integer_roots(poly):
+    """Integer roots by evaluating every integer in the Cauchy bound
+    interval."""
+    terms = poly.terms()
+    lead = abs(terms[-1][1])
+    bound = 1 + max(abs(c) for _, c in terms) // lead
+    return tuple(r for r in range(-bound, bound + 1) if poly.evaluate(r) == 0)
+
+
+@st.composite
+def rooted_polys(draw):
+    """x^k times linear factors (x - r) times a small nonzero cofactor:
+    zero constant terms, negative coefficients, and trailing coefficients
+    of +-1 and primes all occur."""
+    poly = IntPolynomial.monomial(draw(st.integers(min_value=0, max_value=3)))
+    for r in draw(st.lists(st.integers(min_value=-7, max_value=7), max_size=3)):
+        poly = poly * (X + (-r))
+    cofactor = draw(small_polys.filter(bool))
+    return poly * cofactor
+
+
 class TestConstruction:
     def test_from_terms_merges_and_drops_zeros(self):
         p = IntPolynomial.from_terms([(2, 1), (2, 1), (0, 3), (1, 0)])
@@ -71,6 +92,10 @@ class TestEvaluation:
         assert integer_roots(p) == (-3, -2, 0)
         with pytest.raises(ValueError):
             integer_roots(IntPolynomial())
+
+    @given(rooted_polys())
+    def test_integer_roots_match_the_cauchy_scan(self, poly):
+        assert integer_roots(poly) == scan_integer_roots(poly)
 
 
 class TestCanonicalStrings:
