@@ -65,7 +65,8 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument(
         "--caps",
-        help="override vertex caps, e.g. detour=15,resolving=16,chromatic=40,indep=24,metric=20",
+        help="override vertex caps, e.g. "
+        + ",".join(f"{f.name}={getattr(DEFAULT_CAPS, f.name)}" for f in dataclasses.fields(Caps)),
     )
     return parser
 

@@ -153,14 +153,9 @@ def cf_independence_polynomial(n: int) -> IntPolynomial:
 
 def cf_vertex_cover_polynomial(n: int) -> IntPolynomial:
     """The independence counts mirrored onto cover sizes 5n - k."""
-    _check_n(n)
-    top = 5 * n
-    terms = [(top, 1)]
-    for k in range(1, n + 1):
-        terms.append((top - k, comb(2 * n, k) + 3 * comb(n, k)))
-    for k in range(n + 1, 2 * n + 1):
-        terms.append((top - k, comb(2 * n, k)))
-    return IntPolynomial.from_terms(terms)
+    return IntPolynomial.from_terms(
+        (5 * n - k, count) for k, count in cf_independence_polynomial(n).terms()
+    )
 
 
 def _class_of(element: U6nElement) -> int | None:

@@ -157,17 +157,14 @@ def twin_classes(graph: Graph) -> tuple[tuple[int, ...], ...]:
 def is_complete_multipartite(graph: Graph) -> PartitionWitness | None:
     """Group vertices by identical neighbourhoods, then check the
     certificate. Returns None when the graph is not complete multipartite."""
-    classes = [frozenset(c) for c in twin_classes(graph)]
-    # identical open neighbourhoods already force non-adjacency inside a
-    # class; cross-class pairs must all be edges
-    masks = [sum(1 << u for u in c) for c in classes]
-    for i, ci in enumerate(classes):
-        for j in range(i + 1, len(classes)):
-            mj = masks[j]
-            for u in ci:
-                if graph.adj[u] & mj != mj:
-                    return None
-    return PartitionWitness(classes=tuple(classes))
+    classes = twin_classes(graph)
+    everything = (1 << graph.vertex_count) - 1
+    # false twins are never adjacent, so a class's row must be exactly the
+    # other classes
+    for members in classes:
+        if graph.adj[members[0]] != everything ^ sum(1 << u for u in members):
+            return None
+    return PartitionWitness(classes=tuple(frozenset(c) for c in classes))
 
 
 def _parse_pattern(pattern: str) -> tuple[str, int]:
@@ -233,25 +230,31 @@ def find_induced(graph: Graph, pattern: str) -> tuple[int, ...] | None:
     """First vertex subset (lexicographic, as a sorted tuple) whose induced
     subgraph is the requested path or cycle, or None if there is none.
 
-    Each vertex m in ascending order is tried as the smallest vertex of a
-    copy, whose induced paths are grown on the vertices above m. The first
-    m with a copy gives the answer: the smallest of its copies.
+    A copy holds at most two members of a class of false twins, since a
+    third would give the twins' common neighbour degree 3, and swapping a
+    member for a smaller unused twin is an automorphism that lowers the
+    sorted tuple. So the first copy keeps to the two smallest members of
+    each class, and the search runs on those. Each kept vertex m in
+    ascending order is tried as the smallest vertex of a copy, whose
+    induced paths are grown on the vertices above m. The first m with a
+    copy gives the answer: the smallest of its copies.
     """
     kind, k = _parse_pattern(pattern)
+    kept = sorted(u for c in twin_classes(graph) for u in c[:2])
+    if len(kept) < graph.vertex_count:
+        graph = graph.induced_subgraph(kept)
     adj = graph.adj
     closed = [row | (1 << u) for u, row in enumerate(adj)]
     for m in range(graph.vertex_count):
         copies = _copies_at(adj, closed, kind, k, m)
         best = min((tuple(sorted(c)) for c in copies), default=None)
         if best is not None:
-            return best
+            return tuple(kept[i] for i in best)
     return None
 
 
 def is_k_regular(graph: Graph) -> int | None:
     """The common vertex degree, or None if degrees differ (or no vertices)."""
-    if graph.vertex_count == 0:
-        return None
     degrees = {row.bit_count() for row in graph.adj}
     if len(degrees) == 1:
         return degrees.pop()

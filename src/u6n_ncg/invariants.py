@@ -7,7 +7,8 @@ past a cap raises CapacityError instead of silently approximating.
 
 Independent sets, covers, resolving sets and longest paths work on the
 classes C_1..C_m of false twins (equal neighbourhoods): resolving sets
-test 2^m class patterns, each class whole or one member short;
+test 2^m class patterns, each class whole or one member short, against
+the distinct masks of vertices that tell two left-out members apart;
 independence counts recurse on the twin quotient, one vertex per class;
 longest paths advance T-bit integers, T = prod(|C_i| + 1). The caps still
 count vertices; without twins m = V and the cost is 2^V. The
@@ -131,8 +132,6 @@ def detour_matrix(graph: Graph, cap: int = DEFAULT_CAPS.detour) -> tuple[tuple[i
     """
     v_count = graph.vertex_count
     _check_cap("detour_matrix", v_count, cap)
-    if v_count == 0:
-        return ()
     if not is_connected(graph):
         raise DisconnectedGraphError("detour distance requires a connected graph")
 
@@ -382,14 +381,8 @@ def chromatic_number(graph: Graph, cap: int = DEFAULT_CAPS.chromatic) -> int:
     The cap counts the vertices of the graph."""
     _check_cap("chromatic_number", graph.vertex_count, cap)
     graph = _twin_quotient(graph)[0]
-    if graph.vertex_count == 0:
-        return 0
-    if graph.edge_count() == 0:
-        return 1
     lower = _bron_kerbosch(graph)
     upper = _dsatur_upper_bound(graph)
-    if lower == upper:
-        return lower
     for k in range(lower, upper):
         if _is_k_colorable(graph, k):
             return k
@@ -427,9 +420,9 @@ def _pattern_tables(classes):
 
 
 def _disagreement_masks(graph: Graph) -> list[int]:
-    """The distinct inclusion-minimal masks that a class pattern must meet
-    to resolve the graph, sparsest first so a non-resolving one fails
-    early; every mask holds first members of classes only.
+    """The distinct masks that a class pattern must meet to resolve the
+    graph, sparsest first so a non-resolving one fails early; every mask
+    holds first members of classes only.
 
     A resolving set leaves out at most one member of each class of false
     twins, since only twins tell twins apart, and swapping twins is an
@@ -455,21 +448,7 @@ def _disagreement_masks(graph: Graph) -> list[int]:
             mask = everything ^ same
             if not mask & others:
                 masks.add(mask)
-    # kept masks are filed under their lowest bit, which lies in any superset
-    minimal, by_low = [], {}
-    for mask in sorted(masks, key=lambda m: (m.bit_count(), m)):
-        rem, redundant = mask, False
-        while rem and not redundant:
-            low = rem & -rem
-            rem ^= low
-            for kept in by_low.get(low, ()):
-                if kept & mask == kept:
-                    redundant = True
-                    break
-        if not redundant:
-            minimal.append(mask)
-            by_low.setdefault(mask & -mask, []).append(mask)
-    return minimal
+    return sorted(masks, key=lambda m: (m.bit_count(), m))
 
 
 def _hits_all(subset: int, masks: list[int]) -> bool:

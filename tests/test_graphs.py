@@ -89,6 +89,55 @@ def random_graphs(draw, max_vertices=10):
     return Graph.from_edges([f"v{i}" for i in range(v)], edges)
 
 
+@st.composite
+def twin_blowups(draw, max_vertices=12):
+    """A random base graph on at most 5 vertices with each vertex replaced
+    by an independent set of 1-4 twins, relabelled at random so that the
+    twin classes interleave; at most max_vertices vertices in all."""
+    base = draw(random_graphs(max_vertices=5))
+    sizes, room = [], max_vertices - base.vertex_count
+    for _ in range(base.vertex_count):
+        extra = draw(st.integers(min_value=0, max_value=min(3, room)))
+        sizes.append(1 + extra)
+        room -= extra
+    owner = [b for b, size in enumerate(sizes) for _ in range(size)]
+    order = draw(st.permutations(range(len(owner))))
+    owner = [owner[i] for i in order]
+    edges = [
+        (a, b)
+        for a, b in combinations(range(len(owner)), 2)
+        if base.has_edge(owner[a], owner[b])
+    ]
+    return Graph.from_edges([f"v{i}" for i in range(len(owner))], edges)
+
+
+@st.composite
+def multipartite_blowups(draw):
+    """A complete multipartite graph on 0-5 parts of 1-4 vertices,
+    relabelled at random, that loses one edge half the time."""
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=4), max_size=5))
+    part = [p for p, size in enumerate(sizes) for _ in range(size)]
+    part = [part[i] for i in draw(st.permutations(range(len(part))))]
+    edges = [(a, b) for a, b in combinations(range(len(part)), 2) if part[a] != part[b]]
+    if edges and draw(st.booleans()):
+        edges.pop(draw(st.integers(min_value=0, max_value=len(edges) - 1)))
+    return Graph.from_edges([f"v{i}" for i in range(len(part))], edges)
+
+
+def multipartite_by_pairs(graph):
+    """Reference: a graph is complete multipartite exactly when every
+    non-adjacent pair has equal rows; the parts are then the classes of
+    "equal or non-adjacent". None when some pair fails."""
+    v = graph.vertex_count
+    for a, b in combinations(range(v), 2):
+        if not graph.has_edge(a, b) and graph.adj[a] != graph.adj[b]:
+            return None
+    return {
+        frozenset(w for w in range(v) if w == u or not graph.has_edge(u, w))
+        for u in range(v)
+    }
+
+
 PATTERNS = [f"path_{k}" for k in range(1, 9)] + [f"cycle_{k}" for k in range(3, 9)]
 
 
@@ -209,6 +258,18 @@ class TestCompleteMultipartite:
                     for v in cj:
                         assert graph.has_edge(u, v)
 
+    @given(st.one_of(random_graphs(), multipartite_blowups()))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pair_oracle(self, graph):
+        expected = multipartite_by_pairs(graph)
+        witness = is_complete_multipartite(graph)
+        if expected is None:
+            assert witness is None
+        else:
+            assert witness is not None
+            assert len(witness.classes) == len(expected)
+            assert set(witness.classes) == expected
+
 
 class TestTwinClasses:
     @given(random_graphs())
@@ -272,6 +333,12 @@ class TestFindInduced:
         for pattern in PATTERNS:
             assert find_induced(graph, pattern) == sweep_induced(graph, pattern), pattern
 
+    @given(twin_blowups())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_subset_sweep_with_twins(self, graph):
+        for pattern in PATTERNS:
+            assert find_induced(graph, pattern) == sweep_induced(graph, pattern), pattern
+
 
 class TestRegularity:
     @pytest.mark.parametrize("n", range(1, 7))
@@ -290,6 +357,9 @@ class TestRegularity:
 
     def test_single_vertex(self):
         assert is_k_regular(Graph.from_edges(["u"], [])) == 0
+
+    def test_empty_graph_has_no_degree(self):
+        assert is_k_regular(Graph.from_edges([], [])) is None
 
 
 class TestExport:

@@ -676,15 +676,14 @@ class TestTwinClassEnginesAgainstSubsetOracles:
 
     @given(random_graphs(max_vertices=9))
     @settings(max_examples=60, deadline=None)
-    def test_masks_are_the_minimal_pair_masks(self, graph):
+    def test_masks_are_the_distinct_pair_masks(self, graph):
         assume(is_connected(graph))
         assume(len(twin_classes(graph)) == graph.vertex_count)
         pairs = set(pair_disagreement_masks(graph))
         masks = _disagreement_masks(graph)
         assert len(set(masks)) == len(masks)
         assert [m.bit_count() for m in masks] == sorted(m.bit_count() for m in masks)
-        minimal = {m for m in pairs if not any(o != m and o & m == o for o in pairs)}
-        assert set(masks) == minimal
+        assert set(masks) == pairs
 
     @given(twin_blowups())
     @settings(max_examples=60, deadline=None)
