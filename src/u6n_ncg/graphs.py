@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .groups import FiniteGroup
@@ -47,10 +46,12 @@ class Graph:
                 raise ValueError(f"adjacency row {u} has bits outside the vertex range")
             if (row >> u) & 1:
                 raise ValueError(f"loop at vertex {u} ({self.labels[u]!r})")
-        # character w of strings[u] is bit w of row u; the rows are symmetric
-        # exactly when each string equals its column, read one at a time
+        # character w of strings[u] is bit w of row u, and the strided slice
+        # big[u::v] of their join is column u; the rows are symmetric exactly
+        # when each string equals its column
         strings = [format(row, f"0{v}b")[::-1] for row in self.adj]
-        if all(s == "".join(col) for s, col in zip(strings, zip(*strings))):
+        big = "".join(strings)
+        if all(s == big[u::v] for u, s in enumerate(strings)):
             return
         for u in range(v):
             for w in _bits(self.adj[u]):
@@ -125,10 +126,19 @@ def non_commuting_graph(g: FiniteGroup) -> Graph:
     vertices = [x for x, row in enumerate(rows) if 1 in row]
     if not vertices:
         raise ValueError("abelian group: the non-commuting graph has no vertices")
-    # an element outside the center fails to commute with another one, so
-    # there are at least two vertices and pick returns a tuple
-    pick = itemgetter(*vertices)
-    adj = tuple(int(bytes(pick(rows[x])).translate(_DIGITS)[::-1], 2) for x in vertices)
+    # a central element commutes with everything, so its lane is 0 in every
+    # row; OR-ing 2 into the central lanes marks them for deletion
+    central = int.from_bytes(bytes(0 if 1 in row else 2 for row in rows), "big")
+    order = g.order
+    adj = tuple(
+        int(
+            (int.from_bytes(rows[x], "big") | central)
+            .to_bytes(order, "big")
+            .translate(_DIGITS, b"\x02")[::-1],
+            2,
+        )
+        for x in vertices
+    )
     del rows  # order² bytes, freed before Graph validates V² more
     return Graph(labels=tuple(g.labels[x] for x in vertices), adj=adj)
 

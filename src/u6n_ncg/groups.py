@@ -8,18 +8,26 @@ and the product obeys
 
 Everything here is computed from the multiplication table by definition;
 no closed-form shortcuts, so these routines stay honest inputs for the
-verification pipeline. Commutation is read from one primitive, the
-commutation row of x: row x of the table compared with column x, one
-byte per element. The center, the centralizers and the non-commuting
-graph all derive from these rows.
+verification pipeline.
+
+A FiniteGroup stores its table as one flat `bytes` object, `cells`: entry
+x*y is the 2-byte big-endian cell at byte offset 2 * (x * order + y), rows
+in order. Every routine works on whole rows and strided columns of it with
+C-level slicing and big-int arithmetic, never entry by entry. Commutation
+is read from one primitive, the commutation row of x: row x of the table
+compared with column x, one byte per element. The center, the
+centralizers and the non-commuting graph all derive from these rows.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import sys
+from array import array
 from dataclasses import dataclass
-from operator import add, itemgetter, ne
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 # Tables at most this large are checked for associativity exhaustively;
@@ -27,9 +35,13 @@ from typing import Iterable, Sequence
 _EXHAUSTIVE_ASSOC_LIMIT = 200
 _ASSOC_SAMPLES = 100_000
 
-# u6n_group refuses a dense table with more entries than this: order 6000
-# (n = 1000) still builds, at about 1.3 GB.
+# u6n_group and group_from_table refuse a table with more entries than this:
+# order 6000 (n = 1000) still builds, as 72 MB of cells. Every group's order
+# is therefore below 2^16, so a 2-byte cell holds any element index.
 _DENSE_TABLE_LIMIT = 6000 * 6000
+
+# a byte of a commutation row: 0 stays 0, any difference becomes 1
+_NONZERO = bytes(1) + b"\x01" * 255
 
 
 @dataclass(frozen=True)
@@ -68,18 +80,34 @@ class U6nElement:
 class FiniteGroup:
     """A finite group as labels plus a multiplication table on indices.
 
-    Immutable; all methods are pure lookups or scans over the table.
-    parameter_n is set only for groups built by u6n_group.
+    `cells` is the table, one 2-byte big-endian cell per entry in row-major
+    order: x*y sits at byte 2 * (x * order + y). Immutable; all methods are
+    pure lookups or scans over the cells. parameter_n is set only for
+    groups built by u6n_group.
     """
 
     labels: tuple[str, ...]
-    table: tuple[tuple[int, ...], ...]
+    cells: bytes
     identity: int
     parameter_n: int | None = None
 
     @property
     def order(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """The table as tuples of ints, built on first access and kept. It
+        holds order² int references, so nothing in this package reads it."""
+        entries = array("H", self.cells)
+        if sys.byteorder == "little":
+            entries.byteswap()
+        order = self.order
+        return tuple(tuple(entries[x * order : (x + 1) * order]) for x in range(order))
+
+    def _row(self, x: int) -> bytes:
+        width = 2 * self.order
+        return self.cells[x * width : (x + 1) * width]
 
     def _check_index(self, x: int) -> None:
         if not 0 <= x < self.order:
@@ -88,22 +116,31 @@ class FiniteGroup:
     def mul(self, x: int, y: int) -> int:
         self._check_index(x)
         self._check_index(y)
-        return self.table[x][y]
+        at = 2 * (x * self.order + y)
+        return int.from_bytes(self.cells[at : at + 2], "big")
 
     def inv(self, x: int) -> int:
         self._check_index(x)
-        row = self.table[x]
-        for y in range(self.order):
-            if row[y] == self.identity and self.table[y][x] == self.identity:
-                return y
+        row = self._row(x)
+        cell = self.identity.to_bytes(2, "big")
+        at = row.find(cell)
+        while at >= 0:
+            if at % 2 == 0 and self.mul(at // 2, x) == self.identity:
+                return at // 2
+            at = row.find(cell, at + 1)
         raise ValueError(f"element {self.labels[x]!r} has no inverse")
 
     def non_commuting_row(self, x: int) -> bytes:
         """Byte y is 1 when x*y != y*x and 0 when x and y commute: row x of
-        the table against column x, which is built for this x alone."""
+        the table against column x. The high bytes of the row and of the
+        column (a strided slice of the cells) are XORed as big ints, and so
+        are the low bytes; a lane that differs in either is nonzero."""
         self._check_index(x)
-        t = self.table
-        return bytes(map(ne, t[x], map(itemgetter(x), t)))
+        cells, width = self.cells, 2 * self.order
+        row = self._row(x)
+        high = int.from_bytes(row[0::2], "big") ^ int.from_bytes(cells[2 * x :: width], "big")
+        low = int.from_bytes(row[1::2], "big") ^ int.from_bytes(cells[2 * x + 1 :: width], "big")
+        return (high | low).to_bytes(self.order, "big").translate(_NONZERO)
 
     def is_abelian(self) -> bool:
         return not any(1 in self.non_commuting_row(x) for x in range(self.order))
@@ -187,12 +224,21 @@ def _validate_table(labels: Sequence[str], table: Sequence[Sequence[int]]) -> in
     return identity
 
 
+def _pack(entries: Iterable[int]) -> bytes:
+    """The entries as 2-byte big-endian cells, in order."""
+    packed = array("H", entries)
+    if sys.byteorder == "little":
+        packed.byteswap()
+    return packed.tobytes()
+
+
 def group_from_table(labels: Sequence[str], table: Sequence[Sequence[int]]) -> FiniteGroup:
     """Validate a Cayley table (closure, identity, associativity, inverses)
     and wrap it as a FiniteGroup. The identity may sit at any index.
 
     Entries are checked as given, so a float or bool entry is rejected
-    rather than coerced to an int.
+    rather than coerced to an int. A table of more than _DENSE_TABLE_LIMIT
+    entries is refused before it is validated or packed.
     """
     if not isinstance(labels, (list, tuple)):
         raise ValueError(f"labels must be a list, got {type(labels).__name__}")
@@ -200,10 +246,13 @@ def group_from_table(labels: Sequence[str], table: Sequence[Sequence[int]]) -> F
         isinstance(row, (list, tuple)) for row in table
     ):
         raise ValueError("table must be a list of rows, each a list of entries")
+    entries = sum(len(row) for row in table)
+    if entries > _DENSE_TABLE_LIMIT:
+        raise ValueError(f"table has {entries} entries, over the limit of {_DENSE_TABLE_LIMIT}")
     labels = tuple(str(s) for s in labels)
     table_t = tuple(tuple(row) for row in table)
     identity = _validate_table(labels, table_t)
-    return FiniteGroup(labels=labels, table=table_t, identity=identity)
+    return FiniteGroup(labels=labels, cells=_pack(chain.from_iterable(table_t)), identity=identity)
 
 
 def group_from_json(text: str) -> FiniteGroup:
@@ -230,19 +279,26 @@ def u6n_group(n: int) -> FiniteGroup:
             f"over the limit of {_DENSE_TABLE_LIMIT}"
         )
     labels = tuple(U6nElement.from_index(idx, n).label() for idx in range(order))
-    # In the product of x = a^i b^k and y = a^j b^l (y = 3j + l), the a-part
-    # 3 * ((i + j) mod 2n) is row 0's a-part rotated left by 3i entries, and
-    # the b-part ((-1)^j k + l) mod 3 depends on k alone.
-    a_part = [3 * j for j in range(two_n) for _ in range(3)]
-    b_parts = [
-        [((k if j % 2 == 0 else -k) + l) % 3 for j in range(two_n) for l in range(3)]
+    # Row x = 3i + k (x = a^i b^k) maps y = 3j + l to
+    # 3 * ((i + j) mod 2n) + ((-1)^j k + l) mod 3. As 2n is even,
+    # (-1)^(i+j) = (-1)^i (-1)^j, so row 3i + k is row (-1)^i k mod 3 (the
+    # row of b^((-1)^i k)) rotated left by 3i entries. Those three rows are
+    # each held twice over, so that every rotation is one slice, and the
+    # cells are joined from the slices without copying any row first.
+    first_rows = (
+        _pack(3 * j + ((k if j % 2 == 0 else -k) + l) % 3 for j in range(two_n) for l in range(3))
         for k in range(3)
-    ]
-    rows = []
-    for i in range(two_n):
-        rotated = a_part[3 * i :] + a_part[: 3 * i]
-        rows.extend(tuple(map(add, rotated, b_part)) for b_part in b_parts)
-    return FiniteGroup(labels=labels, table=tuple(rows), identity=0, parameter_n=n)
+    )
+    doubled = [memoryview(row * 2) for row in first_rows]
+    width = 2 * order
+    cells = b"".join(
+        [
+            doubled[(k if i % 2 == 0 else -k) % 3][6 * i : 6 * i + width]
+            for i in range(two_n)
+            for k in range(3)
+        ]
+    )
+    return FiniteGroup(labels=labels, cells=cells, identity=0, parameter_n=n)
 
 
 @dataclass(frozen=True)

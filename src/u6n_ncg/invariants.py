@@ -208,6 +208,11 @@ def independence_number(graph: Graph) -> int:
     weights. The search depth grows with the class count, so it runs on an
     explicit stack rather than the interpreter's; the include branch is
     pushed last so it is explored first.
+
+    A node is cut when its size plus the weight of its mask, less
+    min(w_u, w_v) for each edge uv of a greedy matching inside the mask,
+    is no more than the best found: an independent set takes at most one
+    end of each matched edge.
     """
     quotient, weights = _twin_quotient(graph)
     adj = quotient.adj
@@ -218,6 +223,7 @@ def independence_number(graph: Graph) -> int:
         if w > 1:
             extra[w - 1] = extra.get(w - 1, 0) | (1 << u)
     extra_masks = tuple(extra.items())
+    heaviest = max(weights, default=0)
     best = 0
     stack = [((1 << quotient.vertex_count) - 1, 0)]
     while stack:
@@ -229,6 +235,20 @@ def independence_number(graph: Graph) -> int:
             continue
         if not mask:
             best = size
+            continue
+        # each matched edge takes two vertices of rest and lowers the bound
+        # by at most the heaviest weight; stop once no cut can come of it
+        rest = mask
+        while best < bound <= best + (rest.bit_count() >> 1) * heaviest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            rest ^= low
+            partners = adj[u] & rest
+            if partners:
+                partner = partners & -partners
+                rest ^= partner
+                bound -= min(weights[u], weights[partner.bit_length() - 1])
+        if bound <= best:
             continue
         # max-degree pivot keeps branching shallow on dense graphs
         pivot = max(_bits(mask), key=lambda u: (adj[u] & mask).bit_count())

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from u6n_ncg import closed_forms, invariants
+from u6n_ncg import closed_forms, groups, invariants
 from u6n_ncg.cli import cli_main
 
 
@@ -180,6 +180,16 @@ class TestBuildCommand:
         code, _, err = run(capsys, "build", "--table", str(path))
         assert code == 1
         assert "closure" in err
+
+    def test_oversized_table_exits_one(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(groups, "_DENSE_TABLE_LIMIT", 8)
+        path = tmp_path / "c3.json"
+        path.write_text(
+            json.dumps({"labels": ["e", "g", "g2"], "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]})
+        )
+        code, _, err = run(capsys, "build", "--table", str(path))
+        assert code == 1
+        assert err.startswith("u6n-ncg: error:") and "over the limit of 8" in err
 
     @pytest.mark.parametrize(
         "doc",

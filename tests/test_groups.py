@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -285,6 +286,20 @@ class TestCayleyTableLoading:
         with pytest.raises(AttributeError):
             g1.identity = 2
 
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_u6n_equality_and_hash(self, n):
+        g1, g2 = u6n_group(n), u6n_group(n)
+        assert g1 == g2 and hash(g1) == hash(g2)
+        assert g1 != u6n_group(n + 1)
+        # the same table loaded as data: equal cells, but no parameter_n
+        loaded = group_from_table(list(g1.labels), [list(row) for row in g1.table])
+        assert loaded.cells == g1.cells and loaded != g1
+
+    def test_table_view_is_built_once(self):
+        g = u6n_group(2)
+        assert g.table is g.table
+        assert g == u6n_group(2)  # building the view leaves equality alone
+
 
 # -- reference scans, kept as oracles for the commutation rows -------------
 
@@ -304,21 +319,25 @@ def double_loop_u6n_table(n):
     return tuple(rows)
 
 
-def scan_is_abelian(g):
-    t = g.table
-    return all(t[x][y] == t[y][x] for x in range(g.order) for y in range(x + 1, g.order))
+# The scans read a table of ints given alongside the group, never the
+# group's own cells.
+
+def scan_is_abelian(t):
+    return all(t[x][y] == t[y][x] for x in range(len(t)) for y in range(x + 1, len(t)))
 
 
-def scan_centralizer(g, x):
-    t = g.table
-    return frozenset(y for y in range(g.order) if t[x][y] == t[y][x])
+def scan_centralizer(t, x):
+    return frozenset(y for y in range(len(t)) if t[x][y] == t[y][x])
 
 
-def scan_center(g):
-    t = g.table
+def scan_center(t):
     return frozenset(
-        x for x in range(g.order) if all(t[x][y] == t[y][x] for y in range(g.order))
+        x for x in range(len(t)) if all(t[x][y] == t[y][x] for y in range(len(t)))
     )
+
+
+def scan_inverse(t, x, e):
+    return next(y for y in range(len(t)) if t[x][y] == e and t[y][x] == e)
 
 
 # every group the suite loads from a table, and S3 (= U(6)) from its table
@@ -327,19 +346,24 @@ TABLE_GROUPS = [
     (["e", "x"], [[0, 1], [1, 0]]),
     (C3_LABELS, C3_TABLE),
     (["g", "e", "g2"], [[2, 0, 1], [0, 1, 2], [1, 2, 0]]),
-    (list(u6n_group(1).labels), [list(row) for row in u6n_group(1).table]),
+    (list(u6n_group(1).labels), [list(row) for row in double_loop_u6n_table(1)]),
 ]
 
 
-def assert_commutation_matches_scans(g):
-    assert g.is_abelian() == scan_is_abelian(g)
-    center = scan_center(g)
+def assert_lookups_match_scans(g, t):
+    """mul, inv and every commutation query of g against the table t."""
+    order = len(t)
+    assert g.order == order
+    assert all(g.mul(x, y) == t[x][y] for x in range(order) for y in range(order))
+    assert all(g.inv(x) == scan_inverse(t, x, g.identity) for x in range(order))
+    assert g.is_abelian() == scan_is_abelian(t)
+    center = scan_center(t)
     assert g.center() == center
-    assert g.non_central() == tuple(x for x in range(g.order) if x not in center)
-    for x in range(g.order):
+    assert g.non_central() == tuple(x for x in range(order) if x not in center)
+    for x in range(order):
         row = g.non_commuting_row(x)
-        assert row == bytes(g.table[x][y] != g.table[y][x] for y in range(g.order))
-        assert g.centralizer(x) == scan_centralizer(g, x)
+        assert row == bytes(t[x][y] != t[y][x] for y in range(order))
+        assert g.centralizer(x) == scan_centralizer(t, x)
 
 
 class TestCommutationRowsAgainstScans:
@@ -349,13 +373,21 @@ class TestCommutationRowsAgainstScans:
         assert g.table == double_loop_u6n_table(n)
         assert type(g.table) is tuple and all(type(row) is tuple for row in g.table)
 
+    @pytest.mark.parametrize("n", [13, 32, 57])
+    def test_cells_match_double_loop(self, n):
+        # 2 big-endian bytes per entry, rows in order, past the sizes above
+        cells = b"".join(
+            v.to_bytes(2, "big") for row in double_loop_u6n_table(n) for v in row
+        )
+        assert u6n_group(n).cells == cells
+
     @pytest.mark.parametrize("n", range(1, 13))
     def test_u6n(self, n):
-        assert_commutation_matches_scans(u6n_group(n))
+        assert_lookups_match_scans(u6n_group(n), double_loop_u6n_table(n))
 
     @pytest.mark.parametrize("labels, table", TABLE_GROUPS)
     def test_table_groups(self, labels, table):
-        assert_commutation_matches_scans(group_from_table(labels, table))
+        assert_lookups_match_scans(group_from_table(labels, table), table)
 
     def test_row_index_checked(self):
         with pytest.raises(IndexError):
@@ -372,3 +404,27 @@ class TestTableSizeLimit:
         assert u6n_group(2).order == 12
         with pytest.raises(ValueError, match="144"):
             u6n_group(3)
+
+    def test_loaded_table_limit_is_on_the_entry_count(self, monkeypatch):
+        monkeypatch.setattr(groups, "_DENSE_TABLE_LIMIT", 3 * 3)
+        assert group_from_table(C3_LABELS, C3_TABLE).order == 3
+        monkeypatch.setattr(groups, "_DENSE_TABLE_LIMIT", 3 * 3 - 1)
+        with pytest.raises(ValueError, match="9 entries, over the limit of 8"):
+            group_from_table(C3_LABELS, C3_TABLE)
+
+    def test_loaded_table_refused_before_validation(self, monkeypatch):
+        # a table that fails validation is refused for its size first
+        monkeypatch.setattr(groups, "_DENSE_TABLE_LIMIT", 24)
+        with pytest.raises(ValueError, match="25 entries"):
+            group_from_table([f"g{i}" for i in range(5)], NONASSOC_TABLE)
+
+    def test_u6n_cells_stay_small(self):
+        # 2 bytes per entry: 6.5 MB of cells at n = 300, and no table of ints
+        tracemalloc.start()
+        try:
+            g = u6n_group(300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_000_000
+        assert len(g.cells) == 2 * 1800 * 1800

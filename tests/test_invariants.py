@@ -1,4 +1,5 @@
 from itertools import combinations
+from time import perf_counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -48,6 +49,11 @@ def vid(graph, label):
 
 def path_graph(k):
     return Graph.from_edges([f"p{i}" for i in range(k)], [(i, i + 1) for i in range(k - 1)])
+
+
+def matching_graph(k):
+    """k disjoint edges."""
+    return Graph.from_edges([f"m{i}" for i in range(2 * k)], [(2 * i, 2 * i + 1) for i in range(k)])
 
 
 def complete_graph(k):
@@ -211,8 +217,6 @@ class TestIndependence:
         # vertices, each missing a different set of at most two vertices of K:
         # no two vertices are twins, and the search excludes K one vertex at
         # a time, then takes the 1500 one at a time, about 1556 levels deep.
-        # (A matching or a path has no twins either, but the size + weight
-        # bound prunes so little there that the search is exponential.)
         k = 56
         missed = [()] + [(a,) for a in range(k)] + list(combinations(range(k), 2))
         edges = list(combinations(range(k), 2))
@@ -221,6 +225,23 @@ class TestIndependence:
         graph = Graph.from_edges([f"v{i}" for i in range(k + 1500)], edges)
         assert len(twin_classes(graph)) == graph.vertex_count
         assert independence_number(graph) == 1500
+
+    @pytest.mark.parametrize(
+        "graph, alpha",
+        [
+            (matching_graph(20), 20),
+            (path_graph(40), 20),
+            (cycle_graph(41), 20),
+        ],
+        ids=["perfect-matching-40", "path-40", "cycle-41"],
+    )
+    def test_sparse_graphs_without_twins(self, graph, alpha):
+        # no class collapses here, and the size + weight bound alone leaves
+        # the search exponential; the matching bound prunes it
+        assert len(twin_classes(graph)) == graph.vertex_count
+        start = perf_counter()
+        assert independence_number(graph) == alpha
+        assert perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_maximum_set_count_positive(self, n):
