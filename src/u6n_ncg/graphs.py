@@ -3,7 +3,8 @@ non-commuting graph construction.
 
 Vertices are 0..V-1 with string labels; row v is an int whose bit u says
 "u adjacent to v". Graphs are immutable, so every operation is a pure
-function and safe to share.
+function and safe to share. One lane-deletion path, `_restrict_rows`,
+serves the graph build and every induced subgraph.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ from .groups import FiniteGroup
 # needed here.
 MAX_PATTERN_ORDER = 8
 
-# commutation bytes (1 = the pair does not commute) to binary digits
+# lane bytes 0/1 (commutation bytes: 1 = the pair does not commute) or ASCII
+# digits to binary digits; a lane with 2 OR-ed in is one of _MARKED, deleted
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_MARKED = b"\x02\x0323"
 
 
 def _bits(mask: int):
@@ -28,6 +31,17 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _restrict_rows(rows: Iterable[bytes], marks: bytes) -> tuple[int, ...]:
+    """Each row (lane u at byte u) restricted to the lanes where `marks` is 0,
+    as a bitset. OR-ing `marks` (2 at every dropped lane) in as a big int
+    makes the dropped lanes _MARKED; one translate turns the kept lanes into
+    digits and deletes the rest, and the digits reversed put the i-th kept
+    lane at bit i."""
+    drop, width = int.from_bytes(marks, "big"), len(marks)
+    marked = (int.from_bytes(row, "big") | drop for row in rows)
+    return tuple(int(m.to_bytes(width, "big").translate(_DIGITS, _MARKED)[::-1], 2) for m in marked)
 
 
 @dataclass(frozen=True)
@@ -104,41 +118,24 @@ class Graph:
         chosen = sorted(set(vertices))
         for v in chosen:
             self._check_vertex(v)
-        pos = {v: i for i, v in enumerate(chosen)}
-        rows = []
+        marks = bytearray(b"\x02") * self.vertex_count
         for v in chosen:
-            row = 0
-            for u in _bits(self.adj[v]):
-                if u in pos:
-                    row |= 1 << pos[u]
-            rows.append(row)
-        return Graph(labels=tuple(self.labels[v] for v in chosen), adj=tuple(rows))
+            marks[v] = 0
+        spec = f"0{self.vertex_count}b"
+        adj = _restrict_rows((format(self.adj[v], spec)[::-1].encode() for v in chosen), marks)
+        return Graph(labels=tuple(self.labels[v] for v in chosen), adj=adj)
 
 
 def non_commuting_graph(g: FiniteGroup) -> Graph:
     """Graph on the non-central elements of g, joined when they do not
-    commute. Vertices follow element-index order.
-
-    Row v is the commutation row of the v-th non-central element, restricted
-    to the non-central elements and read as binary digits, lowest first.
-    """
+    commute. Vertices follow element-index order; row v is the commutation
+    row of the v-th of them with the central lanes deleted."""
     rows = [g.non_commuting_row(x) for x in range(g.order)]
     vertices = [x for x, row in enumerate(rows) if 1 in row]
     if not vertices:
         raise ValueError("abelian group: the non-commuting graph has no vertices")
-    # a central element commutes with everything, so its lane is 0 in every
-    # row; OR-ing 2 into the central lanes marks them for deletion
-    central = int.from_bytes(bytes(0 if 1 in row else 2 for row in rows), "big")
-    order = g.order
-    adj = tuple(
-        int(
-            (int.from_bytes(rows[x], "big") | central)
-            .to_bytes(order, "big")
-            .translate(_DIGITS, b"\x02")[::-1],
-            2,
-        )
-        for x in vertices
-    )
+    # a central element commutes with everything, so its lane is 0 in every row
+    adj = _restrict_rows((rows[x] for x in vertices), bytes(0 if 1 in row else 2 for row in rows))
     del rows  # order² bytes, freed before Graph validates V² more
     return Graph(labels=tuple(g.labels[x] for x in vertices), adj=adj)
 

@@ -196,7 +196,9 @@ def verify_all(n: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
         predicted = _labels_of(g, closed_forms.cf_centralizer(cls, rep, n))
 
         def compute(cls=cls):
-            sets = {g.centralizer(x) for x in element_classes[cls - 1]}
+            # elements with one commutation row share one centralizer
+            reps = {g.non_commuting_row(x): x for x in element_classes[cls - 1]}
+            sets = {g.centralizer(x) for x in reps.values()}
             if len(sets) == 1:
                 return _labels_of(g, sets.pop())
             return tuple(_labels_of(g, s) for s in sorted(sets, key=sorted))

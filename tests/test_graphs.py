@@ -1,5 +1,6 @@
 import json
 from itertools import combinations
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -124,6 +125,37 @@ def multipartite_blowups(draw):
     return Graph.from_edges([f"v{i}" for i in range(len(part))], edges)
 
 
+def bitwise_induced_subgraph(graph, vertices):
+    """Reference: each kept row rebuilt bit by bit through a map from kept
+    vertex to its position."""
+    chosen = sorted(set(vertices))
+    for v in chosen:
+        if not 0 <= v < graph.vertex_count:
+            raise IndexError(f"vertex {v} out of range for {graph.vertex_count} vertices")
+    pos = {v: i for i, v in enumerate(chosen)}
+    rows = []
+    for v in chosen:
+        row = 0
+        for u in range(graph.vertex_count):
+            if (graph.adj[v] >> u) & 1 and u in pos:
+                row |= 1 << pos[u]
+        rows.append(row)
+    return Graph(labels=tuple(graph.labels[v] for v in chosen), adj=tuple(rows))
+
+
+@st.composite
+def graphs_with_subsets(draw):
+    """A random graph or twin blow-up on 0-12 vertices and a vertex list:
+    empty, full, a permutation, or drawn unsorted with duplicates."""
+    graph = draw(st.one_of(random_graphs(max_vertices=12), twin_blowups()))
+    everything = list(range(graph.vertex_count))
+    drawn = st.lists(st.sampled_from(everything), max_size=20) if everything else st.just([])
+    subset = draw(
+        st.one_of(st.just([]), st.just(everything), st.permutations(everything), drawn)
+    )
+    return graph, subset
+
+
 def multipartite_by_pairs(graph):
     """Reference: a graph is complete multipartite exactly when every
     non-adjacent pair has equal rows; the parts are then the classes of
@@ -217,8 +249,18 @@ class TestInducedSubgraph:
         assert sub.edge_count() == 0
 
     def test_invalid_vertex(self):
-        with pytest.raises(IndexError):
-            TRIANGLE.induced_subgraph([0, 5])
+        # out of range or negative, as a list or as an iterator
+        for vertices in ([0, 5], [3], [-1], [0, -1], [2, 1, 3], [-4, 0, 1, 2]):
+            with pytest.raises(IndexError):
+                TRIANGLE.induced_subgraph(vertices)
+            with pytest.raises(IndexError):
+                TRIANGLE.induced_subgraph(iter(vertices))
+
+    @given(graphs_with_subsets())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_bitwise_construction(self, case):
+        graph, subset = case
+        assert graph.induced_subgraph(iter(subset)) == bitwise_induced_subgraph(graph, subset)
 
 
 class TestCompleteMultipartite:
@@ -350,6 +392,21 @@ class TestRegularity:
         pos = {x: i for i, x in enumerate(non_central)}
         keep = sorted(pos[x] for x in omega.omega1 | omega.omega2 | omega.omega3)
         assert is_k_regular(graph.induced_subgraph(keep)) == 2 * n
+
+    def test_omega123_at_n600_is_1200_regular_and_fast(self):
+        # Γ(U(3600)) has 3000 vertices, 1800 of them in Ω1 ∪ Ω2 ∪ Ω3; only
+        # the restriction is timed
+        g = u6n_group(600)
+        graph = non_commuting_graph(g)
+        omega = omega_partition(g)
+        vertex_of = {label: v for v, label in enumerate(graph.labels)}
+        keep = [vertex_of[g.labels[x]] for x in omega.omega1 | omega.omega2 | omega.omega3]
+        start = perf_counter()
+        sub = graph.induced_subgraph(keep)
+        elapsed = perf_counter() - start
+        assert sub.vertex_count == 1800
+        assert is_k_regular(sub) == 1200
+        assert elapsed < 1.0
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_full_graph_not_regular(self, n):

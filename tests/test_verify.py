@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
-from u6n_ncg import closed_forms, invariants
+from u6n_ncg import closed_forms, invariants, verify
+from u6n_ncg.groups import omega_partition, u6n_group
 from u6n_ncg.invariants import Caps
 from u6n_ncg.verify import verify_all
 
@@ -81,6 +83,20 @@ class TestStatuses:
         assert report.counts()["error"] == 2
         assert not report.has_mismatch()
         assert by_name["vertex_cover_polynomial"].status == "match"
+
+    def test_class_with_two_centralizers_lists_both(self, monkeypatch):
+        # a first class holding one element of Ω1 and one of Ω4: the entry
+        # lists each distinct centralizer, ordered by element indices
+        g = u6n_group(2)
+        real = omega_partition(g)
+        x1, x4 = min(real.omega1), min(real.omega4)
+        mixed = dataclasses.replace(real, omega1=frozenset({x1, x4}))
+        monkeypatch.setattr(verify, "omega_partition", lambda group: mixed)
+        entry = entry_map(verify_all(2))["centralizer_omega1"]
+        centralizers = sorted(sorted(g.centralizer(x)) for x in (x1, x4))
+        assert centralizers[0] != centralizers[1]
+        assert entry.status == "mismatch"
+        assert entry.computed == tuple(tuple(g.labels[y] for y in c) for c in centralizers)
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
