@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
 from . import closed_forms, invariants
 from .graphs import export_graph, non_commuting_graph
-from .groups import group_from_json, u6n_group
+from .groups import group_from_json, u6n_group, u6n_order
 from .invariants import Caps, DEFAULT_CAPS
 from .verify import report_to_json, verify_all
 
@@ -36,7 +37,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="u6n-ncg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -183,6 +186,7 @@ def _cmd_verify(args) -> int:
         span = list(range(int(first), int(last) + 1))
         if not span or span[0] < 1:
             raise ValueError(f"--n-range {args.n_range!r} is empty or starts below 1")
+    u6n_order(span[-1])  # refuse an over-limit n before computing any report
     reports = [verify_all(n, caps=caps) for n in span]
     if args.format == "json":
         print(report_to_json(reports))

@@ -38,10 +38,15 @@ def _restrict_rows(rows: Iterable[bytes], marks: bytes) -> tuple[int, ...]:
     as a bitset. OR-ing `marks` (2 at every dropped lane) in as a big int
     makes the dropped lanes _MARKED; one translate turns the kept lanes into
     digits and deletes the rest, and the digits reversed put the i-th kept
-    lane at bit i."""
+    lane at bit i. Each distinct row is converted once, and equal rows get
+    the same int."""
     drop, width = int.from_bytes(marks, "big"), len(marks)
-    marked = (int.from_bytes(row, "big") | drop for row in rows)
-    return tuple(int(m.to_bytes(width, "big").translate(_DIGITS, _MARKED)[::-1], 2) for m in marked)
+    rows = list(rows)
+    bitsets = dict.fromkeys(rows)
+    for row in bitsets:
+        marked = (int.from_bytes(row, "big") | drop).to_bytes(width, "big")
+        bitsets[row] = int(marked.translate(_DIGITS, _MARKED)[::-1], 2)
+    return tuple(map(bitsets.__getitem__, rows))
 
 
 @dataclass(frozen=True)
@@ -62,8 +67,10 @@ class Graph:
                 raise ValueError(f"loop at vertex {u} ({self.labels[u]!r})")
         # character w of strings[u] is bit w of row u, and the strided slice
         # big[u::v] of their join is column u; the rows are symmetric exactly
-        # when each string equals its column
-        strings = [format(row, f"0{v}b")[::-1] for row in self.adj]
+        # when each string equals its column. Equal rows share one string.
+        spec = f"0{v}b"
+        formatted = {row: format(row, spec)[::-1] for row in set(self.adj)}
+        strings = list(map(formatted.__getitem__, self.adj))
         big = "".join(strings)
         if all(s == big[u::v] for u, s in enumerate(strings)):
             return
@@ -121,8 +128,10 @@ class Graph:
         marks = bytearray(b"\x02") * self.vertex_count
         for v in chosen:
             marks[v] = 0
+        kept = [self.adj[v] for v in chosen]
         spec = f"0{self.vertex_count}b"
-        adj = _restrict_rows((format(self.adj[v], spec)[::-1].encode() for v in chosen), marks)
+        lanes = {row: format(row, spec)[::-1].encode() for row in set(kept)}
+        adj = _restrict_rows(map(lanes.__getitem__, kept), marks)
         return Graph(labels=tuple(self.labels[v] for v in chosen), adj=adj)
 
 
@@ -130,13 +139,12 @@ def non_commuting_graph(g: FiniteGroup) -> Graph:
     """Graph on the non-central elements of g, joined when they do not
     commute. Vertices follow element-index order; row v is the commutation
     row of the v-th of them with the central lanes deleted."""
-    rows = [g.non_commuting_row(x) for x in range(g.order)]
+    rows = g._commutation_rows
     vertices = [x for x, row in enumerate(rows) if 1 in row]
     if not vertices:
         raise ValueError("abelian group: the non-commuting graph has no vertices")
     # a central element commutes with everything, so its lane is 0 in every row
     adj = _restrict_rows((rows[x] for x in vertices), bytes(0 if 1 in row else 2 for row in rows))
-    del rows  # order² bytes, freed before Graph validates V² more
     return Graph(labels=tuple(g.labels[x] for x in vertices), adj=adj)
 
 

@@ -15,7 +15,10 @@ x*y is the 2-byte big-endian cell at byte offset 2 * (x * order + y), rows
 in order. Every routine works on whole rows and strided columns of it with
 C-level slicing and big-int arithmetic, never entry by entry. Commutation
 is read from one primitive, the commutation row of x: row x of the table
-compared with column x, one byte per element. The center, the
+compared with column x, one byte per element. The rows of every element
+are computed once per group, on its first commutation query, and equal
+rows are held as one object: elements with one centralizer share one row,
+so U(6n) holds 5 distinct rows at every n. The center, the
 centralizers and the non-commuting graph all derive from these rows.
 """
 
@@ -44,6 +47,12 @@ _DENSE_TABLE_LIMIT = 6000 * 6000
 _NONZERO = bytes(1) + b"\x01" * 255
 
 
+def _label(a_exp: int, b_exp: int) -> str:
+    """The normal-form label of a^a_exp b^b_exp, "1" for the identity."""
+    a = "" if a_exp == 0 else "a" if a_exp == 1 else f"a^{a_exp}"
+    return a + ("", "b", "b^2")[b_exp] or "1"
+
+
 @dataclass(frozen=True)
 class U6nElement:
     """Normal form a^i b^k; the index 3*i + k orders all elements."""
@@ -68,12 +77,7 @@ class U6nElement:
         return cls(index // 3, index % 3)
 
     def label(self) -> str:
-        parts = []
-        if self.a_exp:
-            parts.append("a" if self.a_exp == 1 else f"a^{self.a_exp}")
-        if self.b_exp:
-            parts.append("b" if self.b_exp == 1 else "b^2")
-        return "".join(parts) or "1"
+        return _label(self.a_exp, self.b_exp)
 
 
 @dataclass(frozen=True)
@@ -130,20 +134,32 @@ class FiniteGroup:
             at = row.find(cell, at + 1)
         raise ValueError(f"element {self.labels[x]!r} has no inverse")
 
+    @cached_property
+    def _commutation_rows(self) -> tuple[bytes, ...]:
+        """The commutation row of every element, computed on the first
+        commutation query and kept. Row x of the table is XORed against
+        column x (a strided slice of the cells) as big ints, the high bytes
+        and the low bytes apart; a lane that differs in either is nonzero.
+        Equal rows are interned, so each distinct row is held once."""
+        cells, order, width = self.cells, self.order, 2 * self.order
+        interned: dict[bytes, bytes] = {}
+        rows = []
+        for x in range(order):
+            row = self._row(x)
+            high = int.from_bytes(row[0::2], "big") ^ int.from_bytes(cells[2 * x :: width], "big")
+            low = int.from_bytes(row[1::2], "big") ^ int.from_bytes(cells[2 * x + 1 :: width], "big")
+            differs = (high | low).to_bytes(order, "big").translate(_NONZERO)
+            rows.append(interned.setdefault(differs, differs))
+        return tuple(rows)
+
     def non_commuting_row(self, x: int) -> bytes:
-        """Byte y is 1 when x*y != y*x and 0 when x and y commute: row x of
-        the table against column x. The high bytes of the row and of the
-        column (a strided slice of the cells) are XORed as big ints, and so
-        are the low bytes; a lane that differs in either is nonzero."""
+        """Byte y is 1 when x*y != y*x and 0 when x and y commute. Elements
+        with equal rows get the same bytes object."""
         self._check_index(x)
-        cells, width = self.cells, 2 * self.order
-        row = self._row(x)
-        high = int.from_bytes(row[0::2], "big") ^ int.from_bytes(cells[2 * x :: width], "big")
-        low = int.from_bytes(row[1::2], "big") ^ int.from_bytes(cells[2 * x + 1 :: width], "big")
-        return (high | low).to_bytes(self.order, "big").translate(_NONZERO)
+        return self._commutation_rows[x]
 
     def is_abelian(self) -> bool:
-        return not any(1 in self.non_commuting_row(x) for x in range(self.order))
+        return not any(1 in row for row in self._commutation_rows)
 
     def centralizer(self, x: int) -> frozenset[int]:
         """All y with x*y == y*x."""
@@ -152,10 +168,10 @@ class FiniteGroup:
 
     def center(self) -> frozenset[int]:
         """Elements commuting with everything."""
-        return frozenset(x for x in range(self.order) if 1 not in self.non_commuting_row(x))
+        return frozenset(x for x, row in enumerate(self._commutation_rows) if 1 not in row)
 
     def non_central(self) -> tuple[int, ...]:
-        return tuple(x for x in range(self.order) if 1 in self.non_commuting_row(x))
+        return tuple(x for x, row in enumerate(self._commutation_rows) if 1 in row)
 
     def __repr__(self) -> str:
         tag = f", n={self.parameter_n}" if self.parameter_n is not None else ""
@@ -263,22 +279,30 @@ def group_from_json(text: str) -> FiniteGroup:
     return group_from_table(data["labels"], data["table"])
 
 
-def u6n_group(n: int) -> FiniteGroup:
-    """Construct U(6n) from its presentation, order 6n, identity at index 0.
-
-    Raises ValueError when the dense table would hold more than
-    _DENSE_TABLE_LIMIT entries, before anything of that size is built.
-    """
+def u6n_order(n: int) -> int:
+    """The order 6n of U(6n). Raises ValueError when n is not a positive
+    integer, or when the dense table would hold more than
+    _DENSE_TABLE_LIMIT entries."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    two_n = 2 * n
     order = 6 * n
     if order * order > _DENSE_TABLE_LIMIT:
         raise ValueError(
             f"U(6n) at n = {n} needs a Cayley table of {order * order} entries, "
             f"over the limit of {_DENSE_TABLE_LIMIT}"
         )
-    labels = tuple(U6nElement.from_index(idx, n).label() for idx in range(order))
+    return order
+
+
+def u6n_group(n: int) -> FiniteGroup:
+    """Construct U(6n) from its presentation, order 6n, identity at index 0.
+
+    Refuses n through u6n_order, before anything of the table's size is
+    built.
+    """
+    order = u6n_order(n)
+    two_n = 2 * n
+    labels = tuple(_label(i, k) for i in range(two_n) for k in range(3))
     # Row x = 3i + k (x = a^i b^k) maps y = 3j + l to
     # 3 * ((i + j) mod 2n) + ((-1)^j k + l) mod 3. As 2n is even,
     # (-1)^(i+j) = (-1)^i (-1)^j, so row 3i + k is row (-1)^i k mod 3 (the

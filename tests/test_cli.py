@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from u6n_ncg import closed_forms, groups, invariants
+from u6n_ncg import cli, closed_forms, groups, invariants
 from u6n_ncg.cli import cli_main
 
 
@@ -104,6 +105,20 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--n-range", "3")
         assert code == 1
         assert "A:B" in err
+
+    def test_over_limit_range_refused_before_any_report(self, capsys, monkeypatch):
+        reported = []
+        verify_all = cli.verify_all
+        monkeypatch.setattr(groups, "_DENSE_TABLE_LIMIT", 12 * 12)
+        monkeypatch.setattr(
+            cli, "verify_all", lambda n, caps: reported.append(n) or verify_all(n, caps=caps)
+        )
+        code, out, err = run(capsys, "verify", "--n-range", "1:3")
+        assert (code, out, reported) == (1, "", [])
+        assert err == (
+            "u6n-ncg: error: U(6n) at n = 3 needs a Cayley table of 324 entries, "
+            "over the limit of 144\n"
+        )
 
 
 class TestPolyCommand:
@@ -274,6 +289,26 @@ class TestUsageErrors:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "verify" in out
+
+    def test_one_parser_serves_every_call(self, capsys):
+        calls = [
+            ("graph", "--n", "2"),
+            ("verify", "--n", "2", "--format", "json"),
+            ("graph", "--n", "2", "--invariant", "edges"),
+        ]
+
+        def outcome(argv):
+            code, out, err = run(capsys, *argv)
+            return code, re.sub(r'"elapsed_ms": \d+', "", out), err
+
+        alone = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            alone.append(outcome(argv))
+        cli._build_parser.cache_clear()
+        assert [outcome(argv) for argv in calls] == alone
+        assert [code for code, _, _ in alone] == [1, 0, 0]
+        assert cli._build_parser.cache_info().misses == 1
 
 
 class TestModuleEntryPoint:

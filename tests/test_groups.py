@@ -67,6 +67,12 @@ class TestU6nConstruction:
         assert g.labels[:6] == ("1", "b", "b^2", "a", "ab", "ab^2")
         assert g.labels[6:9] == ("a^2", "a^2b", "a^2b^2")
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_labels_match_the_elements(self, n):
+        assert u6n_group(n).labels == tuple(
+            U6nElement.from_index(i, n).label() for i in range(6 * n)
+        )
+
     def test_element_index_bijection(self):
         for n in (1, 2, 3):
             seen = set()
@@ -388,6 +394,16 @@ class TestCommutationRowsAgainstScans:
     @pytest.mark.parametrize("labels, table", TABLE_GROUPS)
     def test_table_groups(self, labels, table):
         assert_lookups_match_scans(group_from_table(labels, table), table)
+
+    @pytest.mark.parametrize(
+        "g",
+        [u6n_group(n) for n in range(1, 13)]
+        + [group_from_table(labels, table) for labels, table in TABLE_GROUPS],
+        ids=repr,
+    )
+    def test_equal_rows_are_one_object(self, g):
+        rows = [g.non_commuting_row(x) for x in range(g.order)]
+        assert len({id(r) for r in rows}) == len(set(rows))
 
     def test_row_index_checked(self):
         with pytest.raises(IndexError):
