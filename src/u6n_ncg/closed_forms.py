@@ -14,7 +14,6 @@ of bare polynomials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .groups import U6nElement
 from .polynomials import IntPolynomial
@@ -140,15 +139,21 @@ def cf_eccentric_connectivity_polynomial(n: int) -> Prediction:
     )
 
 
+def _binomials(m: int) -> list[int]:
+    """C(m, 0..m) by the running product C(m, k) = C(m, k-1) (m-k+1) / k."""
+    row = [1]
+    for k in range(1, m + 1):
+        row.append(row[-1] * (m - k + 1) // k)
+    return row
+
+
 def cf_independence_polynomial(n: int) -> IntPolynomial:
     """1 + sum_{k<=n} (C(2n,k) + 3C(n,k)) x^k + sum_{n<k<=2n} C(2n,k) x^k."""
     _check_n(n)
-    terms = [(0, 1)]
-    for k in range(1, n + 1):
-        terms.append((k, comb(2 * n, k) + 3 * comb(n, k)))
-    for k in range(n + 1, 2 * n + 1):
-        terms.append((k, comb(2 * n, k)))
-    return IntPolynomial.from_terms(terms)
+    counts = _binomials(2 * n)
+    for k, count in enumerate(_binomials(n)[1:], 1):
+        counts[k] += 3 * count
+    return IntPolynomial.from_terms(enumerate(counts))
 
 
 def cf_vertex_cover_polynomial(n: int) -> IntPolynomial:

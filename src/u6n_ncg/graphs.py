@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .groups import FiniteGroup
@@ -134,6 +135,25 @@ class Graph:
         adj = _restrict_rows(map(lanes.__getitem__, kept), marks)
         return Graph(labels=tuple(self.labels[v] for v in chosen), adj=adj)
 
+    @cached_property
+    def _twin_classes(self) -> tuple[tuple[int, ...], ...]:
+        """The classes of false twins, computed on first use and kept; see
+        twin_classes."""
+        groups: dict[int, list[int]] = {}
+        for u, row in enumerate(self.adj):
+            groups.setdefault(row, []).append(u)
+        return tuple(tuple(c) for c in groups.values())
+
+    @cached_property
+    def _twin_quotient(self) -> tuple["Graph", tuple[int, ...]]:
+        """The subgraph induced by the smallest vertex of each class of false
+        twins, and the class sizes in the same order; computed on first use
+        and kept. Without twins the quotient is the graph itself."""
+        classes = self._twin_classes
+        if len(classes) == self.vertex_count:
+            return self, (1,) * self.vertex_count
+        return self.induced_subgraph(c[0] for c in classes), tuple(map(len, classes))
+
 
 def non_commuting_graph(g: FiniteGroup) -> Graph:
     """Graph on the non-central elements of g, joined when they do not
@@ -162,11 +182,8 @@ class PartitionWitness:
 def twin_classes(graph: Graph) -> tuple[tuple[int, ...], ...]:
     """Vertices grouped by identical adjacency row (false twins, never
     adjacent), classes in order of their smallest vertex; two classes are
-    fully joined or not joined at all."""
-    groups: dict[int, list[int]] = {}
-    for u, row in enumerate(graph.adj):
-        groups.setdefault(row, []).append(u)
-    return tuple(tuple(c) for c in groups.values())
+    fully joined or not joined at all. Computed once per graph."""
+    return graph._twin_classes
 
 
 def is_complete_multipartite(graph: Graph) -> PartitionWitness | None:

@@ -191,13 +191,10 @@ def detour_index(graph: Graph, cap: int = DEFAULT_CAPS.detour) -> int:
 
 # -- independence, covers, cliques, colourings -------------------------
 
-def _twin_quotient(graph: Graph) -> tuple[Graph, list[int]]:
+def _twin_quotient(graph: Graph) -> tuple[Graph, tuple[int, ...]]:
     """The subgraph induced by the smallest vertex of each class of false
-    twins, and the class sizes in the same order."""
-    classes = twin_classes(graph)
-    if len(classes) == graph.vertex_count:  # no twins: the quotient is the graph
-        return graph, [1] * graph.vertex_count
-    return graph.induced_subgraph(c[0] for c in classes), [len(c) for c in classes]
+    twins, and the class sizes in the same order; built once per graph."""
+    return graph._twin_quotient
 
 
 def independence_number(graph: Graph) -> int:

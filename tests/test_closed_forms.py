@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from u6n_ncg.closed_forms import (
@@ -141,6 +143,14 @@ class TestCountingPolynomials:
         ind = cf_independence_polynomial(n)
         cover = cf_vertex_cover_polynomial(n)
         assert cover == IntPolynomial.from_terms((5 * n - e, c) for e, c in ind.terms())
+
+    @pytest.mark.parametrize("n", range(1, 61))
+    def test_independence_counts_match_comb(self, n):
+        # the running products against math.comb, term by term
+        expected = [(0, 1)]
+        expected += [(k, comb(2 * n, k) + 3 * comb(n, k)) for k in range(1, n + 1)]
+        expected += [(k, comb(2 * n, k)) for k in range(n + 1, 2 * n + 1)]
+        assert cf_independence_polynomial(n).terms() == tuple(expected)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_total_independent_set_count(self, n):

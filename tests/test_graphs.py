@@ -334,6 +334,22 @@ class TestTwinClasses:
     def test_triangle_vertices_are_not_false_twins(self):
         assert twin_classes(TRIANGLE) == ((0,), (1,), (2,))
 
+    @given(st.one_of(random_graphs(), twin_blowups()))
+    @settings(max_examples=200, deadline=None)
+    def test_equal_graphs_built_apart_agree(self, graph):
+        # the same graph again, from its edge list: equal, but nothing shared
+        other = Graph.from_edges(list(graph.labels), graph.edges())
+        assert other == graph and other is not graph
+        classes = twin_classes(graph)
+        assert twin_classes(other) == classes
+        assert twin_classes(graph) is classes  # kept, not recomputed
+        quotient, sizes = graph._twin_quotient
+        assert other._twin_quotient == (quotient, sizes)
+        assert graph._twin_quotient[0] is quotient
+        # the quotient as built from the classes by hand
+        assert quotient == graph.induced_subgraph(c[0] for c in classes)
+        assert sizes == tuple(len(c) for c in classes)
+
 
 class TestFindInduced:
     @pytest.mark.parametrize("n", [1, 2, 3])

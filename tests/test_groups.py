@@ -1,5 +1,7 @@
 import json
+import random
 import tracemalloc
+from functools import cache
 
 import pytest
 
@@ -408,6 +410,106 @@ class TestCommutationRowsAgainstScans:
     def test_row_index_checked(self):
         with pytest.raises(IndexError):
             u6n_group(1).non_commuting_row(6)
+
+
+# -- the row-at-a-time pass, kept as the oracle for the tiled one ----------
+
+def row_by_row_commutation(g):
+    """Every commutation row from its own pass: row x of the cells against
+    strided column x, XORed as big ints, high and low bytes apart."""
+    cells, order, width = g.cells, g.order, 2 * g.order
+    rows = []
+    for x in range(order):
+        row = cells[x * width : (x + 1) * width]
+        high = int.from_bytes(row[0::2], "big") ^ int.from_bytes(cells[2 * x :: width], "big")
+        low = int.from_bytes(row[1::2], "big") ^ int.from_bytes(cells[2 * x + 1 :: width], "big")
+        rows.append((high | low).to_bytes(order, "big").translate(groups._NONZERO))
+    return tuple(rows)
+
+
+def dihedral_table(m):
+    """D_m of order 2m: r^i at index i and s r^i at index m + i, with
+    r^i s = s r^-i."""
+    table = []
+    for x in range(2 * m):
+        i, flip_x = x % m, x >= m
+        row = []
+        for y in range(2 * m):
+            j, flip_y = y % m, y >= m
+            row.append(m * (flip_x != flip_y) + ((j - i) if flip_y else (i + j)) % m)
+        table.append(row)
+    return table
+
+
+def relabelled(table, seed):
+    """The table with its elements renumbered by a seeded permutation, so
+    the identity and the classes of equal rows land at scattered indices."""
+    order = len(table)
+    perm = list(range(order))
+    random.Random(seed).shuffle(perm)
+    out = [[0] * order for _ in range(order)]
+    for x in range(order):
+        for y in range(order):
+            out[perm[x]][perm[y]] = perm[table[x][y]]
+    return out
+
+
+# Orders past 256, where the high byte of a cell is nonzero, none a
+# multiple of the block or chunk size: 258 and 342 (U(6n)), 300 (dihedral,
+# loaded) and 258 again with every index moved (loaded).
+@cache
+def wide_group(name):
+    if name == "dihedral150":
+        table = dihedral_table(150)
+    elif name == "relabelled43":
+        table = relabelled(double_loop_u6n_table(43), seed=43)
+    else:
+        n = int(name.removeprefix("u6n"))
+        return u6n_group(n), double_loop_u6n_table(n)
+    return group_from_table([f"g{i}" for i in range(len(table))], table), table
+
+
+WIDE_GROUPS = ["u6n43", "u6n57", "dihedral150", "relabelled43"]
+
+
+class TestTiledCommutationPass:
+    def test_tile_sizes_do_not_divide_the_wide_orders(self):
+        for name in WIDE_GROUPS:
+            order = wide_group(name)[0].order
+            assert order > 256
+            assert order % groups._BLOCK_ROWS and order % groups._CHUNK_ROWS
+
+    @pytest.mark.parametrize("name", WIDE_GROUPS)
+    def test_wide_orders_match_scans(self, name):
+        g, table = wide_group(name)
+        assert any(g.cells[0::2])  # some high byte is nonzero
+        assert g._commutation_rows == row_by_row_commutation(g)
+        assert_lookups_match_scans(g, table)
+
+    @pytest.mark.parametrize("name", WIDE_GROUPS)
+    def test_wide_orders_hold_equal_rows_once(self, name):
+        rows = wide_group(name)[0]._commutation_rows
+        assert len({id(r) for r in rows}) == len(set(rows))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6, 16, 42, 43, 128])
+    def test_u6n_matches_row_by_row(self, n):
+        # orders 6..30 fit in one block; 96 is 3 blocks, 768 is 3 chunks of
+        # 24 blocks; 252 and 258 end on a short block and a short chunk
+        g = u6n_group(n)
+        assert g._commutation_rows == row_by_row_commutation(g)
+
+    @pytest.mark.parametrize("block, chunk", [(1, 1), (2, 3), (5, 7), (7, 5), (32, 1), (1, 256)])
+    def test_any_tile_gives_the_same_rows(self, monkeypatch, block, chunk):
+        # small tiles cut every small group into many short blocks and chunks
+        monkeypatch.setattr(groups, "_BLOCK_ROWS", block)
+        monkeypatch.setattr(groups, "_CHUNK_ROWS", chunk)
+        cases = [(u6n_group(n), double_loop_u6n_table(n)) for n in (1, 2, 3, 7)]
+        cases += [(group_from_table(labels, table), table) for labels, table in TABLE_GROUPS]
+        for g, table in cases:
+            assert g._commutation_rows == row_by_row_commutation(g)
+            assert_lookups_match_scans(g, table)
+            rows = g._commutation_rows
+            assert len({id(r) for r in rows}) == len(set(rows))
 
 
 class TestTableSizeLimit:
