@@ -135,7 +135,7 @@ def detour_matrix(graph: Graph, cap: int = DEFAULT_CAPS.detour) -> tuple[tuple[i
     if not is_connected(graph):
         raise DisconnectedGraphError("detour distance requires a connected graph")
 
-    quotient, sizes = _twin_quotient(graph)
+    quotient, sizes = graph._twin_quotient
     m = len(sizes)
     stride, total = [], 1
     for size in sizes:
@@ -191,12 +191,6 @@ def detour_index(graph: Graph, cap: int = DEFAULT_CAPS.detour) -> int:
 
 # -- independence, covers, cliques, colourings -------------------------
 
-def _twin_quotient(graph: Graph) -> tuple[Graph, tuple[int, ...]]:
-    """The subgraph induced by the smallest vertex of each class of false
-    twins, and the class sizes in the same order; built once per graph."""
-    return graph._twin_quotient
-
-
 def independence_number(graph: Graph) -> int:
     """Maximum independent set size by branch and bound on bitsets.
 
@@ -211,7 +205,7 @@ def independence_number(graph: Graph) -> int:
     is no more than the best found: an independent set takes at most one
     end of each matched edge.
     """
-    quotient, weights = _twin_quotient(graph)
+    quotient, weights = graph._twin_quotient
     adj = quotient.adj
     # the weight of a mask is its bit count plus (w - 1) per class of size
     # w > 1: one extra bit_count per distinct class size, none without twins
@@ -266,7 +260,7 @@ def independence_polynomial(graph: Graph, cap: int = DEFAULT_CAPS.indep) -> IntP
     """
     v_count = graph.vertex_count
     _check_cap("independence_polynomial", v_count, cap)
-    quotient, sizes = _twin_quotient(graph)
+    quotient, sizes = graph._twin_quotient
     adj = quotient.adj
     width = v_count + 1
     gain = [((1 << width) + 1) ** size - 1 for size in sizes]
@@ -315,7 +309,7 @@ def clique_number(graph: Graph) -> int:
     """Maximum clique size by Bron-Kerbosch with pivoting on the twin
     quotient: false twins are never adjacent, so a clique takes at most one
     vertex per class, and any one will do."""
-    return _bron_kerbosch(_twin_quotient(graph)[0])
+    return _bron_kerbosch(graph._twin_quotient[0])
 
 
 def _bron_kerbosch(graph: Graph) -> int:
@@ -397,7 +391,7 @@ def chromatic_number(graph: Graph, cap: int = DEFAULT_CAPS.chromatic) -> int:
     the quotient lifts to the graph by giving twins their class's colour.
     The cap counts the vertices of the graph."""
     _check_cap("chromatic_number", graph.vertex_count, cap)
-    graph = _twin_quotient(graph)[0]
+    graph = graph._twin_quotient[0]
     lower = _bron_kerbosch(graph)
     upper = _dsatur_upper_bound(graph)
     for k in range(lower, upper):

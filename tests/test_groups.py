@@ -493,8 +493,8 @@ class TestTiledCommutationPass:
 
     @pytest.mark.parametrize("n", [1, 2, 5, 6, 16, 42, 43, 128])
     def test_u6n_matches_row_by_row(self, n):
-        # orders 6..30 fit in one block; 96 is 3 blocks, 768 is 3 chunks of
-        # 24 blocks; 252 and 258 end on a short block and a short chunk
+        # orders 6..30 fit in one block; 96 and 768 are whole blocks, and
+        # 768 is more than one chunk; 252 and 258 end on a short block
         g = u6n_group(n)
         assert g._commutation_rows == row_by_row_commutation(g)
 
