@@ -24,8 +24,46 @@ from .groups import group_from_json, u6n_group, u6n_order
 from .invariants import Caps, DEFAULT_CAPS
 from .verify import report_to_json, verify_all
 
-_POLY_KINDS = ("resolving", "detour", "total-ecc", "ecc-conn", "independence", "vertex-cover")
-_GRAPH_INVARIANTS = ("edges", "alpha", "tau", "omega", "chi", "beta", "ecc", "detour-index")
+# Each entry looks its engine up when called, so that a rebound module
+# attribute (a test's monkeypatch, a tracer's span) is the one that runs.
+_GRAPH_INVARIANTS = {
+    "edges": lambda graph: graph.edge_count(),
+    "alpha": lambda graph: invariants.independence_number(graph),
+    "tau": lambda graph: invariants.vertex_cover_number(graph),
+    "omega": lambda graph: invariants.clique_number(graph),
+    "chi": lambda graph: invariants.chromatic_number(graph),
+    "beta": lambda graph: invariants.metric_dimension(graph),
+    "ecc": lambda graph: ",".join(str(e) for e in sorted(set(invariants.eccentricities(graph)))),
+    "detour-index": lambda graph: invariants.detour_index(graph),
+}
+
+# kind -> (brute force on the graph, closed form in n)
+_POLY_KINDS = {
+    "resolving": (
+        lambda graph: invariants.resolving_polynomial(graph)[0],
+        lambda n: closed_forms.cf_resolving_polynomial(n),
+    ),
+    "detour": (
+        lambda graph: invariants.detour_polynomial(graph),
+        lambda n: closed_forms.cf_detour_polynomial(n),
+    ),
+    "total-ecc": (
+        lambda graph: invariants.total_eccentricity_polynomial(graph),
+        lambda n: closed_forms.cf_total_eccentricity_polynomial(n).value,
+    ),
+    "ecc-conn": (
+        lambda graph: invariants.eccentric_connectivity_polynomial(graph),
+        lambda n: closed_forms.cf_eccentric_connectivity_polynomial(n).value,
+    ),
+    "independence": (
+        lambda graph: invariants.independence_polynomial(graph),
+        lambda n: closed_forms.cf_independence_polynomial(n),
+    ),
+    "vertex-cover": (
+        lambda graph: invariants.vertex_cover_polynomial(graph),
+        lambda n: closed_forms.cf_vertex_cover_polynomial(n),
+    ),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,10 +88,10 @@ def _build_parser() -> _Parser:
 
     p_graph = sub.add_parser("graph", help="one invariant of the non-commuting graph")
     p_graph.add_argument("--n", type=int, required=True)
-    p_graph.add_argument("--invariant", choices=_GRAPH_INVARIANTS, required=True)
+    p_graph.add_argument("--invariant", choices=list(_GRAPH_INVARIANTS), required=True)
 
     p_poly = sub.add_parser("poly", help="a counting polynomial of the graph")
-    p_poly.add_argument("kind", choices=_POLY_KINDS)
+    p_poly.add_argument("kind", choices=list(_POLY_KINDS))
     p_poly.add_argument("--n", type=int, required=True)
     p_poly.add_argument("--source", choices=("brute", "closed", "both"), default="brute")
 
@@ -106,66 +144,21 @@ def _cmd_build(args) -> int:
 
 def _cmd_graph(args) -> int:
     graph = non_commuting_graph(u6n_group(args.n))
-    name = args.invariant
-    if name == "edges":
-        value = graph.edge_count()
-    elif name == "alpha":
-        value = invariants.independence_number(graph)
-    elif name == "tau":
-        value = invariants.vertex_cover_number(graph)
-    elif name == "omega":
-        value = invariants.clique_number(graph)
-    elif name == "chi":
-        value = invariants.chromatic_number(graph)
-    elif name == "beta":
-        value = invariants.metric_dimension(graph)
-    elif name == "ecc":
-        value = ",".join(str(e) for e in sorted(set(invariants.eccentricities(graph))))
-    else:
-        value = invariants.detour_index(graph)
-    print(value)
+    print(_GRAPH_INVARIANTS[args.invariant](graph))
     return 0
 
 
-def _brute_poly(kind: str, graph):
-    if kind == "resolving":
-        return invariants.resolving_polynomial(graph)[0]
-    if kind == "detour":
-        return invariants.detour_polynomial(graph)
-    if kind == "total-ecc":
-        return invariants.total_eccentricity_polynomial(graph)
-    if kind == "ecc-conn":
-        return invariants.eccentric_connectivity_polynomial(graph)
-    if kind == "independence":
-        return invariants.independence_polynomial(graph)
-    return invariants.vertex_cover_polynomial(graph)
-
-
-def _closed_poly(kind: str, n: int):
-    if kind == "resolving":
-        return closed_forms.cf_resolving_polynomial(n)
-    if kind == "detour":
-        return closed_forms.cf_detour_polynomial(n)
-    if kind == "total-ecc":
-        return closed_forms.cf_total_eccentricity_polynomial(n).value
-    if kind == "ecc-conn":
-        return closed_forms.cf_eccentric_connectivity_polynomial(n).value
-    if kind == "independence":
-        return closed_forms.cf_independence_polynomial(n)
-    return closed_forms.cf_vertex_cover_polynomial(n)
-
-
 def _cmd_poly(args) -> int:
+    brute, closed = _POLY_KINDS[args.kind]
     if args.source in ("brute", "both"):
-        graph = non_commuting_graph(u6n_group(args.n))
-        brute = _brute_poly(args.kind, graph)
+        value = brute(non_commuting_graph(u6n_group(args.n)))
     if args.source == "brute":
-        print(brute)
+        print(value)
     elif args.source == "closed":
-        print(_closed_poly(args.kind, args.n))
+        print(closed(args.n))
     else:
-        print(f"brute: {brute}")
-        print(f"closed: {_closed_poly(args.kind, args.n)}")
+        print(f"brute: {value}")
+        print(f"closed: {closed(args.n)}")
     return 0
 
 

@@ -115,16 +115,6 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.labels)
 
-    @cached_property
-    def table(self) -> tuple[tuple[int, ...], ...]:
-        """The table as tuples of ints, built on first access and kept. It
-        holds order² int references, so nothing in this package reads it."""
-        entries = array("H", self.cells)
-        if sys.byteorder == "little":
-            entries.byteswap()
-        order = self.order
-        return tuple(tuple(entries[x * order : (x + 1) * order]) for x in range(order))
-
     def _row(self, x: int) -> bytes:
         width = 2 * self.order
         return self.cells[x * width : (x + 1) * width]

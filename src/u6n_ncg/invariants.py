@@ -11,9 +11,11 @@ test 2^m class patterns, each class whole or one member short, against
 the distinct masks of vertices that tell two left-out members apart;
 independence counts recurse on the twin quotient, one vertex per class;
 longest paths advance T-bit integers, T = prod(|C_i| + 1). The caps still
-count vertices; without twins m = V and the cost is 2^V. The
-independence, clique and chromatic numbers search the twin quotient, and
-eccentricities take one BFS per class.
+count vertices; without twins m = V and the cost is 2^V. One weighted
+branch and bound finds maximum independent sets: α runs it on the twin
+quotient weighted by class sizes, and ω is α of the quotient's complement
+with unit weights, which is also χ's lower bound. Eccentricities take one
+BFS per class.
 """
 
 from __future__ import annotations
@@ -192,23 +194,26 @@ def detour_index(graph: Graph, cap: int = DEFAULT_CAPS.detour) -> int:
 # -- independence, covers, cliques, colourings -------------------------
 
 def independence_number(graph: Graph) -> int:
-    """Maximum independent set size by branch and bound on bitsets.
+    """Maximum independent set size. An independent set may take a whole
+    class of false twins or none of it, so the search runs on the twin
+    quotient with the class sizes as weights."""
+    quotient, sizes = graph._twin_quotient
+    return _max_weight_independent(quotient.adj, sizes)
 
-    An independent set may take a whole class of false twins or none of it,
-    so the search runs on the twin quotient with the class sizes as
-    weights. The search depth grows with the class count, so it runs on an
-    explicit stack rather than the interpreter's; the include branch is
-    pushed last so it is explored first.
+
+def _max_weight_independent(adj: tuple[int, ...], weights: tuple[int, ...]) -> int:
+    """Largest total weight of an independent set of the adjacency rows, by
+    branch and bound on bitsets. The search depth grows with the vertex
+    count, so it runs on an explicit stack rather than the interpreter's;
+    the include branch is pushed last so it is explored first.
 
     A node is cut when its size plus the weight of its mask, less
     min(w_u, w_v) for each edge uv of a greedy matching inside the mask,
     is no more than the best found: an independent set takes at most one
     end of each matched edge.
     """
-    quotient, weights = graph._twin_quotient
-    adj = quotient.adj
-    # the weight of a mask is its bit count plus (w - 1) per class of size
-    # w > 1: one extra bit_count per distinct class size, none without twins
+    # the weight of a mask is its bit count plus (w - 1) per vertex of
+    # weight w > 1: one extra bit_count per distinct weight, none if all are 1
     extra: dict[int, int] = {}
     for u, w in enumerate(weights):
         if w > 1:
@@ -216,7 +221,7 @@ def independence_number(graph: Graph) -> int:
     extra_masks = tuple(extra.items())
     heaviest = max(weights, default=0)
     best = 0
-    stack = [((1 << quotient.vertex_count) - 1, 0)]
+    stack = [((1 << len(adj)) - 1, 0)]
     while stack:
         mask, size = stack.pop()
         bound = size + mask.bit_count()
@@ -306,36 +311,18 @@ def vertex_cover_polynomial(graph: Graph, cap: int = DEFAULT_CAPS.indep) -> IntP
 
 
 def clique_number(graph: Graph) -> int:
-    """Maximum clique size by Bron-Kerbosch with pivoting on the twin
-    quotient: false twins are never adjacent, so a clique takes at most one
-    vertex per class, and any one will do."""
-    return _bron_kerbosch(graph._twin_quotient[0])
+    """Maximum clique size, on the twin quotient: false twins are never
+    adjacent, so a clique takes at most one vertex per class, and any one
+    will do."""
+    return _clique_size(graph._twin_quotient[0])
 
 
-def _bron_kerbosch(graph: Graph) -> int:
-    adj = graph.adj
-    best = 0
-
-    def expand(size: int, candidates: int, excluded: int) -> None:
-        nonlocal best
-        if not candidates and not excluded:
-            if size > best:
-                best = size
-            return
-        if size + candidates.bit_count() <= best:
-            return
-        pivot = max(
-            _bits(candidates | excluded),
-            key=lambda u: (adj[u] & candidates).bit_count(),
-        )
-        for v in _bits(candidates & ~adj[pivot]):
-            vbit = 1 << v
-            expand(size + 1, candidates & adj[v], excluded & adj[v])
-            candidates &= ~vbit
-            excluded |= vbit
-
-    expand(0, (1 << graph.vertex_count) - 1, 0)
-    return best
+def _clique_size(graph: Graph) -> int:
+    """Maximum clique size: the largest independent set of the complement,
+    every vertex of weight 1."""
+    full = (1 << graph.vertex_count) - 1
+    complement = tuple(full ^ row ^ (1 << u) for u, row in enumerate(graph.adj))
+    return _max_weight_independent(complement, (1,) * graph.vertex_count)
 
 
 def _dsatur_upper_bound(graph: Graph) -> int:
@@ -392,7 +379,7 @@ def chromatic_number(graph: Graph, cap: int = DEFAULT_CAPS.chromatic) -> int:
     The cap counts the vertices of the graph."""
     _check_cap("chromatic_number", graph.vertex_count, cap)
     graph = graph._twin_quotient[0]
-    lower = _bron_kerbosch(graph)
+    lower = _clique_size(graph)
     upper = _dsatur_upper_bound(graph)
     for k in range(lower, upper):
         if _is_k_colorable(graph, k):

@@ -148,6 +148,15 @@ class TestPolyCommand:
         code, _, _ = run(capsys, "poly", "zeta", "--n", "2")
         assert code == 1
 
+    def test_every_kind_has_its_own_engines(self, capsys):
+        outputs = set()
+        for kind in cli._POLY_KINDS:
+            code, out, _ = run(capsys, "poly", kind, "--n", "2", "--source", "both")
+            brute, closed = out.strip().splitlines()
+            assert code == 0 and brute.removeprefix("brute: ") == closed.removeprefix("closed: ")
+            outputs.add(brute)
+        assert len(outputs) == len(cli._POLY_KINDS)
+
 
 class TestExportCommand:
     def test_dot_n1(self, capsys):
@@ -260,6 +269,15 @@ class TestGraphCommand:
         code, out, _ = run(capsys, "graph", "--n", "2", "--invariant", "detour-index")
         assert code == 0
         assert out.strip() == "405"
+
+    @pytest.mark.parametrize(
+        "invariant, engine",
+        [("alpha", "independence_number"), ("omega", "clique_number"), ("beta", "metric_dimension")],
+    )
+    def test_engine_is_looked_up_when_called(self, capsys, monkeypatch, invariant, engine):
+        monkeypatch.setattr(invariants, engine, lambda graph: "rebound")
+        code, out, _ = run(capsys, "graph", "--n", "1", "--invariant", invariant)
+        assert (code, out) == (0, "rebound\n")
 
 
 class TestUsageErrors:

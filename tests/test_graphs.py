@@ -469,14 +469,13 @@ class TestExport:
 # -- reference constructions, kept as oracles for the commutation rows -----
 
 def pair_loop_non_commuting_graph(g):
-    """Every pair of non-central elements tested by its table entries."""
+    """Every pair of non-central elements tested by two `mul` lookups."""
     vertices = g.non_central()
-    t = g.table
     rows = [0] * len(vertices)
     for i, x in enumerate(vertices):
         for j in range(i + 1, len(vertices)):
             y = vertices[j]
-            if t[x][y] != t[y][x]:
+            if g.mul(x, y) != g.mul(y, x):
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return Graph(labels=tuple(g.labels[x] for x in vertices), adj=tuple(rows))
@@ -516,7 +515,8 @@ class TestConstructionAgainstPairLoop:
 
     def test_s3_from_its_table(self):
         g1 = u6n_group(1)
-        g = group_from_table(list(g1.labels), [list(row) for row in g1.table])
+        table = [[g1.mul(x, y) for y in range(g1.order)] for x in range(g1.order)]
+        g = group_from_table(list(g1.labels), table)
         assert non_commuting_graph(g) == pair_loop_non_commuting_graph(g)
 
     @given(loopless_rows())

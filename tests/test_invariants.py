@@ -211,6 +211,18 @@ class TestIndependence:
         graph = Graph.from_edges([f"v{i}" for i in range(1500)], [])
         assert independence_number(graph) == 1500
 
+    def test_clique_search_depth_not_bounded_by_recursion_limit(self):
+        # K1500 has no twins, so the clique search takes its vertices one at
+        # a time, 1500 levels deep; built from its rows, not its 1.1 M edges
+        full = (1 << 1500) - 1
+        graph = Graph(
+            labels=tuple(f"v{i}" for i in range(1500)),
+            adj=tuple(full ^ (1 << u) for u in range(1500)),
+        )
+        start = perf_counter()
+        assert clique_number(graph) == 1500
+        assert perf_counter() - start < 2.0
+
     def test_search_depth_without_twins(self):
         # The edgeless graph above is one class of twins, so its quotient has
         # one vertex. Here a 56-clique K is joined to 1500 independent
@@ -801,6 +813,12 @@ def full_chromatic_number(graph):
     return next((k for k in range(lower, upper) if _is_k_colorable(graph, k)), upper)
 
 
+def complement(graph):
+    full = (1 << graph.vertex_count) - 1
+    rows = tuple(full ^ row ^ (1 << u) for u, row in enumerate(graph.adj))
+    return Graph(labels=graph.labels, adj=rows)
+
+
 def per_vertex_eccentricities(graph):
     """One eccentricity, hence one BFS, per vertex."""
     return tuple(eccentricity(graph, v) for v in range(graph.vertex_count))
@@ -828,6 +846,13 @@ class TestTwinQuotientSearchesAgainstFullGraphOracles:
     @given(twin_blowups())
     @settings(max_examples=100, deadline=None)
     def test_planted_twin_blowups(self, graph):
+        assert_quotient_searches_match_oracles(graph)
+
+    @given(twin_blowups().map(complement))
+    @settings(max_examples=100, deadline=None)
+    def test_complements_of_twin_blowups(self, graph):
+        # the blown-up classes become true twins, which the false-twin
+        # quotient keeps apart and its complement holds as false twins
         assert_quotient_searches_match_oracles(graph)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
