@@ -301,7 +301,10 @@ def group_from_table(labels: Sequence[str], table: Sequence[Sequence[int]]) -> F
 
 def group_from_json(text: str) -> FiniteGroup:
     """Load a group from the JSON schema {"labels": [...], "table": [[...]]}."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("the JSON is nested too deeply") from None
     if not isinstance(data, dict) or "labels" not in data or "table" not in data:
         raise ValueError('expected a JSON object with "labels" and "table" keys')
     return group_from_table(data["labels"], data["table"])

@@ -8,13 +8,15 @@ past a cap raises CapacityError instead of silently approximating.
 Independent sets, covers, resolving sets and longest paths work on the
 classes C_1..C_m of false twins (equal neighbourhoods): resolving sets
 test 2^m class patterns, each class whole or one member short, against
-the distinct masks of vertices that tell two left-out members apart;
-independence counts recurse on the twin quotient, one vertex per class;
-longest paths advance T-bit integers, T = prod(|C_i| + 1). The caps still
-count vertices; without twins m = V and the cost is 2^V. One weighted
-branch and bound finds maximum independent sets: α runs it on the twin
-quotient weighted by class sizes, and ω is α of the quotient's complement
-with unit weights, which is also χ's lower bound. Eccentricities take one
+the distinct masks of vertices that tell two left-out members apart, in
+one sweep that counts resolving sets by size for the resolving
+polynomial and for β, which is its first nonzero count; independence
+counts recurse on the twin quotient, one vertex per class; longest paths
+advance T-bit integers, T = prod(|C_i| + 1). The caps still count
+vertices; without twins m = V and the cost is 2^V. One weighted branch
+and bound finds maximum independent sets: α runs it on the twin quotient
+weighted by class sizes, and ω is α of the quotient's complement with
+unit weights, which is also χ's lower bound. Eccentricities take one
 BFS per class.
 """
 
@@ -474,43 +476,35 @@ def is_resolving(graph: Graph, witness) -> bool:
     return _hits_all(pattern, masks)
 
 
-def metric_dimension(graph: Graph, cap: int = DEFAULT_CAPS.metric) -> int:
-    """Smallest resolving-set size: the class patterns are tested by
-    increasing size against the disagreement masks, stopping at the first
-    hit."""
-    v_count = graph.vertex_count
-    _check_cap("metric_dimension", v_count, cap)
+def _resolving_counts(graph: Graph) -> list[int]:
+    """Resolving-set counts by size, index k for k vertices. Every class
+    pattern is tested; the masks its high part meets are dropped before
+    the low parts."""
     masks = _disagreement_masks(graph)
     low, high = _pattern_tables(twin_classes(graph))
-    low_by_size, high_by_size = ([[] for _ in range(v_count + 1)] for _ in range(2))
-    for table, by_size in ((low, low_by_size), (high, high_by_size)):
-        for rep, size, _ in table:
-            by_size[size].append(rep)
-    for k in range(v_count + 1):
-        for size_h in range(k + 1):
-            for rep_h in high_by_size[size_h]:
-                for rep_l in low_by_size[k - size_h]:
-                    if _hits_all(rep_h | rep_l, masks):
-                        return k
-    raise AssertionError("a connected graph is resolved by its full vertex set")
-
-
-def resolving_polynomial(
-    graph: Graph, cap: int = DEFAULT_CAPS.resolving
-) -> tuple[IntPolynomial, ResolvingSequence]:
-    """Counts of resolving sets by cardinality. Every class pattern is
-    tested; the masks its high part meets are dropped before the low
-    parts."""
-    v_count = graph.vertex_count
-    _check_cap("resolving_polynomial", v_count, cap)
-    masks = _disagreement_masks(graph)
-    low, high = _pattern_tables(twin_classes(graph))
-    counts = [0] * (v_count + 1)
+    counts = [0] * (graph.vertex_count + 1)
     for rep_h, size_h, weight_h in high:
         rest = [mask for mask in masks if not mask & rep_h]
         for rep_l, size_l, weight_l in low:
             if _hits_all(rep_l, rest):
                 counts[size_h + size_l] += weight_h * weight_l
+    return counts
+
+
+def metric_dimension(graph: Graph, cap: int = DEFAULT_CAPS.metric) -> int:
+    """Smallest resolving-set size: the first nonzero count of the
+    resolving sweep. The sweep tests all 2^m class patterns whatever the
+    answer is."""
+    _check_cap("metric_dimension", graph.vertex_count, cap)
+    return next(k for k, c in enumerate(_resolving_counts(graph)) if c)
+
+
+def resolving_polynomial(
+    graph: Graph, cap: int = DEFAULT_CAPS.resolving
+) -> tuple[IntPolynomial, ResolvingSequence]:
+    """Counts of resolving sets by cardinality, from the resolving sweep."""
+    _check_cap("resolving_polynomial", graph.vertex_count, cap)
+    counts = _resolving_counts(graph)
     poly = IntPolynomial.from_terms(enumerate(counts))
     beta = next(k for k, c in enumerate(counts) if c)
     return poly, ResolvingSequence(beta=beta, counts=tuple(counts[beta:]))

@@ -152,8 +152,6 @@ def _common_value(values):
 
 def verify_all(n: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
     """Run every closed form for U(6n) against the exhaustive computation."""
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
     g = u6n_group(n)
     graph = non_commuting_graph(g)
     omega = omega_partition(g)

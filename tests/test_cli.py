@@ -227,6 +227,14 @@ class TestBuildCommand:
         assert err.startswith("u6n-ncg: error:")
         assert "Traceback" not in err
 
+    def test_deeply_nested_json_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        code, _, err = run(capsys, "build", "--table", str(path))
+        assert code == 1
+        assert err.startswith("u6n-ncg: error:") and "nested too deeply" in err
+        assert "Traceback" not in err
+
 
 class TestGraphCommand:
     @pytest.mark.parametrize(

@@ -342,6 +342,22 @@ class TestResolvingSets:
         assert metric_dimension(ncg(2)) == 6
         assert metric_dimension(path_graph(4)) == 1
 
+    def test_metric_dimension_at_scale(self):
+        # 3000 vertices in 4 twin classes: the sweep tests 2^4 class patterns,
+        # so the time is the disagreement masks, not the vertex count
+        graph = ncg(600)
+        twin_classes(graph)  # built before the clock starts, as in a report
+        start = perf_counter()
+        assert metric_dimension(graph, cap=10**6) == 2996
+        assert perf_counter() - start < 0.2
+
+    def test_metric_dimension_without_twins_at_the_cap(self):
+        # no twins, so all 2^20 vertex subsets are tested
+        graph = path_graph(20)
+        start = perf_counter()
+        assert metric_dimension(graph) == 1
+        assert perf_counter() - start < 2.0
+
     def test_metric_dimension_cap(self):
         with pytest.raises(CapacityError):
             metric_dimension(path_graph(21))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -98,9 +99,10 @@ class TestStatuses:
         assert entry.status == "mismatch"
         assert entry.computed == tuple(tuple(g.labels[y] for y in c) for c in centralizers)
 
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            verify_all(0)
+    @pytest.mark.parametrize("n", [0, -1, True, 2.0])
+    def test_invalid_n(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"n must be a positive integer, got {n!r}")):
+            verify_all(n)
 
 
 class TestDeterminism:
