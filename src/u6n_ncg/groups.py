@@ -40,7 +40,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, product
 from typing import Iterable, Sequence
 
 # Tables at most this large are checked for associativity exhaustively;
@@ -333,7 +333,10 @@ def u6n_group(n: int) -> FiniteGroup:
     """
     order = u6n_order(n)
     two_n = 2 * n
-    labels = tuple(_label(i, k) for i in range(two_n) for k in range(3))
+    # the labels _label gives, a-parts joined with b-parts
+    a_parts = ["", "a", *(f"a^{i}" for i in range(2, two_n))]
+    labels = list(map("".join, product(a_parts, ("", "b", "b^2"))))
+    labels[0] = "1"
     # Row x = 3i + k (x = a^i b^k) maps y = 3j + l to
     # 3 * ((i + j) mod 2n) + ((-1)^j k + l) mod 3. As 2n is even,
     # (-1)^(i+j) = (-1)^i (-1)^j, so row 3i + k is row (-1)^i k mod 3 (the
@@ -358,7 +361,7 @@ def u6n_group(n: int) -> FiniteGroup:
             for k in range(3)
         ]
     )
-    return FiniteGroup(labels=labels, cells=cells, identity=0, parameter_n=n)
+    return FiniteGroup(labels=tuple(labels), cells=cells, identity=0, parameter_n=n)
 
 
 @dataclass(frozen=True)

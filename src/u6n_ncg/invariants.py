@@ -96,28 +96,44 @@ def eccentricity(graph: Graph, v: int) -> int:
     return len(layers) - 1
 
 
+def _class_eccentricities(graph: Graph) -> list[int]:
+    """Eccentricity of each class of false twins, from one BFS per class on
+    the twin quotient. Members of two classes are as far apart as the
+    classes in the quotient, since a shortest path never enters one class
+    twice; two members of one class are at distance 2 through any
+    neighbour."""
+    quotient, sizes = graph._twin_quotient
+    everything = (1 << quotient.vertex_count) - 1
+    eccs = []
+    for q, size in enumerate(sizes):
+        layers = _bfs_layers(quotient, q)
+        # a class of twins without neighbours is cut off from its own members
+        if sum(layers) != everything or (size > 1 and len(layers) == 1):
+            raise DisconnectedGraphError("eccentricity requires a connected graph")
+        eccs.append(max(len(layers) - 1, 2 if size > 1 else 0))
+    return eccs
+
+
 def eccentricities(graph: Graph) -> tuple[int, ...]:
-    """Eccentricity of every vertex, from one BFS per class of false twins:
-    twins share their distances to every other vertex."""
+    """Eccentricity of every vertex; twins share theirs."""
     eccs = [0] * graph.vertex_count
-    for members in twin_classes(graph):
-        ecc = eccentricity(graph, members[0])
+    for members, ecc in zip(twin_classes(graph), _class_eccentricities(graph)):
         for v in members:
             eccs[v] = ecc
     return tuple(eccs)
 
 
 def total_eccentricity_polynomial(graph: Graph) -> IntPolynomial:
-    """Sum of x^ecc(v) over all vertices."""
-    return IntPolynomial.from_terms((e, 1) for e in eccentricities(graph))
+    """Sum of x^ecc(v) over all vertices, a class of twins at a time."""
+    sizes = graph._twin_quotient[1]
+    return IntPolynomial.from_terms(zip(_class_eccentricities(graph), sizes))
 
 
 def eccentric_connectivity_polynomial(graph: Graph) -> IntPolynomial:
-    """Sum of deg(v) * x^ecc(v) over all vertices."""
-    eccs = eccentricities(graph)
-    return IntPolynomial.from_terms(
-        (eccs[v], graph.degree(v)) for v in range(graph.vertex_count)
-    )
+    """Sum of deg(v) * x^ecc(v) over all vertices, a class of twins at a
+    time: twins share their degree."""
+    degrees = (len(c) * graph.adj[c[0]].bit_count() for c in twin_classes(graph))
+    return IntPolynomial.from_terms(zip(_class_eccentricities(graph), degrees))
 
 
 # -- longest simple paths ----------------------------------------------
@@ -299,17 +315,17 @@ def vertex_cover_number(graph: Graph) -> int:
 
 
 def vertex_cover_polynomial(graph: Graph, cap: int = DEFAULT_CAPS.indep) -> IntPolynomial:
-    """Counts of vertex covers by size.
-
-    A set covers every edge exactly when its complement is independent, so
-    complementation maps each independent k-set to a cover of size V - k:
-    the cover counts are the independence counts read backwards.
-    """
+    """Counts of vertex covers by size, from the independence counts."""
     v_count = graph.vertex_count
     _check_cap("vertex_cover_polynomial", v_count, cap)
-    return IntPolynomial.from_terms(
-        (v_count - k, count) for k, count in independence_polynomial(graph, cap=cap).terms()
-    )
+    return _covers_from_independence(independence_polynomial(graph, cap=cap), v_count)
+
+
+def _covers_from_independence(independence: IntPolynomial, v_count: int) -> IntPolynomial:
+    """A set covers every edge exactly when its complement is independent, so
+    complementation maps each independent k-set to a cover of size V - k:
+    the cover counts are the independence counts read backwards."""
+    return IntPolynomial.from_terms((v_count - k, c) for k, c in independence.terms())
 
 
 def clique_number(graph: Graph) -> int:

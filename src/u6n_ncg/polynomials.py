@@ -181,18 +181,39 @@ class IntPolynomial:
         return cls.from_terms((int(exp), int(coeff)) for exp, coeff in data)
 
 
+# a word-size prime; an integer root of a polynomial is a root modulo it
+_FILTER_PRIME = 2**61 - 1
+
+
 def integer_roots(poly: IntPolynomial) -> tuple[int, ...]:
     """All integer roots of a nonzero polynomial, ascending.
 
     Once x^k is factored out, a nonzero integer root divides the lowest
-    coefficient, so only 0 (when k > 0) and plus or minus each divisor of
-    that coefficient are evaluated; exact because evaluation is exact.
+    coefficient, so the candidates are 0 (when k > 0) and plus or minus
+    each divisor of that coefficient. The quotient is evaluated at every
+    candidate at once, a term at a time, modulo _FILTER_PRIME; a candidate
+    is dropped where it is nonzero there, and the survivors are evaluated
+    exactly, so the answer stays exact.
     """
     if not poly:
         raise ValueError("the zero polynomial vanishes everywhere")
-    low_exp, trailing = poly.terms()[0]
-    candidates = {0} if low_exp else set()
+    terms = poly.terms()
+    low_exp, trailing = terms[0]
+    candidates = set()
     for d in range(1, isqrt(abs(trailing)) + 1):
         if trailing % d == 0:
             candidates.update((d, -d, trailing // d, -trailing // d))
-    return tuple(sorted(r for r in candidates if poly.evaluate(r) == 0))
+    candidates = list(candidates)
+    p = _FILTER_PRIME
+    powers = {1: candidates}  # gap -> each candidate to that power, mod p
+    (prev, top), *rest = reversed(terms)
+    values = [top % p] * len(candidates)
+    for exp, coeff in rest:
+        gap, coeff, prev = prev - exp, coeff % p, exp
+        if gap not in powers:
+            powers[gap] = [pow(r, gap, p) for r in candidates]
+        values = [(v * f + coeff) % p for v, f in zip(values, powers[gap])]
+    roots = [r for r, v in zip(candidates, values) if not v and not poly.evaluate(r)]
+    if low_exp:
+        roots.append(0)
+    return tuple(sorted(roots))

@@ -20,9 +20,9 @@ entry, and the report goes on with the next entry.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from time import perf_counter
 
 from . import closed_forms, invariants
@@ -91,13 +91,24 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+# the JSON text of a report's scalars, keyed by exact type: a float, or a
+# subclass of int or str other than bool, is refused rather than written as
+# some other scalar
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
 def _normalize(value):
     if isinstance(value, (frozenset, set)):
         return tuple(sorted(value))
-    if isinstance(value, list):
-        return tuple(_normalize(v) for v in value)
-    if isinstance(value, tuple):
-        return tuple(_normalize(v) for v in value)
+    if isinstance(value, (list, tuple)):
+        if set(map(type, value)) <= _SCALAR_TEXT.keys():
+            return tuple(value)
+        return tuple(map(_normalize, value))
     return value
 
 
@@ -105,7 +116,9 @@ def _json_value(value):
     if isinstance(value, IntPolynomial):
         return {"terms": value.to_json_terms()}
     if isinstance(value, tuple):
-        return [_json_value(v) for v in value]
+        if set(map(type, value)) <= _SCALAR_TEXT.keys():
+            return list(value)
+        return list(map(_json_value, value))
     if value is None or isinstance(value, (bool, int, str)):
         return value
     raise TypeError(f"cannot serialise {value!r}")
@@ -187,6 +200,7 @@ def verify_all(n: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
     resolving = cache(lambda: invariants.resolving_polynomial(graph, cap=caps.resolving))
     detour = cache(lambda: invariants.detour_polynomial(graph, cap=caps.detour))
     witness = cache(lambda: is_complete_multipartite(graph))
+    independence = cache(lambda: invariants.independence_polynomial(graph, cap=caps.indep))
 
     # centralizers and center
     for cls in (1, 2, 3, 4):
@@ -318,12 +332,14 @@ def verify_all(n: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
     add(
         "independence_polynomial",
         closed_forms.cf_independence_polynomial(n),
-        lambda: invariants.independence_polynomial(graph, cap=caps.indep),
+        independence,
     )
+    # the cover counts are the independence counts read backwards; a cap
+    # refusal is raised again here, so both entries skip
     add(
         "vertex_cover_polynomial",
         closed_forms.cf_vertex_cover_polynomial(n),
-        lambda: invariants.vertex_cover_polynomial(graph, cap=caps.indep),
+        lambda: invariants._covers_from_independence(independence(), graph.vertex_count),
     )
 
     return VerificationReport(n=n, entries=tuple(entries))
@@ -332,4 +348,40 @@ def verify_all(n: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
 def report_to_json(reports: list[VerificationReport]) -> str:
     """One report object for a single n, an array for a range."""
     objs = [r.to_json_obj() for r in reports]
-    return json.dumps(objs[0] if len(objs) == 1 else objs, indent=2)
+    return _dumps(objs[0] if len(objs) == 1 else objs)
+
+
+def _dumps(value, indent: str = "\n") -> str:
+    """The text of json.dumps(value, indent=2) for str, int, bool and None
+    held in lists, tuples and dicts with str keys; any other type raises
+    TypeError, as does a key that is not a str. json.dumps runs its
+    pure-Python encoder whenever it indents, one generator step per token;
+    here a container writes its scalars itself, and a run of scalars of
+    one type with one join."""
+    text = _SCALAR_TEXT.get(type(value))
+    if text is not None:
+        return text(value)
+    inner = indent + "  "
+    if type(value) is dict:
+        if not value:
+            return "{}"
+        items = []
+        for key, v in value.items():
+            text = _SCALAR_TEXT.get(type(v))
+            v = text(v) if text else _dumps(v, inner)
+            items.append(encode_basestring_ascii(key) + ": " + v)
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if type(value) is list or type(value) is tuple:
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        text = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+        if text is not None:
+            items = map(text, value)
+        else:
+            items = []
+            for v in value:
+                text = _SCALAR_TEXT.get(type(v))
+                items.append(text(v) if text else _dumps(v, inner))
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    raise TypeError(f"cannot serialise {value!r}")

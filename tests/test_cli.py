@@ -56,6 +56,11 @@ class TestVerifyCommand:
         golden = Path(__file__).parent / "data" / "verify_n1_4.json"
         assert json.dumps(reports, indent=2) + "\n" == golden.read_text()
 
+    def test_range_json_is_written_as_json_dumps_writes_it(self, capsys):
+        code, out, _ = run(capsys, "verify", "--n-range", "1:4", "--format", "json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
     def test_text_format(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "2")
         assert code == 0

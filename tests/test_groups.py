@@ -69,7 +69,7 @@ class TestU6nConstruction:
         assert g.labels[:6] == ("1", "b", "b^2", "a", "ab", "ab^2")
         assert g.labels[6:9] == ("a^2", "a^2b", "a^2b^2")
 
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", [*range(1, 13), 150])
     def test_labels_match_the_elements(self, n):
         assert u6n_group(n).labels == tuple(
             U6nElement.from_index(i, n).label() for i in range(6 * n)

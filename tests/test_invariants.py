@@ -845,12 +845,24 @@ def assert_quotient_searches_match_oracles(graph):
     assert clique_number(graph) == full_clique_number(graph)
     assert chromatic_number(graph) == full_chromatic_number(graph)
     if is_connected(graph):
-        assert eccentricities(graph) == per_vertex_eccentricities(graph)
+        eccs = per_vertex_eccentricities(graph)
+        assert eccentricities(graph) == eccs
+        assert total_eccentricity_polynomial(graph) == IntPolynomial.from_terms(
+            (e, 1) for e in eccs
+        )
+        assert eccentric_connectivity_polynomial(graph) == IntPolynomial.from_terms(
+            (e, graph.degree(v)) for v, e in enumerate(eccs)
+        )
     else:
         with pytest.raises(DisconnectedGraphError):
             per_vertex_eccentricities(graph)
-        with pytest.raises(DisconnectedGraphError):
-            eccentricities(graph)
+        for engine in (
+            eccentricities,
+            total_eccentricity_polynomial,
+            eccentric_connectivity_polynomial,
+        ):
+            with pytest.raises(DisconnectedGraphError):
+                engine(graph)
 
 
 class TestTwinQuotientSearchesAgainstFullGraphOracles:

@@ -1,8 +1,10 @@
+from math import isqrt
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from u6n_ncg.polynomials import IntPolynomial, integer_roots
+from u6n_ncg.polynomials import _FILTER_PRIME, IntPolynomial, integer_roots
 
 X = IntPolynomial.monomial(1)
 
@@ -20,6 +22,16 @@ def scan_integer_roots(poly):
     return tuple(r for r in range(-bound, bound + 1) if poly.evaluate(r) == 0)
 
 
+def exact_integer_roots(poly):
+    """Integer roots by evaluating every divisor candidate exactly."""
+    low_exp, trailing = poly.terms()[0]
+    candidates = {0} if low_exp else set()
+    for d in range(1, isqrt(abs(trailing)) + 1):
+        if trailing % d == 0:
+            candidates.update((d, -d, trailing // d, -trailing // d))
+    return tuple(sorted(r for r in candidates if poly.evaluate(r) == 0))
+
+
 @st.composite
 def rooted_polys(draw):
     """x^k times linear factors (x - r) times a small nonzero cofactor:
@@ -29,6 +41,23 @@ def rooted_polys(draw):
     for r in draw(st.lists(st.integers(min_value=-7, max_value=7), max_size=3)):
         poly = poly * (X + (-r))
     cofactor = draw(small_polys.filter(bool))
+    return poly * cofactor
+
+
+@st.composite
+def sparse_rooted_polys(draw):
+    """x^k times linear factors times a sparse cofactor of high degree whose
+    terms above the constant have large coefficients, so that the exponent
+    gaps vary; the constant stays small, and so does the divisor search."""
+    poly = IntPolynomial.monomial(draw(st.integers(min_value=0, max_value=40)))
+    for r in draw(st.lists(st.integers(min_value=-20, max_value=20), max_size=3)):
+        poly = poly * (X + (-r))
+    constant = draw(st.integers(min_value=-999, max_value=999).filter(bool))
+    terms = st.tuples(
+        st.integers(min_value=1, max_value=120),
+        st.integers(min_value=-(10**30), max_value=10**30),
+    )
+    cofactor = IntPolynomial.from_terms([(0, constant), *draw(st.lists(terms, max_size=3))])
     return poly * cofactor
 
 
@@ -96,6 +125,19 @@ class TestEvaluation:
     @given(rooted_polys())
     def test_integer_roots_match_the_cauchy_scan(self, poly):
         assert integer_roots(poly) == scan_integer_roots(poly)
+
+    @given(rooted_polys() | sparse_rooted_polys())
+    def test_integer_roots_match_exact_evaluation(self, poly):
+        assert integer_roots(poly) == exact_integer_roots(poly)
+
+    def test_survivors_of_the_modular_filter_are_evaluated_exactly(self):
+        # 2^62 = 2 * (2^61 - 1) + 2, so x^62 - 2 vanishes at 2 and -2 modulo
+        # the filter prime, though neither is a root
+        assert _FILTER_PRIME == 2**61 - 1
+        poly = IntPolynomial.from_terms([(62, 1), (0, -2)])
+        for r in (2, -2):
+            assert poly.evaluate(r) % _FILTER_PRIME == 0 != poly.evaluate(r)
+        assert integer_roots(poly) == ()
 
 
 class TestCanonicalStrings:

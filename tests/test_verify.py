@@ -3,6 +3,8 @@ import json
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from u6n_ncg import closed_forms, invariants, verify
 from u6n_ncg.groups import omega_partition, u6n_group
@@ -99,6 +101,25 @@ class TestStatuses:
         assert entry.status == "mismatch"
         assert entry.computed == tuple(tuple(g.labels[y] for y in c) for c in centralizers)
 
+    def test_independence_counts_are_computed_once(self, monkeypatch):
+        calls = []
+        real = invariants.independence_polynomial
+
+        def counted(graph, cap):
+            calls.append(graph.vertex_count)
+            return real(graph, cap=cap)
+
+        monkeypatch.setattr(invariants, "independence_polynomial", counted)
+        by_name = entry_map(verify_all(2))
+        assert calls == [10]
+        for name in ("independence_polynomial", "vertex_cover_polynomial"):
+            assert by_name[name].status == "match"
+
+    def test_independence_cap_skips_the_cover_entry_too(self):
+        by_name = entry_map(verify_all(2, caps=Caps(indep=9)))
+        for name in ("independence_polynomial", "vertex_cover_polynomial"):
+            assert (by_name[name].status, by_name[name].computed) == ("skipped_cap", None)
+
     @pytest.mark.parametrize("n", [0, -1, True, 2.0])
     def test_invalid_n(self, n):
         with pytest.raises(ValueError, match=re.escape(f"n must be a positive integer, got {n!r}")):
@@ -147,3 +168,39 @@ class TestSerialization:
         # title, header, rule, entries, summary
         assert len(lines) == len(report.entries) + 4
         assert lines[-1].startswith("n=1:")
+
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.text()
+    | st.sampled_from(['"', "\\", "\n", "é", "a^2b", "\u2028", "\U0001f600"])
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.dictionaries(st.text(), inner),
+    max_leaves=40,
+)
+
+
+class TestRenderer:
+    @given(json_values)
+    def test_matches_json_dumps_with_indent(self, value):
+        assert verify._dumps(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [1.0, [1, 2.0], {"a": (True, 1.0)}, {1, 2}, frozenset(), object(), b"x", {1: "a"}],
+    )
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            verify._dumps(value)
+
+    def test_reports_render_as_json_dumps_does(self):
+        reports = [verify_all(n) for n in (1, 2)]
+        objs = [r.to_json_obj() for r in reports]
+        assert verify.report_to_json(reports) == json.dumps(objs, indent=2)
+        assert verify.report_to_json(reports[:1]) == json.dumps(objs[0], indent=2)
