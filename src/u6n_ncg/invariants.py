@@ -17,7 +17,8 @@ vertices; without twins m = V and the cost is 2^V. One weighted branch
 and bound finds maximum independent sets: α runs it on the twin quotient
 weighted by class sizes, and ω is α of the quotient's complement with
 unit weights, which is also χ's lower bound. Eccentricities take one
-BFS per class.
+BFS per class on the twin quotient: two classes are as far apart as
+there, and two members of one class are at distance 2.
 """
 
 from __future__ import annotations
