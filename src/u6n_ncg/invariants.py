@@ -16,9 +16,10 @@ advance T-bit integers, T = prod(|C_i| + 1). The caps still count
 vertices; without twins m = V and the cost is 2^V. One weighted branch
 and bound finds maximum independent sets: α runs it on the twin quotient
 weighted by class sizes, and ω is α of the quotient's complement with
-unit weights, which is also χ's lower bound. Eccentricities take one
-BFS per class on the twin quotient: two classes are as far apart as
-there, and two members of one class are at distance 2.
+unit weights. χ is one DSATUR branch and bound on the twin quotient,
+which stops at ω. Eccentricities take one BFS per class on the twin
+quotient: two classes are as far apart as there, and two members of one
+class are at distance 2.
 """
 
 from __future__ import annotations
@@ -344,66 +345,50 @@ def _clique_size(graph: Graph) -> int:
     return _max_weight_independent(complement, (1,) * graph.vertex_count)
 
 
-def _dsatur_upper_bound(graph: Graph) -> int:
-    v_count = graph.vertex_count
-    adj = graph.adj
-    colors = [-1] * v_count
-    neighbour_colors: list[set[int]] = [set() for _ in range(v_count)]
-    used = 0
-    for _ in range(v_count):
-        v = max(
-            (u for u in range(v_count) if colors[u] < 0),
-            key=lambda u: (len(neighbour_colors[u]), adj[u].bit_count(), -u),
-        )
-        c = 0
-        while c in neighbour_colors[v]:
-            c += 1
-        colors[v] = c
-        used = max(used, c + 1)
-        for u in _bits(adj[v]):
-            neighbour_colors[u].add(c)
-    return used
-
-
-def _is_k_colorable(graph: Graph, k: int) -> bool:
-    v_count = graph.vertex_count
-    adj = graph.adj
-    order = sorted(range(v_count), key=lambda v: -adj[v].bit_count())
-    colors = [-1] * v_count
-
-    def assign(i: int, used: int) -> bool:
-        if i == v_count:
-            return True
-        v = order[i]
-        forbidden = 0
-        for u in _bits(adj[v]):
-            if colors[u] >= 0:
-                forbidden |= 1 << colors[u]
-        # allowing at most one brand-new colour breaks colour symmetry
-        for c in range(min(used + 1, k)):
-            if not (forbidden >> c) & 1:
-                colors[v] = c
-                if assign(i + 1, max(used, c + 1)):
-                    return True
-        colors[v] = -1
-        return False
-
-    return assign(0, 0)
-
-
 def chromatic_number(graph: Graph, cap: int = DEFAULT_CAPS.chromatic) -> int:
-    """Exact chromatic number: clique lower bound, DSATUR upper bound,
-    then backtracking between them, on the twin quotient: a colouring of
-    the quotient lifts to the graph by giving twins their class's colour.
-    The cap counts the vertices of the graph."""
+    """Exact chromatic number by DSATUR branch and bound on the twin
+    quotient; twins take their class's colour. The cap counts vertices.
+
+    A node of the explicit stack holds the neighbourhood mask of each
+    colour class and the mask of uncoloured vertices. It colours the
+    vertex whose neighbours hold the most colours (then the one with the
+    most uncoloured neighbours, then the lowest) with each free colour in
+    ascending order, then one new colour, so the first colouring found is
+    DSATUR's. A node using as many colours as the best colouring is cut,
+    and the search ends once the best colouring reaches the clique number.
+    """
     _check_cap("chromatic_number", graph.vertex_count, cap)
     graph = graph._twin_quotient[0]
+    adj = graph.adj
     lower = _clique_size(graph)
-    upper = _dsatur_upper_bound(graph)
-    for k in range(lower, upper):
-        if _is_k_colorable(graph, k):
-            return k
-    return upper
+    best = graph.vertex_count + 1
+    stack = [((), (1 << graph.vertex_count) - 1)]
+    while stack and best > lower:
+        nbrs, uncoloured = stack.pop()
+        if len(nbrs) >= best:
+            continue
+        if not uncoloured:
+            best = len(nbrs)
+            continue
+        # digits[j] holds bit j of each vertex's count of neighbour colours
+        digits = []
+        for carry in nbrs:
+            carry &= uncoloured
+            for j, d in enumerate(digits):
+                digits[j], carry = d ^ carry, d & carry
+            if carry:
+                digits.append(carry)
+        top = uncoloured
+        for d in reversed(digits):
+            if top & d:
+                top &= d
+        v = max(_bits(top), key=lambda u: ((adj[u] & uncoloured).bit_count(), -u))
+        rest, row = uncoloured ^ (1 << v), adj[v]
+        stack.append((nbrs + (row,), rest))
+        for i in reversed(range(len(nbrs))):
+            if not nbrs[i] >> v & 1:
+                stack.append((nbrs[:i] + (nbrs[i] | row,) + nbrs[i + 1 :], rest))
+    return best
 
 
 # -- resolving sets -----------------------------------------------------

@@ -21,13 +21,10 @@ class IntPolynomial:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
-        cleaned: dict[int, int] = {}
-        if coeffs:
-            for exp, coeff in coeffs.items():
-                self._check_exponent(exp)
-                if coeff:
-                    cleaned[exp] = int(coeff)
-        self._coeffs = cleaned
+        coeffs = coeffs or {}
+        for exp in coeffs:
+            self._check_exponent(exp)
+        self._coeffs = {exp: int(coeff) for exp, coeff in coeffs.items() if coeff}
 
     @staticmethod
     def _check_exponent(exp) -> None:
@@ -35,13 +32,23 @@ class IntPolynomial:
             raise ValueError(f"exponent must be a non-negative integer, got {exp!r}")
 
     @classmethod
+    def _checked(cls, coeffs: dict[int, int]) -> "IntPolynomial":
+        """Wrap int coefficients whose exponents are already checked,
+        dropping zeros."""
+        poly = cls.__new__(cls)
+        poly._coeffs = {exp: coeff for exp, coeff in coeffs.items() if coeff}
+        return poly
+
+    @classmethod
     def from_terms(cls, terms: Iterable[tuple[int, int]]) -> "IntPolynomial":
-        """Build from (exponent, coefficient) pairs, merging duplicates."""
+        """Build from (exponent, coefficient) pairs, merging duplicates.
+        Every exponent is checked, since the merge keeps only the first of
+        two equal keys (1, 1.0 and True are equal)."""
         acc: dict[int, int] = {}
         for exp, coeff in terms:
             cls._check_exponent(exp)
             acc[exp] = acc.get(exp, 0) + int(coeff)
-        return cls(acc)
+        return cls._checked(acc)
 
     @classmethod
     def monomial(cls, exp: int, coeff: int = 1) -> "IntPolynomial":
@@ -88,7 +95,7 @@ class IntPolynomial:
         acc = dict(self._coeffs)
         for exp, coeff in other._coeffs.items():
             acc[exp] = acc.get(exp, 0) + coeff
-        return IntPolynomial(acc)
+        return IntPolynomial._checked(acc)
 
     __radd__ = __add__
 
@@ -99,7 +106,7 @@ class IntPolynomial:
             for e2, c2 in other._coeffs.items():
                 exp = e1 + e2
                 acc[exp] = acc.get(exp, 0) + c1 * c2
-        return IntPolynomial(acc)
+        return IntPolynomial._checked(acc)
 
     __rmul__ = __mul__
 

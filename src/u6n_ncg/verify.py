@@ -354,10 +354,10 @@ def report_to_json(reports: list[VerificationReport]) -> str:
 def _dumps(value, indent: str = "\n") -> str:
     """The text of json.dumps(value, indent=2) for str, int, bool and None
     held in lists, tuples and dicts with str keys; any other type raises
-    TypeError, as does a key that is not a str. json.dumps runs its
-    pure-Python encoder whenever it indents, one generator step per token;
-    here a container writes its scalars itself, and a run of scalars of
-    one type with one join."""
+    TypeError, as does a key that is not a str. Before Python 3.13,
+    json.dumps runs its pure-Python encoder whenever it indents, one
+    generator step per token; here a container writes its scalars itself,
+    and a run of scalars of one type with one join."""
     text = _SCALAR_TEXT.get(type(value))
     if text is not None:
         return text(value)

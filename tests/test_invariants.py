@@ -33,8 +33,6 @@ from u6n_ncg.invariants import (
     vertex_cover_number,
     vertex_cover_polynomial,
     _disagreement_masks,
-    _dsatur_upper_bound,
-    _is_k_colorable,
 )
 from u6n_ncg.polynomials import IntPolynomial
 
@@ -315,6 +313,21 @@ class TestCliqueAndChromatic:
         graph = Graph.from_edges([f"v{i}" for i in range(41)], [])
         with pytest.raises(CapacityError):
             chromatic_number(graph)
+
+    def test_first_dsatur_colouring_is_not_optimal(self):
+        # twin-free, so the search runs on the graph itself
+        edges = "01 02 04 05 06 07 08 13 14 15 16 18 23 24 25 26 27 34 47 57 67 68 78"
+        graph = Graph.from_edges(
+            [f"v{i}" for i in range(9)], [(int(e[0]), int(e[1])) for e in edges.split()]
+        )
+        assert len(twin_classes(graph)) == 9
+        assert dsatur_upper_bound(graph) == 5
+        assert chromatic_number(graph) == 4
+
+    def test_long_odd_cycle_needs_no_recursion(self):
+        start = perf_counter()
+        assert chromatic_number(cycle_graph(999), cap=10**6) == 3
+        assert perf_counter() - start < 5.0
 
 
 class TestResolvingSets:
@@ -819,14 +832,63 @@ def full_clique_number(graph):
     return best
 
 
+def dsatur_upper_bound(graph):
+    """Colours used by the DSATUR heuristic."""
+    v_count = graph.vertex_count
+    adj = graph.adj
+    colors = [-1] * v_count
+    neighbour_colors = [set() for _ in range(v_count)]
+    used = 0
+    for _ in range(v_count):
+        v = max(
+            (u for u in range(v_count) if colors[u] < 0),
+            key=lambda u: (len(neighbour_colors[u]), adj[u].bit_count(), -u),
+        )
+        c = 0
+        while c in neighbour_colors[v]:
+            c += 1
+        colors[v] = c
+        used = max(used, c + 1)
+        for u in _bits(adj[v]):
+            neighbour_colors[u].add(c)
+    return used
+
+
+def is_k_colorable(graph, k):
+    """Backtracking decision search, one recursion level per vertex."""
+    v_count = graph.vertex_count
+    adj = graph.adj
+    order = sorted(range(v_count), key=lambda v: -adj[v].bit_count())
+    colors = [-1] * v_count
+
+    def assign(i, used):
+        if i == v_count:
+            return True
+        v = order[i]
+        forbidden = 0
+        for u in _bits(adj[v]):
+            if colors[u] >= 0:
+                forbidden |= 1 << colors[u]
+        # allowing at most one brand-new colour breaks colour symmetry
+        for c in range(min(used + 1, k)):
+            if not (forbidden >> c) & 1:
+                colors[v] = c
+                if assign(i + 1, max(used, c + 1)):
+                    return True
+        colors[v] = -1
+        return False
+
+    return assign(0, 0)
+
+
 def full_chromatic_number(graph):
     """Clique bound, DSATUR bound and backtracking on the whole graph."""
     if graph.vertex_count == 0:
         return 0
     if graph.edge_count() == 0:
         return 1
-    lower, upper = full_clique_number(graph), _dsatur_upper_bound(graph)
-    return next((k for k in range(lower, upper) if _is_k_colorable(graph, k)), upper)
+    lower, upper = full_clique_number(graph), dsatur_upper_bound(graph)
+    return next((k for k in range(lower, upper) if is_k_colorable(graph, k)), upper)
 
 
 def complement(graph):
@@ -882,6 +944,12 @@ class TestTwinQuotientSearchesAgainstFullGraphOracles:
         # the blown-up classes become true twins, which the false-twin
         # quotient keeps apart and its complement holds as false twins
         assert_quotient_searches_match_oracles(graph)
+
+    @given(random_graphs(max_vertices=24, min_vertices=13))
+    @settings(max_examples=40, deadline=None)
+    def test_chromatic_number_on_larger_twin_free_graphs(self, graph):
+        assume(len(twin_classes(graph)) == graph.vertex_count)
+        assert chromatic_number(graph) == full_chromatic_number(graph)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_non_commuting_graphs(self, n):

@@ -72,6 +72,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             IntPolynomial({-2: 1})
 
+    @pytest.mark.parametrize("exp", [True, 1.0])
+    def test_bool_and_float_exponents_rejected(self, exp):
+        # after an equal valid key too: a merged dict keeps the first key
+        with pytest.raises(ValueError):
+            IntPolynomial.from_terms([(1, 2), (exp, 3)])
+        with pytest.raises(ValueError):
+            IntPolynomial.from_terms([(exp, 3)])
+        with pytest.raises(ValueError):
+            IntPolynomial({exp: 3})
+
     def test_zero_polynomial(self):
         zero = IntPolynomial()
         assert not zero
