@@ -2,24 +2,25 @@
 
 Distances, longest simple paths, independence and cover counts, cliques,
 colourings, and resolving sets, all computed exactly over adjacency
-bitsets. The NP-hard searches carry explicit vertex caps (Caps); going
-past a cap raises CapacityError instead of silently approximating.
+bitsets. The NP-hard searches carry explicit caps (Caps); going past a
+cap raises CapacityError instead of silently approximating.
 
 Independent sets, covers, resolving sets and longest paths work on the
 classes C_1..C_m of false twins (equal neighbourhoods): resolving sets
 test 2^m class patterns, each class whole or one member short, against
 the distinct masks of vertices that tell two left-out members apart, in
-one sweep that counts resolving sets by size for the resolving
-polynomial and for β, which is its first nonzero count; independence
-counts recurse on the twin quotient, one vertex per class; longest paths
-advance T-bit integers, T = prod(|C_i| + 1). The caps still count
-vertices; without twins m = V and the cost is 2^V. One weighted branch
-and bound finds maximum independent sets: α runs it on the twin quotient
-weighted by class sizes, and ω is α of the quotient's complement with
-unit weights. χ is one DSATUR branch and bound on the twin quotient,
-which stops at ω. Eccentricities take one BFS per class on the twin
-quotient: two classes are as far apart as there, and two members of one
-class are at distance 2.
+one sweep per graph that counts resolving sets by size for the
+resolving polynomial and for β, which is its first nonzero count;
+independence counts recurse on the twin quotient, one vertex per class;
+longest paths advance T-bit integers, T = prod(|C_i| + 1). The caps of
+the resolving, metric, independence and chromatic engines count twin
+classes, and the detour cap counts vertices; without twins m = V and
+the cost is 2^V. One weighted branch and bound finds maximum independent
+sets: α runs it on the twin quotient weighted by class sizes, and ω is α
+of the quotient's complement with unit weights. χ is one DSATUR branch
+and bound on the twin quotient, which stops at ω. Eccentricities take
+one BFS per class on the twin quotient: two classes are as far apart as
+there, and two members of one class are at distance 2.
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ UNREACHABLE = -1
 
 @dataclass(frozen=True)
 class Caps:
-    """Vertex-count limits for the exponential searches."""
+    """Limits for the exponential searches. The detour cap counts vertices;
+    the others count classes of false twins, which is the vertex count of a
+    graph without twins."""
 
     detour: int = 15
     resolving: int = 16
@@ -47,16 +50,16 @@ DEFAULT_CAPS = Caps()
 
 
 class CapacityError(ValueError):
-    """An exhaustive operation was asked to exceed its vertex cap."""
+    """An exhaustive operation was asked to exceed its cap."""
 
 
 class DisconnectedGraphError(ValueError):
     """A distance-based invariant needs a connected graph."""
 
 
-def _check_cap(name: str, count: int, cap: int) -> None:
+def _check_cap(name: str, count: int, cap: int, unit: str = "twin classes") -> None:
     if count > cap:
-        raise CapacityError(f"{name} handles at most {cap} vertices, got {count}")
+        raise CapacityError(f"{name} handles at most {cap} {unit}, got {count}")
 
 
 def _bfs_layers(graph: Graph, source: int) -> list[int]:
@@ -153,7 +156,7 @@ def detour_matrix(graph: Graph, cap: int = DEFAULT_CAPS.detour) -> tuple[tuple[i
     stride[x] to the index.
     """
     v_count = graph.vertex_count
-    _check_cap("detour_matrix", v_count, cap)
+    _check_cap("detour_matrix", v_count, cap, "vertices")
     if not is_connected(graph):
         raise DisconnectedGraphError("detour distance requires a connected graph")
 
@@ -280,15 +283,17 @@ def independence_polynomial(graph: Graph, cap: int = DEFAULT_CAPS.indep) -> IntP
     independent set of the twin quotient, so on the quotient
     I(S) = I(S - v) + ((1 + x)^|C_v| - 1) * I(S - N[v]), memoised by
     mask and unrolled along S - v. A polynomial is held as the integer it
-    takes at x = 2^B: no count exceeds 2^V, so B = V + 1 bits keep the
-    coefficients apart, and the products are big-int products.
+    takes at x = 256^B: no count exceeds 2^V, so B = V // 8 + 1 bytes keep
+    the coefficients apart, and the products are big-int products. Packing
+    and unpacking go through bytes, a coefficient per B-byte slice, so
+    both take time linear in the packed size.
     """
-    v_count = graph.vertex_count
-    _check_cap("independence_polynomial", v_count, cap)
+    _check_cap("independence_polynomial", len(twin_classes(graph)), cap)
     quotient, sizes = graph._twin_quotient
     adj = quotient.adj
-    width = v_count + 1
-    gain = [((1 << width) + 1) ** size - 1 for size in sizes]
+    v_count = graph.vertex_count
+    width = v_count // 8 + 1
+    gain = [_packed_gain(size, width) for size in sizes]
     memo = {0: 1}
 
     def count(mask: int) -> int:
@@ -303,11 +308,20 @@ def independence_polynomial(graph: Graph, cap: int = DEFAULT_CAPS.indep) -> IntP
             memo[mask] = total
         return total
 
-    packed = count((1 << quotient.vertex_count) - 1)
-    digit = (1 << width) - 1
-    return IntPolynomial.from_terms(
-        (k, packed >> (k * width) & digit) for k in range(v_count + 1)
-    )
+    data = count((1 << quotient.vertex_count) - 1).to_bytes((v_count + 1) * width, "little")
+    coeffs = (int.from_bytes(data[at : at + width], "little") for at in range(0, len(data), width))
+    return IntPolynomial(dict(enumerate(coeffs)))
+
+
+def _packed_gain(size: int, width: int) -> int:
+    """(1 + x)^size - 1 at x = 256^width: the binomial row C(size, k),
+    k = 1..size, by a running product, each written in `width` bytes."""
+    digits = [bytes(width)]
+    coeff = 1
+    for k in range(1, size + 1):
+        coeff = coeff * (size + 1 - k) // k
+        digits.append(coeff.to_bytes(width, "little"))
+    return int.from_bytes(b"".join(digits), "little")
 
 
 def vertex_cover_number(graph: Graph) -> int:
@@ -317,10 +331,9 @@ def vertex_cover_number(graph: Graph) -> int:
 
 
 def vertex_cover_polynomial(graph: Graph, cap: int = DEFAULT_CAPS.indep) -> IntPolynomial:
-    """Counts of vertex covers by size, from the independence counts."""
-    v_count = graph.vertex_count
-    _check_cap("vertex_cover_polynomial", v_count, cap)
-    return _covers_from_independence(independence_polynomial(graph, cap=cap), v_count)
+    """Counts of vertex covers by size, from the independence counts; the
+    independence cap refuses before any work."""
+    return _covers_from_independence(independence_polynomial(graph, cap=cap), graph.vertex_count)
 
 
 def _covers_from_independence(independence: IntPolynomial, v_count: int) -> IntPolynomial:
@@ -347,7 +360,7 @@ def _clique_size(graph: Graph) -> int:
 
 def chromatic_number(graph: Graph, cap: int = DEFAULT_CAPS.chromatic) -> int:
     """Exact chromatic number by DSATUR branch and bound on the twin
-    quotient; twins take their class's colour. The cap counts vertices.
+    quotient; twins take their class's colour. The cap counts classes.
 
     A node of the explicit stack holds the neighbourhood mask of each
     colour class and the mask of uncoloured vertices. It colours the
@@ -357,7 +370,7 @@ def chromatic_number(graph: Graph, cap: int = DEFAULT_CAPS.chromatic) -> int:
     DSATUR's. A node using as many colours as the best colouring is cut,
     and the search ends once the best colouring reaches the clique number.
     """
-    _check_cap("chromatic_number", graph.vertex_count, cap)
+    _check_cap("chromatic_number", len(twin_classes(graph)), cap)
     graph = graph._twin_quotient[0]
     adj = graph.adj
     lower = _clique_size(graph)
@@ -478,18 +491,23 @@ def is_resolving(graph: Graph, witness) -> bool:
     return _hits_all(pattern, masks)
 
 
-def _resolving_counts(graph: Graph) -> list[int]:
+def _resolving_counts(graph: Graph) -> tuple[int, ...]:
     """Resolving-set counts by size, index k for k vertices. Every class
     pattern is tested; the masks its high part meets are dropped before
-    the low parts."""
-    masks = _disagreement_masks(graph)
-    low, high = _pattern_tables(twin_classes(graph))
-    counts = [0] * (graph.vertex_count + 1)
-    for rep_h, size_h, weight_h in high:
-        rest = [mask for mask in masks if not mask & rep_h]
-        for rep_l, size_l, weight_l in low:
-            if _hits_all(rep_l, rest):
-                counts[size_h + size_l] += weight_h * weight_l
+    the low parts. The counts are kept on the graph, as its twin classes
+    are, so metric_dimension and resolving_polynomial share one sweep."""
+    kept = vars(graph)
+    counts = kept.get("_resolving_counts")
+    if counts is None:
+        masks = _disagreement_masks(graph)
+        low, high = _pattern_tables(twin_classes(graph))
+        counts = [0] * (graph.vertex_count + 1)
+        for rep_h, size_h, weight_h in high:
+            rest = [mask for mask in masks if not mask & rep_h]
+            for rep_l, size_l, weight_l in low:
+                if _hits_all(rep_l, rest):
+                    counts[size_h + size_l] += weight_h * weight_l
+        counts = kept["_resolving_counts"] = tuple(counts)
     return counts
 
 
@@ -497,7 +515,7 @@ def metric_dimension(graph: Graph, cap: int = DEFAULT_CAPS.metric) -> int:
     """Smallest resolving-set size: the first nonzero count of the
     resolving sweep. The sweep tests all 2^m class patterns whatever the
     answer is."""
-    _check_cap("metric_dimension", graph.vertex_count, cap)
+    _check_cap("metric_dimension", len(twin_classes(graph)), cap)
     return next(k for k, c in enumerate(_resolving_counts(graph)) if c)
 
 
@@ -505,8 +523,8 @@ def resolving_polynomial(
     graph: Graph, cap: int = DEFAULT_CAPS.resolving
 ) -> tuple[IntPolynomial, ResolvingSequence]:
     """Counts of resolving sets by cardinality, from the resolving sweep."""
-    _check_cap("resolving_polynomial", graph.vertex_count, cap)
+    _check_cap("resolving_polynomial", len(twin_classes(graph)), cap)
     counts = _resolving_counts(graph)
     poly = IntPolynomial.from_terms(enumerate(counts))
     beta = next(k for k, c in enumerate(counts) if c)
-    return poly, ResolvingSequence(beta=beta, counts=tuple(counts[beta:]))
+    return poly, ResolvingSequence(beta=beta, counts=counts[beta:])

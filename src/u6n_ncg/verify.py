@@ -9,7 +9,7 @@ Statuses:
   known_paper_exception  they differ but the closed form is flagged as
                          not applying at this n (only the eccentricity
                          polynomials at n = 1)
-  skipped_cap            the exhaustive side would exceed its vertex cap
+  skipped_cap            the exhaustive side would exceed its cap
   error                  the exhaustive side raised; computed is None and
                          the entry's `error` holds the exception
 

@@ -64,14 +64,22 @@ class TestVerifyCommand:
         assert "edge_count" in out and "match" in out
 
     def test_caps_override(self, capsys):
+        # n = 2: the detour cap counts its 10 vertices, the resolving cap
+        # its 4 twin classes
         code, out, _ = run(
-            capsys, "verify", "--n", "2", "--caps", "detour=5,resolving=5", "--format", "json"
+            capsys, "verify", "--n", "2", "--caps", "detour=9,resolving=3", "--format", "json"
         )
         assert code == 0
         report = json.loads(out)
         statuses = {e["name"]: e["status"] for e in report["entries"]}
         assert statuses["detour_polynomial"] == "skipped_cap"
         assert statuses["resolving_polynomial"] == "skipped_cap"
+        assert statuses["metric_dimension"] == "match"
+        code, out, _ = run(
+            capsys, "verify", "--n", "2", "--caps", "detour=10,resolving=4", "--format", "json"
+        )
+        statuses = {e["name"]: e["status"] for e in json.loads(out)["entries"]}
+        assert statuses["detour_polynomial"] == statuses["resolving_polynomial"] == "match"
 
     def test_engine_exception_is_an_error_entry_and_exits_three(self, capsys, monkeypatch):
         def broken(graph):
@@ -142,9 +150,14 @@ class TestPolyCommand:
         assert out.strip() == "5*x^2"
 
     def test_cap_violation_exits_one(self, capsys):
-        code, _, err = run(capsys, "poly", "resolving", "--n", "4")
+        # 20 vertices in 4 twin classes: past the detour cap of 15 vertices,
+        # within the resolving cap of 16 classes
+        code, _, err = run(capsys, "poly", "detour", "--n", "4")
         assert code == 1
-        assert "16" in err
+        assert err == "u6n-ncg: error: detour_matrix handles at most 15 vertices, got 20\n"
+        code, out, _ = run(capsys, "poly", "resolving", "--n", "4")
+        assert code == 0
+        assert out.strip() == str(closed_forms.cf_resolving_polynomial(4))
 
     def test_unknown_kind(self, capsys):
         code, _, _ = run(capsys, "poly", "zeta", "--n", "2")

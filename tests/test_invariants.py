@@ -1,11 +1,12 @@
 from itertools import combinations
+from math import comb
 from time import perf_counter
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from u6n_ncg import closed_forms
+from u6n_ncg import closed_forms, invariants
 from u6n_ncg.graphs import Graph, _bits, non_commuting_graph, twin_classes
 from u6n_ncg.groups import u6n_group
 from u6n_ncg.invariants import (
@@ -52,6 +53,14 @@ def path_graph(k):
 def matching_graph(k):
     """k disjoint edges."""
     return Graph.from_edges([f"m{i}" for i in range(2 * k)], [(2 * i, 2 * i + 1) for i in range(k)])
+
+
+def twin_free_disconnected(v):
+    """A matching of v // 2 disjoint edges, plus one isolated vertex when v
+    is odd: no two vertices share a neighbourhood, so there are v classes
+    of twins, and for v >= 3 the graph is disconnected."""
+    edges = [(2 * i, 2 * i + 1) for i in range(v // 2)]
+    return Graph.from_edges([f"m{i}" for i in range(v)], edges)
 
 
 def complete_graph(k):
@@ -201,9 +210,12 @@ class TestIndependence:
         assert independence_polynomial(graph) == (IntPolynomial.monomial(1) + 1) ** 3
 
     def test_cap(self):
+        # the cap counts classes of twins: 25 of them are refused, while 25
+        # vertices in one class run
+        with pytest.raises(CapacityError, match="at most 24 twin classes, got 25"):
+            independence_polynomial(twin_free_disconnected(25))
         graph = Graph.from_edges([f"v{i}" for i in range(25)], [])
-        with pytest.raises(CapacityError):
-            independence_polynomial(graph)
+        assert independence_polynomial(graph) == (IntPolynomial.monomial(1) + 1) ** 25
 
     def test_search_depth_not_bounded_by_recursion_limit(self):
         graph = Graph.from_edges([f"v{i}" for i in range(1500)], [])
@@ -310,9 +322,10 @@ class TestCliqueAndChromatic:
         assert chromatic_number(cycle_graph(5)) == 3
 
     def test_cap(self):
+        with pytest.raises(CapacityError, match="at most 40 twin classes, got 41"):
+            chromatic_number(twin_free_disconnected(41))
         graph = Graph.from_edges([f"v{i}" for i in range(41)], [])
-        with pytest.raises(CapacityError):
-            chromatic_number(graph)
+        assert chromatic_number(graph) == 1
 
     def test_first_dsatur_colouring_is_not_optimal(self):
         # twin-free, so the search runs on the graph itself
@@ -727,12 +740,16 @@ class TestTwinClassEnginesAgainstSubsetOracles:
             (vertex_cover_polynomial, DEFAULT_CAPS.indep),
             (resolving_polynomial, DEFAULT_CAPS.resolving),
             (metric_dimension, DEFAULT_CAPS.metric),
+            (chromatic_number, DEFAULT_CAPS.chromatic),
             (detour_matrix, DEFAULT_CAPS.detour),
         ],
     )
     def test_one_vertex_over_the_cap_is_refused_before_any_work(self, engine, cap):
-        # edgeless, hence disconnected: the cap is checked before anything
-        graph = Graph.from_edges([f"v{i}" for i in range(cap + 1)], [])
+        # twin-free, so one class per vertex, and disconnected: the cap is
+        # checked before anything
+        graph = twin_free_disconnected(cap + 1)
+        assert len(twin_classes(graph)) == cap + 1
+        assert not is_connected(graph)
         with pytest.raises(CapacityError):
             engine(graph)
 
@@ -766,6 +783,110 @@ class TestTwinClassEnginesAgainstSubsetOracles:
         for k in range(v + 1):
             for combo in combinations(range(v), k):
                 assert is_resolving(graph, combo) == resolves_by_vectors(dist, combo)
+
+
+def shift_unpacking_independence_polynomial(graph):
+    """The twin-quotient recursion of independence_polynomial with its
+    earlier packing: x = 2^(V + 1), each class gain a big-int power, and
+    one shift of the whole packed int per coefficient."""
+    quotient, sizes = graph._twin_quotient
+    adj = quotient.adj
+    v_count = graph.vertex_count
+    width = v_count + 1
+    gain = [((1 << width) + 1) ** size - 1 for size in sizes]
+    memo = {0: 1}
+
+    def count(mask):
+        total = memo.get(mask)
+        if total is None:
+            total, rest = 1, mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                total += gain[v] * count(rest & ~adj[v])
+            memo[mask] = total
+        return total
+
+    packed = count((1 << quotient.vertex_count) - 1)
+    digit = (1 << width) - 1
+    return IntPolynomial.from_terms(
+        (k, packed >> (k * width) & digit) for k in range(v_count + 1)
+    )
+
+
+class TestBytePackingAgainstShiftUnpacking:
+    @given(random_graphs(max_vertices=18, min_vertices=0))
+    @settings(max_examples=100, deadline=None)
+    def test_random_graphs(self, graph):
+        expected = shift_unpacking_independence_polynomial(graph)
+        assert independence_polynomial(graph) == expected
+
+    @given(twin_blowups(max_vertices=20))
+    @settings(max_examples=100, deadline=None)
+    def test_planted_twin_blowups(self, graph):
+        # up to 5 classes of up to 4 twins: V crosses the byte widths at 8 and 16
+        expected = shift_unpacking_independence_polynomial(graph)
+        assert independence_polynomial(graph) == expected
+
+    @pytest.mark.parametrize("n", [1, 5, 40, 200])
+    def test_non_commuting_graphs(self, n):
+        graph = ncg(n)
+        expected = shift_unpacking_independence_polynomial(graph)
+        assert independence_polynomial(graph) == expected
+        assert expected == closed_forms.cf_independence_polynomial(n)
+
+    @pytest.mark.parametrize("size", [0, 1, 7, 8, 9, 255, 256, 2000])
+    def test_one_class_of_twins(self, size):
+        # (1 + x)^size, with its central binomial near the top of a byte width
+        graph = Graph.from_edges([f"v{i}" for i in range(size)], [])
+        poly = independence_polynomial(graph)
+        assert [poly.coefficient(k) for k in range(size + 1)] == [
+            comb(size, k) for k in range(size + 1)
+        ]
+
+
+class TestCapsCountTwinClasses:
+    """Γ(U(6n)) has 4 classes of twins at every n, so no class cap is
+    reached, however many vertices there are."""
+
+    def test_beta_past_the_old_vertex_cap(self):
+        graph = ncg(5)  # U(30), 25 vertices
+        assert graph.vertex_count > DEFAULT_CAPS.metric
+        assert metric_dimension(graph) == 21 == closed_forms.cf_metric_dimension(5)
+
+    def test_resolving_polynomial_past_the_old_vertex_cap(self):
+        poly, seq = resolving_polynomial(ncg(4))
+        assert poly == closed_forms.cf_resolving_polynomial(4)
+        assert seq.counts == closed_forms.cf_resolving_sequence(4)
+
+    def test_chromatic_number_past_the_old_vertex_cap(self):
+        graph = ncg(9)
+        assert graph.vertex_count > DEFAULT_CAPS.chromatic
+        assert chromatic_number(graph) == closed_forms.cf_chi_omega(9)
+
+    def test_independence_polynomial_at_n200(self):
+        graph = ncg(200)
+        expected = closed_forms.cf_independence_polynomial(200)
+        assert independence_polynomial(graph) == expected
+        assert vertex_cover_polynomial(graph) == closed_forms.cf_vertex_cover_polynomial(200)
+
+    def test_one_resolving_sweep_per_graph(self, monkeypatch):
+        sweeps = []
+        real = invariants._disagreement_masks
+        monkeypatch.setattr(
+            invariants, "_disagreement_masks", lambda graph: sweeps.append(1) or real(graph)
+        )
+        graph = ncg(3)
+        assert metric_dimension(graph) == closed_forms.cf_metric_dimension(3)
+        poly, _ = resolving_polynomial(graph)
+        assert poly == closed_forms.cf_resolving_polynomial(3)
+        assert metric_dimension(graph) == closed_forms.cf_metric_dimension(3)
+        assert len(sweeps) == 1
+        # a kept sweep does not lift either engine's own cap
+        for engine in (metric_dimension, resolving_polynomial):
+            with pytest.raises(CapacityError, match="at most 3 twin classes, got 4"):
+                engine(graph, cap=3)
 
 
 class TestClosedFormsPastTheOracles:

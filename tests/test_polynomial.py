@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from u6n_ncg.polynomials import _FILTER_PRIME, IntPolynomial, integer_roots
+from u6n_ncg import closed_forms
+from u6n_ncg.polynomials import _FILTER_PRIME, IntPolynomial, _divisors, integer_roots
 
 X = IntPolynomial.monomial(1)
 
@@ -148,6 +149,30 @@ class TestEvaluation:
         for r in (2, -2):
             assert poly.evaluate(r) % _FILTER_PRIME == 0 != poly.evaluate(r)
         assert integer_roots(poly) == ()
+
+    @pytest.mark.parametrize("n", [*range(1, 9), 1000])
+    def test_resolving_roots_unchanged(self, n):
+        # the trailing coefficient is 2n^4 (6 at n = 1)
+        poly = closed_forms.cf_resolving_polynomial(n)
+        roots = integer_roots(poly)
+        assert roots == exact_integer_roots(poly)
+        assert set(roots) == closed_forms.cf_resolving_roots(n)
+
+    def test_prime_trailing_coefficient(self):
+        # (x + p)(x - 1) x^2 with p = 2^31 - 1: the factorisation runs to sqrt(p)
+        p = 2**31 - 1
+        poly = (X + p) * (X + -1) * X * X
+        assert poly.terms()[0] == (2, -p)
+        assert integer_roots(poly) == exact_integer_roots(poly) == (-p, 0, 1)
+
+    def test_divisors_match_trial_division(self):
+        for value in [*range(1, 400), 2 * 1000**4, 2**31 - 1, 999_983 * 1_000_003, 2**40, 3**25]:
+            expected = set()
+            for d in range(1, isqrt(value) + 1):
+                if value % d == 0:
+                    expected.update((d, value // d))
+            divisors = _divisors(value)
+            assert len(divisors) == len(expected) and set(divisors) == expected, value
 
 
 class TestCanonicalStrings:

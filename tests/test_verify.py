@@ -36,14 +36,13 @@ class TestStatuses:
         assert all(e.status == "match" for e in others)
         assert not report.has_mismatch()
 
-    def test_n4_caps_skip_detour_and_resolving(self):
+    def test_n4_caps_skip_detour_only(self):
+        # 20 vertices pass the detour cap of 15 vertices; the other caps
+        # count the 4 twin classes
         report = verify_all(4)
         by_name = entry_map(report)
         skipped = {e.name for e in report.entries if e.status == "skipped_cap"}
         assert skipped == {
-            "resolving_polynomial",
-            "resolving_sequence",
-            "resolving_roots",
             "detour_distances",
             "detour_polynomial",
             "detour_index",
@@ -54,16 +53,36 @@ class TestStatuses:
         assert by_name["metric_dimension"].computed == 16
         assert not report.has_mismatch()
 
+    def test_n1000_default_caps_skip_detour_only(self):
+        # 5000 vertices, still 4 twin classes: only the detour cap, which
+        # counts vertices, is reached
+        report = verify_all(1000)
+        skipped = sorted(e.name for e in report.entries if e.status == "skipped_cap")
+        assert skipped == ["detour_distances", "detour_index", "detour_polynomial"]
+        assert report.counts()["match"] == 29
+
     def test_cap_overrides(self):
-        tight = Caps(detour=5, resolving=5, metric=5, indep=5, chromatic=5)
+        # n = 2: 10 vertices in 4 twin classes
+        tight = Caps(detour=9, resolving=3, metric=3, indep=3, chromatic=3)
         report = verify_all(2, caps=tight)
         skipped = {e.name for e in report.entries if e.status == "skipped_cap"}
-        assert "detour_polynomial" in skipped
-        assert "independence_polynomial" in skipped
-        assert "chi" in skipped
-        assert "metric_dimension" in skipped
+        assert skipped == {
+            "detour_distances",
+            "detour_polynomial",
+            "detour_index",
+            "resolving_polynomial",
+            "resolving_sequence",
+            "resolving_roots",
+            "metric_dimension",
+            "chi",
+            "independence_polynomial",
+            "vertex_cover_polynomial",
+        }
         # cap-free entries still run
         assert entry_map(report)["edge_count"].status == "match"
+        # a class cap of 4 admits the graph, a detour cap of 10 its vertices
+        exact = Caps(detour=10, resolving=4, metric=4, indep=4, chromatic=4)
+        assert {e.status for e in verify_all(2, caps=exact).entries} == {"match"}
 
     def test_corrupted_closed_form_reports_mismatch(self, monkeypatch):
         monkeypatch.setattr(closed_forms, "cf_edge_count", lambda n: 9 * n * n + 1)
@@ -116,7 +135,7 @@ class TestStatuses:
             assert by_name[name].status == "match"
 
     def test_independence_cap_skips_the_cover_entry_too(self):
-        by_name = entry_map(verify_all(2, caps=Caps(indep=9)))
+        by_name = entry_map(verify_all(2, caps=Caps(indep=3)))
         for name in ("independence_polynomial", "vertex_cover_polynomial"):
             assert (by_name[name].status, by_name[name].computed) == ("skipped_cap", None)
 
