@@ -832,9 +832,7 @@ class TestBytePackingAgainstShiftUnpacking:
     @pytest.mark.parametrize("n", [1, 5, 40, 200])
     def test_non_commuting_graphs(self, n):
         graph = ncg(n)
-        expected = shift_unpacking_independence_polynomial(graph)
-        assert independence_polynomial(graph) == expected
-        assert expected == closed_forms.cf_independence_polynomial(n)
+        assert independence_polynomial(graph) == shift_unpacking_independence_polynomial(graph)
 
     @pytest.mark.parametrize("size", [0, 1, 7, 8, 9, 255, 256, 2000])
     def test_one_class_of_twins(self, size):
