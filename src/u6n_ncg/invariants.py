@@ -9,17 +9,17 @@ Independent sets, covers, resolving sets and longest paths work on the
 classes C_1..C_m of false twins (equal neighbourhoods): resolving sets
 test 2^m class patterns, each class whole or one member short, against
 the distinct masks of vertices that tell two left-out members apart, in
-one sweep per graph that counts resolving sets by size for the
-resolving polynomial and for β, which is its first nonzero count;
-independence counts recurse on the twin quotient, one vertex per class;
-longest paths advance T-bit integers, T = prod(|C_i| + 1). The caps of
-the resolving, metric, independence and chromatic engines count twin
-classes, and the detour cap counts vertices; without twins m = V and
-the cost is 2^V. One weighted branch and bound finds maximum independent
-sets: α runs it on the twin quotient weighted by class sizes, and ω is α
-of the quotient's complement with unit weights. χ is one DSATUR branch
-and bound on the twin quotient, which stops at ω. Eccentricities take
-one BFS per class on the twin quotient: two classes are as far apart as
+one sweep that counts resolving sets by size for the resolving
+polynomial and for β, which is its first nonzero count; independence
+counts recurse on the twin quotient, one vertex per class; longest paths
+advance T-bit integers, T = prod(|C_i| + 1). The caps of the resolving,
+independence and chromatic engines count twin classes, and the detour
+and metric caps count vertices; without twins m = V and the cost is
+2^V. One weighted branch and bound finds maximum independent sets: α
+runs it on the twin quotient weighted by class sizes, and ω is α of the
+quotient's complement with unit weights. χ is one DSATUR branch and
+bound on the twin quotient, which stops at ω. Eccentricities take one
+BFS per class on the twin quotient: two classes are as far apart as
 there, and two members of one class are at distance 2.
 """
 
@@ -35,9 +35,16 @@ UNREACHABLE = -1
 
 @dataclass(frozen=True)
 class Caps:
-    """Limits for the exponential searches. The detour cap counts vertices;
-    the others count classes of false twins, which is the vertex count of a
-    graph without twins."""
+    """Limits for the exponential searches. The detour and metric caps
+    count vertices; the others count classes of false twins, m, which is
+    the vertex count V of a graph without twins.
+
+    A class cap bounds the number of search states, not their size. The
+    resolving sweep tests 2^m class patterns against at most V masks, and
+    the independence recursion keeps at most 2^m memo entries, each a
+    polynomial packed into an integer of (V + 1) * (V // 8 + 1) bytes, so
+    its cost grows with about 2^m products of integers of V^2 / 8 bytes
+    (3 MB at V = 5000)."""
 
     detour: int = 15
     resolving: int = 16
@@ -491,31 +498,26 @@ def is_resolving(graph: Graph, witness) -> bool:
     return _hits_all(pattern, masks)
 
 
-def _resolving_counts(graph: Graph) -> tuple[int, ...]:
+def _resolving_counts(graph: Graph) -> list[int]:
     """Resolving-set counts by size, index k for k vertices. Every class
     pattern is tested; the masks its high part meets are dropped before
-    the low parts. The counts are kept on the graph, as its twin classes
-    are, so metric_dimension and resolving_polynomial share one sweep."""
-    kept = vars(graph)
-    counts = kept.get("_resolving_counts")
-    if counts is None:
-        masks = _disagreement_masks(graph)
-        low, high = _pattern_tables(twin_classes(graph))
-        counts = [0] * (graph.vertex_count + 1)
-        for rep_h, size_h, weight_h in high:
-            rest = [mask for mask in masks if not mask & rep_h]
-            for rep_l, size_l, weight_l in low:
-                if _hits_all(rep_l, rest):
-                    counts[size_h + size_l] += weight_h * weight_l
-        counts = kept["_resolving_counts"] = tuple(counts)
+    the low parts."""
+    masks = _disagreement_masks(graph)
+    low, high = _pattern_tables(twin_classes(graph))
+    counts = [0] * (graph.vertex_count + 1)
+    for rep_h, size_h, weight_h in high:
+        rest = [mask for mask in masks if not mask & rep_h]
+        for rep_l, size_l, weight_l in low:
+            if _hits_all(rep_l, rest):
+                counts[size_h + size_l] += weight_h * weight_l
     return counts
 
 
 def metric_dimension(graph: Graph, cap: int = DEFAULT_CAPS.metric) -> int:
     """Smallest resolving-set size: the first nonzero count of the
     resolving sweep. The sweep tests all 2^m class patterns whatever the
-    answer is."""
-    _check_cap("metric_dimension", len(twin_classes(graph)), cap)
+    answer is. The cap counts vertices."""
+    _check_cap("metric_dimension", graph.vertex_count, cap, "vertices")
     return next(k for k, c in enumerate(_resolving_counts(graph)) if c)
 
 
@@ -527,4 +529,4 @@ def resolving_polynomial(
     counts = _resolving_counts(graph)
     poly = IntPolynomial.from_terms(enumerate(counts))
     beta = next(k for k, c in enumerate(counts) if c)
-    return poly, ResolvingSequence(beta=beta, counts=counts[beta:])
+    return poly, ResolvingSequence(beta=beta, counts=tuple(counts[beta:]))

