@@ -11,16 +11,21 @@ test 2^m class patterns, each class whole or one member short, against
 the distinct masks of vertices that tell two left-out members apart, in
 one sweep that counts resolving sets by size for the resolving
 polynomial and for β, which is its first nonzero count; independence
-counts recurse on the twin quotient, one vertex per class; longest paths
-advance T-bit integers, T = prod(|C_i| + 1). The caps of the resolving,
-independence and chromatic engines count twin classes, and the detour
-and metric caps count vertices; without twins m = V and the cost is
-2^V. One weighted branch and bound finds maximum independent sets: α
-runs it on the twin quotient weighted by class sizes, and ω is α of the
-quotient's complement with unit weights. χ is one DSATUR branch and
-bound on the twin quotient, which stops at ω. Eccentricities take one
-BFS per class on the twin quotient: two classes are as far apart as
-there, and two members of one class are at distance 2.
+counts recurse on the twin quotient, one vertex per class. Longest paths
+are first settled on a twin quotient of at most six classes: when
+spanning trees and Tutte's b-matching condition show every two vertices
+joined by a path through all V of them, every detour distance is V - 1,
+at a cost independent of the class sizes; otherwise a DP advances T-bit
+integers, T = prod(|C_i| + 1). The caps of the resolving, independence
+and chromatic engines count twin classes, and the detour and metric caps
+count vertices, the detour cap bounding only that DP; without twins
+m = V and the cost is 2^V. One weighted branch and bound finds maximum
+independent sets: α runs it on the twin quotient weighted by class
+sizes, and ω is α of the quotient's complement with unit weights. χ is
+one DSATUR branch and bound on the twin quotient, which stops at ω.
+Eccentricities take one BFS per class on the twin quotient: two classes
+are as far apart as there, and two members of one class are at
+distance 2.
 """
 
 from __future__ import annotations
@@ -37,7 +42,9 @@ UNREACHABLE = -1
 class Caps:
     """Limits for the exponential searches. The detour and metric caps
     count vertices; the others count classes of false twins, m, which is
-    the vertex count V of a graph without twins.
+    the vertex count V of a graph without twins. The detour cap bounds
+    only the DP that answers when the twin quotient does not show every
+    detour distance to be V - 1, so it does not refuse Γ(U(6n)).
 
     A class cap bounds the number of search states, not their size. The
     resolving sweep tests 2^m class patterns against at most V masks, and
@@ -150,25 +157,134 @@ def eccentric_connectivity_polynomial(graph: Graph) -> IntPolynomial:
 
 # -- longest simple paths ----------------------------------------------
 
-def detour_matrix(graph: Graph, cap: int = DEFAULT_CAPS.detour) -> tuple[tuple[int, ...], ...]:
-    """All-pairs longest-simple-path lengths.
+# The quotient test enumerates the spanning trees of the twin quotient and
+# the subsets of its classes, so it runs on at most this many classes; past
+# it the DP answers, under the detour cap.
+_QUOTIENT_CLASSES = 6
 
-    Twins are never adjacent and classes join all-or-none, so a class
-    sequence is a path exactly when consecutive classes are joined and no
-    class is used more often than it has members. Count vectors
-    (k_1..k_m), k_i <= |C_i|, are numbered in mixed radix, and bit c of
-    ends[a][w] is set when some path starts in class a, ends in class w
-    and has count vector c. A layer adds one vertex to every path at once:
-    a step into class x keeps the states with k_x < |C_x| and adds
-    stride[x] to the index.
+
+def _tree_degrees(quotient: Graph) -> set[tuple[int, ...]]:
+    """The degree sequences of the spanning trees of a graph, none if it is
+    disconnected. Every spanning tree grows from vertex 0 by joining one
+    new vertex at a time to the part grown so far, so the (part, degrees)
+    states of one vertex count hold them all."""
+    m = quotient.vertex_count
+    everything = (1 << m) - 1
+    states = {(1, (0,) * m)}
+    for _ in range(m - 1):
+        grown = set()
+        for part, degree in states:
+            for v in _bits(everything & ~part):
+                for u in _bits(quotient.adj[v] & part):
+                    step = list(degree)
+                    step[u] += 1
+                    step[v] += 1
+                    grown.add((part | 1 << v, tuple(step)))
+        states = grown
+    return {degree for _, degree in states}
+
+
+def _tutte_sets(quotient: Graph) -> list[tuple[tuple[int, ...], ...]]:
+    """The proper subsets U of the vertices that can fall short in Tutte's
+    condition, each with the vertices that the graph less U leaves
+    isolated and the vertex sets of its other components."""
+    m = quotient.vertex_count
+    everything = (1 << m) - 1
+    sets = []
+    for chosen in range(everything):
+        rest, alone, parts = everything & ~chosen, [], []
+        while rest:
+            seen = frontier = rest & -rest
+            while frontier:
+                reach = 0
+                for v in _bits(frontier):
+                    reach |= quotient.adj[v]
+                frontier = reach & rest & ~seen
+                seen |= frontier
+            rest &= ~seen
+            if seen & (seen - 1):
+                parts.append(tuple(_bits(seen)))
+            else:
+                alone.append(seen.bit_length() - 1)
+        # with one component and nothing isolated, b'(K) and b'(U) have
+        # the same parity and U cannot fall short
+        if alone or len(parts) > 1:
+            sets.append((tuple(_bits(chosen)), tuple(alone), *parts))
+    return sets
+
+
+def _hamilton_connected(quotient: Graph, sizes: tuple[int, ...]) -> bool:
+    """Whether every two distinct vertices of the graph with this twin
+    quotient and these class sizes are joined by a path through all of
+    its vertices.
+
+    Such a path from class s to class t walks the quotient, entering class
+    i exactly |C_i| times; with x_e the uses of edge e, the walk is an
+    Euler trail of the multigraph x, so x is connected and
+    deg_x = b = 2|C| - [s] - [t]. Conversely such an x lifts to a path,
+    twins being interchangeable. A connected x holds a spanning tree T,
+    and the rest of x is any perfect uncapacitated (b - deg_T)-matching of
+    the quotient. A perfect b'-matching exists exactly when for every set
+    U of classes b'(U) plus the sum of floor(b'(K) / 2) over the
+    components K of the quotient less U that have an edge is at least
+    b'(V) / 2 (Tutte, "The factors of graphs", 1952; Schrijver,
+    Combinatorial Optimization, ch. 31). Only the degree sequence of T
+    matters, so the work depends on the quotient alone."""
+    trees = _tree_degrees(quotient)
+    tutte = _tutte_sets(quotient)
+
+    def perfect(spare: list[int]) -> bool:
+        # b'(U) + sum floor(b'(K) / 2) >= b'(V) / 2, with b'(V) even, reads
+        # b'(isolated) + #(components K with b'(K) odd) <= b'(U)
+        at = spare.__getitem__
+        for chosen, alone, *parts in tutte:
+            short = sum(map(at, alone)) - sum(map(at, chosen))
+            for part in parts:
+                short += sum(map(at, part)) & 1
+            if short > 0:
+                return False
+        return True
+
+    m = len(sizes)
+    for s in range(m):
+        for t in range(s if sizes[s] > 1 else s + 1, m):
+            b = [2 * size for size in sizes]
+            b[s] -= 1
+            b[t] -= 1
+            if not any(
+                all(d <= c for d, c in zip(degree, b))
+                and perfect([c - d for d, c in zip(degree, b)])
+                for degree in trees
+            ):
+                return False
+    return True
+
+
+def _class_detours(graph: Graph, cap: int) -> list[list[int]]:
+    """D between members of twin classes a and w, two distinct ones when
+    a == w (0 for a class of one).
+
+    When the twin quotient has at most _QUOTIENT_CLASSES classes and every
+    two vertices are joined by a path through all V of them, D is V - 1
+    everywhere, at a cost independent of the class sizes. Otherwise a DP
+    answers, under the cap on vertices. Twins are never adjacent and
+    classes join all-or-none, so a class sequence is a path exactly when
+    consecutive classes are joined and no class is used more often than
+    it has members. Count vectors (k_1..k_m), k_i <= |C_i|, are numbered
+    in mixed radix, and bit c of ends[a][w] is set when some path starts
+    in class a, ends in class w and has count vector c. A layer adds one
+    vertex to every path at once: a step into class x keeps the states
+    with k_x < |C_x| and adds stride[x] to the index.
     """
+    quotient, sizes = graph._twin_quotient
+    m = len(sizes)
     v_count = graph.vertex_count
+    if m <= _QUOTIENT_CLASSES and _hamilton_connected(quotient, sizes):
+        return [[v_count - 1 if a != w or sizes[a] > 1 else 0 for w in range(m)] for a in range(m)]
     _check_cap("detour_matrix", v_count, cap, "vertices")
     if not is_connected(graph):
         raise DisconnectedGraphError("detour distance requires a connected graph")
 
-    quotient, sizes = graph._twin_quotient
-    m = len(sizes)
     stride, total = [], 1
     for size in sizes:
         stride.append(total)
@@ -194,27 +310,47 @@ def detour_matrix(graph: Graph, cap: int = DEFAULT_CAPS.detour) -> tuple[tuple[i
                     for x in joined[w]:
                         grown[x] |= row[w]
             ends[a] = [(g & r) << step for g, r, step in zip(grown, room, stride)]
+    return best
 
-    class_of = {u: i for i, members in enumerate(twin_classes(graph)) for u in members}
+
+def _class_index(graph: Graph) -> list[int]:
+    """The twin class of each vertex."""
+    index = [0] * graph.vertex_count
+    for i, members in enumerate(twin_classes(graph)):
+        for u in members:
+            index[u] = i
+    return index
+
+
+def detour_matrix(graph: Graph, cap: int = DEFAULT_CAPS.detour) -> tuple[tuple[int, ...], ...]:
+    """All-pairs longest-simple-path lengths, spread from the class pairs
+    to the vertices; twins share their rows."""
+    best = _class_detours(graph, cap)
+    index = _class_index(graph)
     return tuple(
-        tuple(best[class_of[u]][class_of[w]] if u != w else 0 for w in range(v_count))
-        for u in range(v_count)
+        tuple(best[a][index[w]] if u != w else 0 for w in range(graph.vertex_count))
+        for u, a in enumerate(index)
     )
 
 
 def detour_distance(graph: Graph, u: int, v: int, cap: int = DEFAULT_CAPS.detour) -> int:
     graph._check_vertex(u)
     graph._check_vertex(v)
-    return detour_matrix(graph, cap=cap)[u][v]
+    best = _class_detours(graph, cap)
+    index = _class_index(graph)
+    return best[index[u]][index[v]] if u != v else 0
 
 
 def detour_polynomial(graph: Graph, cap: int = DEFAULT_CAPS.detour) -> IntPolynomial:
-    """Sum of x^D(u, v) over unordered pairs of distinct vertices."""
-    matrix = detour_matrix(graph, cap=cap)
-    v_count = graph.vertex_count
-    return IntPolynomial.from_terms(
-        (matrix[u][v], 1) for u in range(v_count) for v in range(u + 1, v_count)
-    )
+    """Sum of x^D(u, v) over unordered pairs of distinct vertices: C(|C_a|, 2)
+    pairs inside class a and |C_a| * |C_w| between classes a and w."""
+    best = _class_detours(graph, cap)
+    sizes = graph._twin_quotient[1]
+    terms = []
+    for a, size in enumerate(sizes):
+        terms.append((best[a][a], size * (size - 1) // 2))
+        terms.extend((best[a][w], size * sizes[w]) for w in range(a + 1, len(sizes)))
+    return IntPolynomial.from_terms(terms)
 
 
 def detour_index(graph: Graph, cap: int = DEFAULT_CAPS.detour) -> int:

@@ -64,22 +64,22 @@ class TestVerifyCommand:
         assert "edge_count" in out and "match" in out
 
     def test_caps_override(self, capsys):
-        # n = 2: the detour cap counts its 10 vertices, the resolving cap
-        # its 4 twin classes
-        code, out, _ = run(
-            capsys, "verify", "--n", "2", "--caps", "detour=9,resolving=3", "--format", "json"
-        )
+        # n = 2: the resolving cap counts its 4 twin classes, the metric cap
+        # its 10 vertices; the detour cap bounds only the DP, which the twin
+        # quotient leaves out here
+        caps = "detour=1,resolving=3,metric=9"
+        code, out, _ = run(capsys, "verify", "--n", "2", "--caps", caps, "--format", "json")
         assert code == 0
         report = json.loads(out)
         statuses = {e["name"]: e["status"] for e in report["entries"]}
-        assert statuses["detour_polynomial"] == "skipped_cap"
+        assert statuses["detour_polynomial"] == "match"
         assert statuses["resolving_polynomial"] == "skipped_cap"
-        assert statuses["metric_dimension"] == "match"
+        assert statuses["metric_dimension"] == "skipped_cap"
         code, out, _ = run(
-            capsys, "verify", "--n", "2", "--caps", "detour=10,resolving=4", "--format", "json"
+            capsys, "verify", "--n", "2", "--caps", "resolving=4,metric=10", "--format", "json"
         )
         statuses = {e["name"]: e["status"] for e in json.loads(out)["entries"]}
-        assert statuses["detour_polynomial"] == statuses["resolving_polynomial"] == "match"
+        assert statuses["metric_dimension"] == statuses["resolving_polynomial"] == "match"
 
     def test_engine_exception_is_an_error_entry_and_exits_three(self, capsys, monkeypatch):
         def broken(graph):
@@ -150,14 +150,14 @@ class TestPolyCommand:
         assert out.strip() == "5*x^2"
 
     def test_cap_violation_exits_one(self, capsys):
-        # 20 vertices in 4 twin classes: past the detour cap of 15 vertices,
+        # 25 vertices in 4 twin classes: past the metric cap of 20 vertices,
         # within the resolving cap of 16 classes
-        code, _, err = run(capsys, "poly", "detour", "--n", "4")
+        code, _, err = run(capsys, "graph", "--n", "5", "--invariant", "beta")
         assert code == 1
-        assert err == "u6n-ncg: error: detour_matrix handles at most 15 vertices, got 20\n"
-        code, out, _ = run(capsys, "poly", "resolving", "--n", "4")
+        assert err == "u6n-ncg: error: metric_dimension handles at most 20 vertices, got 25\n"
+        code, out, _ = run(capsys, "poly", "resolving", "--n", "5")
         assert code == 0
-        assert out.strip() == str(closed_forms.cf_resolving_polynomial(4))
+        assert out.strip() == str(closed_forms.cf_resolving_polynomial(5))
 
     def test_unknown_kind(self, capsys):
         code, _, _ = run(capsys, "poly", "zeta", "--n", "2")

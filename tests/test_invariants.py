@@ -1,12 +1,13 @@
 from itertools import combinations
 from math import comb
 from time import perf_counter
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from u6n_ncg import closed_forms
+from u6n_ncg import closed_forms, invariants
 from u6n_ncg.graphs import Graph, _bits, non_commuting_graph, twin_classes
 from u6n_ncg.groups import u6n_group
 from u6n_ncg.invariants import (
@@ -34,6 +35,7 @@ from u6n_ncg.invariants import (
     vertex_cover_number,
     vertex_cover_polynomial,
     _disagreement_masks,
+    _hamilton_connected,
 )
 from u6n_ncg.polynomials import IntPolynomial
 
@@ -899,6 +901,107 @@ class TestClosedFormsPastTheOracles:
         matrix = detour_matrix(graph, cap=big)
         v = graph.vertex_count
         assert all(matrix[a][b] == (0 if a == b else 5 * n - 1) for a in range(v) for b in range(v))
+
+
+@st.composite
+def dense_blowups(draw, max_vertices):
+    """A base graph on 2-5 vertices keeping each edge with probability 3/4,
+    each vertex replaced by an independent set of 1-6 twins; at most
+    max_vertices vertices in all. Dense bases with large classes are where
+    every pair tends to be joined by a path through all vertices."""
+    m = draw(st.integers(min_value=2, max_value=5))
+    kept = {p for p in combinations(range(m), 2) if draw(st.sampled_from((True, True, True, False)))}
+    sizes, room = [], max_vertices - m
+    for _ in range(m):
+        extra = draw(st.integers(min_value=0, max_value=min(5, room)))
+        sizes.append(1 + extra)
+        room -= extra
+    owner = [b for b, size in enumerate(sizes) for _ in range(size)]
+    edges = [(a, b) for a, b in combinations(range(len(owner)), 2) if (owner[a], owner[b]) in kept]
+    return Graph.from_edges([f"v{i}" for i in range(len(owner))], edges)
+
+
+def dp_detour_polynomial(graph, cap=10**6):
+    """The detour polynomial with the quotient test switched off, so that
+    the DP over count vectors answers every pair."""
+    with patch.object(invariants, "_QUOTIENT_CLASSES", -1):
+        return detour_polynomial(graph, cap=cap)
+
+
+def assert_quotient_test_is_exact(graph):
+    """The quotient test accepts exactly when every two distinct vertices
+    are at detour distance V - 1; the 2^V subset DP is the oracle."""
+    quotient, sizes = graph._twin_quotient
+    accepted = _hamilton_connected(quotient, sizes)
+    if not is_connected(graph):
+        assert not accepted
+        return
+    v = graph.vertex_count
+    matrix = subset_detour_matrix(graph)
+    spanning = all(matrix[u][w] == v - 1 for u in range(v) for w in range(u + 1, v))
+    assert accepted == spanning
+    assert detour_polynomial(graph) == IntPolynomial.from_terms(
+        (matrix[u][w], 1) for u in range(v) for w in range(u + 1, v)
+    )
+
+
+class TestDetourOnTheTwinQuotient:
+    """Every pair at detour distance V - 1 is decided on the twin quotient:
+    spanning trees and Tutte's b-matching condition, at a cost independent
+    of the class sizes."""
+
+    @given(twin_blowups())
+    @settings(max_examples=100, deadline=None)
+    def test_planted_twin_blowups(self, graph):
+        assert_quotient_test_is_exact(graph)
+
+    @given(random_graphs(max_vertices=8))
+    @settings(max_examples=100, deadline=None)
+    def test_random_graphs(self, graph):
+        assert_quotient_test_is_exact(graph)
+
+    @given(dense_blowups(max_vertices=12))
+    @settings(max_examples=100, deadline=None)
+    def test_dense_twin_blowups(self, graph):
+        assert_quotient_test_is_exact(graph)
+
+    @pytest.mark.parametrize("v", [0, 1, 2, 3])
+    def test_one_class_of_twins(self, v):
+        # no edges: a single vertex has no pairs, more are disconnected
+        graph = Graph.from_edges([f"v{i}" for i in range(v)], [])
+        assert _hamilton_connected(*graph._twin_quotient) == (v <= 1)
+
+    @given(dense_blowups(max_vertices=30))
+    @settings(max_examples=100, deadline=None)
+    def test_past_the_cap_against_the_dp(self, graph):
+        # up to 5 classes of up to 6 twins: V crosses the detour cap of 15
+        assume(is_connected(graph))
+        quotient, sizes = graph._twin_quotient
+        if _hamilton_connected(quotient, sizes):
+            assert detour_polynomial(graph) == dp_detour_polynomial(graph)
+        elif graph.vertex_count > DEFAULT_CAPS.detour:
+            with pytest.raises(CapacityError):
+                detour_polynomial(graph)
+
+    @pytest.mark.parametrize("n", [*range(4, 11), 40, 1000])
+    def test_closed_forms_at_default_caps(self, n):
+        graph = ncg(n)
+        assert detour_polynomial(graph) == closed_forms.cf_detour_polynomial(n)
+        assert detour_index(graph) == closed_forms.cf_detour_index(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+    def test_dp_agrees_on_non_commuting_graphs(self, n):
+        assert dp_detour_polynomial(ncg(n)) == closed_forms.cf_detour_polynomial(n)
+
+    def test_the_dp_refuses_what_the_quotient_leaves(self):
+        # a star of 20 leaves: one leaf class of 20 twins, which a path
+        # through the centre cannot cover, so the DP and its cap decide
+        graph = Graph.from_edges([f"s{i}" for i in range(21)], [(0, i) for i in range(1, 21)])
+        assert not _hamilton_connected(*graph._twin_quotient)
+        with pytest.raises(CapacityError, match="^detour_matrix handles at most 15 vertices, got 21$"):
+            detour_polynomial(graph)
+        assert detour_polynomial(graph, cap=21) == dp_detour_polynomial(graph)
+        assert detour_distance(graph, 1, 2, cap=21) == 2
 
 
 # -- full-graph searches, kept as oracles for the twin-quotient ones ------

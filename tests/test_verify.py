@@ -36,45 +36,32 @@ class TestStatuses:
         assert all(e.status == "match" for e in others)
         assert not report.has_mismatch()
 
-    def test_n4_caps_skip_detour_only(self):
-        # 20 vertices are past the detour cap of 15 vertices and within the
-        # metric cap of 20; the other caps count the 4 twin classes
+    def test_n4_all_match(self):
+        # 20 vertices are past the detour cap of 15 vertices, which bounds
+        # only the DP: the twin quotient settles every pair at 5n - 1; the
+        # metric cap of 20 admits them, and the other caps count the 4 twin
+        # classes
         report = verify_all(4)
         by_name = entry_map(report)
-        skipped = {e.name for e in report.entries if e.status == "skipped_cap"}
-        assert skipped == {
-            "detour_distances",
-            "detour_polynomial",
-            "detour_index",
-        }
-        for name, entry in by_name.items():
-            if name not in skipped:
-                assert entry.status == "match", name
+        assert {e.status for e in report.entries} == {"match"}
         assert by_name["metric_dimension"].computed == 16
-        assert not report.has_mismatch()
+        assert by_name["detour_distances"].computed == (19,)
+        assert by_name["detour_index"].computed == 3610
 
-    def test_n1000_default_caps_skip_detour_and_metric_only(self):
-        # 5000 vertices, still 4 twin classes: only the detour and metric
-        # caps, which count vertices, are reached
+    def test_n1000_default_caps_skip_metric_only(self):
+        # 5000 vertices, still 4 twin classes: only the metric cap, which
+        # counts vertices, is reached
         report = verify_all(1000)
         skipped = sorted(e.name for e in report.entries if e.status == "skipped_cap")
-        assert skipped == [
-            "detour_distances",
-            "detour_index",
-            "detour_polynomial",
-            "metric_dimension",
-        ]
-        assert report.counts()["match"] == 28
+        assert skipped == ["metric_dimension"]
+        assert report.counts()["match"] == 31
 
     def test_cap_overrides(self):
         # n = 2: 10 vertices in 4 twin classes
-        tight = Caps(detour=9, resolving=3, metric=3, indep=3, chromatic=3)
+        tight = Caps(detour=1, resolving=3, metric=3, indep=3, chromatic=3)
         report = verify_all(2, caps=tight)
         skipped = {e.name for e in report.entries if e.status == "skipped_cap"}
         assert skipped == {
-            "detour_distances",
-            "detour_polynomial",
-            "detour_index",
             "resolving_polynomial",
             "resolving_sequence",
             "resolving_roots",
@@ -83,11 +70,13 @@ class TestStatuses:
             "independence_polynomial",
             "vertex_cover_polynomial",
         }
-        # cap-free entries still run
-        assert entry_map(report)["edge_count"].status == "match"
-        # a class cap of 4 admits the graph, a detour or metric cap of 10
-        # its vertices
-        exact = Caps(detour=10, resolving=4, metric=10, indep=4, chromatic=4)
+        # cap-free entries still run, and so does detour: its cap bounds
+        # only the DP, which the twin quotient leaves out here
+        by_name = entry_map(report)
+        assert by_name["edge_count"].status == "match"
+        assert by_name["detour_polynomial"].status == "match"
+        # a class cap of 4 admits the graph, a metric cap of 10 its vertices
+        exact = Caps(detour=1, resolving=4, metric=10, indep=4, chromatic=4)
         assert {e.status for e in verify_all(2, caps=exact).entries} == {"match"}
 
     def test_corrupted_closed_form_reports_mismatch(self, monkeypatch):
@@ -183,9 +172,11 @@ class TestSerialization:
         }
 
     def test_skipped_entries_have_null_computed(self):
-        obj = verify_all(4).to_json_obj()
+        # n = 5: 25 vertices, past the metric cap of 20
+        obj = verify_all(5).to_json_obj()
         by_name = {e["name"]: e for e in obj["entries"]}
-        assert by_name["detour_index"]["computed"] is None
+        assert by_name["metric_dimension"]["status"] == "skipped_cap"
+        assert by_name["metric_dimension"]["computed"] is None
 
     def test_text_report_one_row_per_entry(self):
         report = verify_all(1)
