@@ -184,7 +184,7 @@ def _tree_degrees(quotient: Graph) -> set[tuple[int, ...]]:
     return {degree for _, degree in states}
 
 
-def _tutte_sets(quotient: Graph) -> list[tuple[tuple[int, ...], ...]]:
+def _tutte_sets(quotient: Graph) -> list[tuple[tuple[int, ...], tuple[int, ...], list]]:
     """The proper subsets U of the vertices that can fall short in Tutte's
     condition, each with the vertices that the graph less U leaves
     isolated and the vertex sets of its other components."""
@@ -209,7 +209,7 @@ def _tutte_sets(quotient: Graph) -> list[tuple[tuple[int, ...], ...]]:
         # with one component and nothing isolated, b'(K) and b'(U) have
         # the same parity and U cannot fall short
         if alone or len(parts) > 1:
-            sets.append((tuple(_bits(chosen)), tuple(alone), *parts))
+            sets.append((tuple(_bits(chosen)), tuple(alone), parts))
     return sets
 
 
@@ -237,7 +237,7 @@ def _hamilton_connected(quotient: Graph, sizes: tuple[int, ...]) -> bool:
         # b'(U) + sum floor(b'(K) / 2) >= b'(V) / 2, with b'(V) even, reads
         # b'(isolated) + #(components K with b'(K) odd) <= b'(U)
         at = spare.__getitem__
-        for chosen, alone, *parts in tutte:
+        for chosen, alone, parts in tutte:
             short = sum(map(at, alone)) - sum(map(at, chosen))
             for part in parts:
                 short += sum(map(at, part)) & 1

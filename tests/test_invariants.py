@@ -910,7 +910,8 @@ def dense_blowups(draw, max_vertices):
     max_vertices vertices in all. Dense bases with large classes are where
     every pair tends to be joined by a path through all vertices."""
     m = draw(st.integers(min_value=2, max_value=5))
-    kept = {p for p in combinations(range(m), 2) if draw(st.sampled_from((True, True, True, False)))}
+    keep = st.sampled_from((True, True, True, False))
+    kept = {p for p in combinations(range(m), 2) if draw(keep)}
     sizes, room = [], max_vertices - m
     for _ in range(m):
         extra = draw(st.integers(min_value=0, max_value=min(5, room)))
@@ -998,7 +999,8 @@ class TestDetourOnTheTwinQuotient:
         # through the centre cannot cover, so the DP and its cap decide
         graph = Graph.from_edges([f"s{i}" for i in range(21)], [(0, i) for i in range(1, 21)])
         assert not _hamilton_connected(*graph._twin_quotient)
-        with pytest.raises(CapacityError, match="^detour_matrix handles at most 15 vertices, got 21$"):
+        message = "^detour_matrix handles at most 15 vertices, got 21$"
+        with pytest.raises(CapacityError, match=message):
             detour_polynomial(graph)
         assert detour_polynomial(graph, cap=21) == dp_detour_polynomial(graph)
         assert detour_distance(graph, 1, 2, cap=21) == 2
