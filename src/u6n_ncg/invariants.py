@@ -207,7 +207,7 @@ def _tutte_sets(quotient: Graph) -> list[tuple[tuple[int, ...], tuple[int, ...],
             else:
                 alone.append(seen.bit_length() - 1)
         # with one component and nothing isolated, b'(K) and b'(U) have
-        # the same parity and U cannot fall short
+        # the same parity, so with b' >= 0 U cannot fall short
         if alone or len(parts) > 1:
             sets.append((tuple(_bits(chosen)), tuple(alone), parts))
     return sets
