@@ -115,6 +115,15 @@ def eccentricity(graph: Graph, v: int) -> int:
     return len(layers) - 1
 
 
+def _class_index(graph: Graph) -> list[int]:
+    """The twin class of each vertex."""
+    index = [0] * graph.vertex_count
+    for i, members in enumerate(twin_classes(graph)):
+        for u in members:
+            index[u] = i
+    return index
+
+
 def _class_eccentricities(graph: Graph) -> list[int]:
     """Eccentricity of each class of false twins, from one BFS per class on
     the twin quotient. Members of two classes are as far apart as the
@@ -135,11 +144,8 @@ def _class_eccentricities(graph: Graph) -> list[int]:
 
 def eccentricities(graph: Graph) -> tuple[int, ...]:
     """Eccentricity of every vertex; twins share theirs."""
-    eccs = [0] * graph.vertex_count
-    for members, ecc in zip(twin_classes(graph), _class_eccentricities(graph)):
-        for v in members:
-            eccs[v] = ecc
-    return tuple(eccs)
+    eccs = _class_eccentricities(graph)
+    return tuple(eccs[i] for i in _class_index(graph))
 
 
 def total_eccentricity_polynomial(graph: Graph) -> IntPolynomial:
@@ -311,15 +317,6 @@ def _class_detours(graph: Graph, cap: int) -> list[list[int]]:
                         grown[x] |= row[w]
             ends[a] = [(g & r) << step for g, r, step in zip(grown, room, stride)]
     return best
-
-
-def _class_index(graph: Graph) -> list[int]:
-    """The twin class of each vertex."""
-    index = [0] * graph.vertex_count
-    for i, members in enumerate(twin_classes(graph)):
-        for u in members:
-            index[u] = i
-    return index
 
 
 def detour_matrix(graph: Graph, cap: int = DEFAULT_CAPS.detour) -> tuple[tuple[int, ...], ...]:

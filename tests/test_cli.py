@@ -1,6 +1,5 @@
 import json
 import os
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -46,17 +45,18 @@ class TestVerifyCommand:
         assert [r["n"] for r in reports] == [1, 2]
 
     def test_range_json_matches_golden_report(self, capsys):
-        # every reported value for n = 1..4, pinned, in the bytes json.dumps
-        # writes; only timings may change
+        # every reported value for n = 1..4, pinned byte for byte; the golden
+        # file holds the bytes json.dumps(..., indent=2) writes
         code, out, _ = run(capsys, "verify", "--n-range", "1:4", "--format", "json")
         assert code == 0
-        reports = json.loads(out)
-        assert out == json.dumps(reports, indent=2) + "\n"
-        for report in reports:
-            for entry in report["entries"]:
-                del entry["elapsed_ms"]
         golden = Path(__file__).parent / "data" / "verify_n1_4.json"
-        assert json.dumps(reports, indent=2) + "\n" == golden.read_text()
+        assert out == golden.read_text()
+
+    def test_range_text_matches_golden_report(self, capsys):
+        code, out, _ = run(capsys, "verify", "--n-range", "1:4")
+        assert code == 0
+        golden = Path(__file__).parent / "data" / "verify_n1_4.txt"
+        assert out == golden.read_text()
 
     def test_text_format(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "2")
@@ -338,16 +338,12 @@ class TestUsageErrors:
             ("graph", "--n", "2", "--invariant", "edges"),
         ]
 
-        def outcome(argv):
-            code, out, err = run(capsys, *argv)
-            return code, re.sub(r'"elapsed_ms": \d+', "", out), err
-
         alone = []
         for argv in calls:
             cli._build_parser.cache_clear()
-            alone.append(outcome(argv))
+            alone.append(run(capsys, *argv))
         cli._build_parser.cache_clear()
-        assert [outcome(argv) for argv in calls] == alone
+        assert [run(capsys, *argv) for argv in calls] == alone
         assert [code for code, _, _ in alone] == [1, 0, 0]
         assert cli._build_parser.cache_info().misses == 1
 

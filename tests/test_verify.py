@@ -146,6 +146,12 @@ class TestDeterminism:
         second = [e.name for e in verify_all(2).entries]
         assert first == second
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_reports_are_equal_across_runs(self, n):
+        # a report depends only on n and the caps: the frozen dataclasses
+        # compare whole, every value and status included
+        assert verify_all(n) == verify_all(n)
+
     def test_same_entry_names_across_n(self):
         names1 = [e.name for e in verify_all(1).entries]
         names3 = [e.name for e in verify_all(3, caps=Caps(detour=5, resolving=5)).entries]
@@ -161,8 +167,7 @@ class TestSerialization:
         obj = verify_all(1).to_json_obj()
         assert obj["n"] == 1
         for entry in obj["entries"]:
-            assert set(entry) == {"name", "predicted", "computed", "status", "elapsed_ms"}
-            assert isinstance(entry["elapsed_ms"], int)
+            assert set(entry) == {"name", "predicted", "computed", "status"}
 
     def test_polynomials_serialize_as_terms(self):
         obj = verify_all(1).to_json_obj()
