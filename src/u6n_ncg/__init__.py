@@ -18,11 +18,9 @@ from .graphs import (
 )
 from .groups import (
     FiniteGroup,
-    OmegaPartition,
     U6nElement,
     group_from_json,
     group_from_table,
-    omega_partition,
     u6n_group,
 )
 from .invariants import (
@@ -45,7 +43,6 @@ __all__ = [
     "FiniteGroup",
     "Graph",
     "IntPolynomial",
-    "OmegaPartition",
     "PartitionWitness",
     "Prediction",
     "ReportEntry",
@@ -60,7 +57,6 @@ __all__ = [
     "is_complete_multipartite",
     "is_k_regular",
     "non_commuting_graph",
-    "omega_partition",
     "u6n_group",
     "verify_all",
 ]

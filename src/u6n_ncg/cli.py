@@ -151,6 +151,9 @@ def _cmd_graph(args) -> int:
 
 def _cmd_poly(args) -> int:
     brute, closed = _POLY_KINDS[args.kind]
+    # refuse an over-limit n on either side: the closed-form counts grow as
+    # n^2 bits, past what str() writes
+    u6n_order(args.n)
     if args.source in ("brute", "both"):
         value = brute(non_commuting_graph(u6n_group(args.n)))
     if args.source == "brute":

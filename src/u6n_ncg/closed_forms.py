@@ -4,11 +4,15 @@ Every function here is a pure formula in n. Nothing touches the group or
 graph machinery, so the exhaustive side and this side can only agree by
 actually agreeing.
 
+The four centralizer classes Omega1..Omega4 of the non-central elements
+live here and nowhere else: cf_omega_classes gives them and cf_center the
+center, and every centralizer is the center together with one class.
+
 The two eccentricity-based polynomials are exceptional: their formulas
 presuppose that every vertex has eccentricity 2, which fails at n = 1
 where three parts of the graph are singletons adjacent to everything.
-They are therefore returned as Prediction values flagged n_ge_2 instead
-of bare polynomials.
+They are therefore returned as Prediction values that apply only from
+n = 2 instead of bare polynomials.
 """
 
 from __future__ import annotations
@@ -18,23 +22,16 @@ from dataclasses import dataclass
 from .groups import U6nElement
 from .polynomials import IntPolynomial
 
-VALIDITY_FULL = "full"
-VALIDITY_N_GE_2 = "n_ge_2"
-
 _X = IntPolynomial.monomial(1)
 
 
 @dataclass(frozen=True)
 class Prediction:
-    """A named closed-form value for a given n, with its validity range."""
+    """A closed-form value, and whether the formula claims the n it was
+    computed for."""
 
-    name: str
-    n: int
     value: object
-    validity: str = VALIDITY_FULL
-
-    def applies(self) -> bool:
-        return self.validity == VALIDITY_FULL or self.n >= 2
+    applies: bool
 
 
 def _check_n(n: int) -> None:
@@ -121,22 +118,12 @@ def cf_detour_index(n: int) -> int:
 
 def cf_total_eccentricity_polynomial(n: int) -> Prediction:
     _check_n(n)
-    return Prediction(
-        name="total_eccentricity_polynomial",
-        n=n,
-        value=IntPolynomial.monomial(2, 5 * n),
-        validity=VALIDITY_N_GE_2,
-    )
+    return Prediction(IntPolynomial.monomial(2, 5 * n), applies=n >= 2)
 
 
 def cf_eccentric_connectivity_polynomial(n: int) -> Prediction:
     _check_n(n)
-    return Prediction(
-        name="eccentric_connectivity_polynomial",
-        n=n,
-        value=IntPolynomial.monomial(2, 18 * n * n),
-        validity=VALIDITY_N_GE_2,
-    )
+    return Prediction(IntPolynomial.monomial(2, 18 * n * n), applies=n >= 2)
 
 
 def _binomials(m: int) -> list[int]:
@@ -163,19 +150,31 @@ def cf_vertex_cover_polynomial(n: int) -> IntPolynomial:
     )
 
 
-def _class_of(element: U6nElement) -> int | None:
-    parity = element.a_exp % 2
-    if parity == 1:
-        return {0: 1, 1: 2, 2: 3}[element.b_exp]
-    return 4 if element.b_exp in (1, 2) else None
+def cf_center(n: int) -> frozenset[int]:
+    """The center of U(6n), as element indices: the even powers of a."""
+    _check_n(n)
+    return frozenset(range(0, 6 * n, 6))
+
+
+def cf_omega_classes(n: int) -> tuple[frozenset[int], ...]:
+    """The centralizer classes Omega1..Omega4 of the non-central elements,
+    as element indices (a^i b^k is 3i + k): odd powers of a, odd*b,
+    odd*b^2, and even*b^(1 or 2). Sizes n, n, n, 2n. An index mod 6 names
+    its class: 3, 4, 5, then 1 or 2; 0 is the center."""
+    _check_n(n)
+    order = 6 * n
+    return (
+        frozenset(range(3, order, 6)),
+        frozenset(range(4, order, 6)),
+        frozenset(range(5, order, 6)),
+        frozenset(range(1, order, 6)) | frozenset(range(2, order, 6)),
+    )
 
 
 def cf_centralizer(omega_class: int, representative: U6nElement, n: int) -> frozenset[int]:
-    """Predicted centralizer of a class representative, as element indices.
-
-    Class 1: all powers of a. Classes 2 and 3: even powers of a together
-    with odd*b (resp. odd*b^2). Class 4: all even powers of a times any
-    power of b. Sizes 2n, 2n, 2n, 3n.
+    """Predicted centralizer of a class representative, as element indices:
+    the center together with the representative's class. Sizes 2n, 2n,
+    2n, 3n.
     """
     _check_class(omega_class)
     _check_n(n)
@@ -183,18 +182,9 @@ def cf_centralizer(omega_class: int, representative: U6nElement, n: int) -> froz
         raise ValueError(
             f"representative a exponent {representative.a_exp} out of range for n={n}"
         )
-    if _class_of(representative) != omega_class:
+    members = cf_omega_classes(n)[omega_class - 1]
+    if representative.index not in members:
         raise ValueError(
             f"element {representative.label()!r} is not in omega class {omega_class}"
         )
-    odd = range(1, 2 * n, 2)
-    even = range(0, 2 * n, 2)
-    if omega_class == 1:
-        members = {3 * i for i in range(2 * n)}
-    elif omega_class == 2:
-        members = {3 * i for i in even} | {3 * i + 1 for i in odd}
-    elif omega_class == 3:
-        members = {3 * i for i in even} | {3 * i + 2 for i in odd}
-    else:
-        members = {3 * i + k for i in even for k in (0, 1, 2)}
-    return frozenset(members)
+    return cf_center(n) | members

@@ -103,7 +103,8 @@ class FiniteGroup:
     `cells` is the table, one 2-byte big-endian cell per entry in row-major
     order: x*y sits at byte 2 * (x * order + y). Immutable; all methods are
     pure lookups or scans over the cells. parameter_n is set only for
-    groups built by u6n_group.
+    groups built by u6n_group, and is only displayed (by repr and the
+    `build` command): no routine computes with it.
     """
 
     labels: tuple[str, ...]
@@ -362,41 +363,3 @@ def u6n_group(n: int) -> FiniteGroup:
         ]
     )
     return FiniteGroup(labels=tuple(labels), cells=cells, identity=0, parameter_n=n)
-
-
-@dataclass(frozen=True)
-class OmegaPartition:
-    """The four centralizer classes of the non-central elements of U(6n):
-    odd powers of a, odd*b, odd*b^2, and even*b^(1 or 2)."""
-
-    omega1: frozenset[int]
-    omega2: frozenset[int]
-    omega3: frozenset[int]
-    omega4: frozenset[int]
-
-    def classes(self) -> tuple[frozenset[int], ...]:
-        return (self.omega1, self.omega2, self.omega3, self.omega4)
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.classes())
-
-    def union(self) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for c in self.classes():
-            out |= c
-        return out
-
-
-def omega_partition(g: FiniteGroup) -> OmegaPartition:
-    """Partition the non-central elements of a constructed U(6n)."""
-    n = g.parameter_n
-    if n is None:
-        raise ValueError("omega_partition requires a group built by u6n_group")
-    odd = range(1, 2 * n, 2)
-    even = range(0, 2 * n, 2)
-    return OmegaPartition(
-        omega1=frozenset(3 * i for i in odd),
-        omega2=frozenset(3 * i + 1 for i in odd),
-        omega3=frozenset(3 * i + 2 for i in odd),
-        omega4=frozenset(3 * i + k for i in even for k in (1, 2)),
-    )

@@ -21,14 +21,22 @@ class IntPolynomial:
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
         coeffs = coeffs or {}
-        for exp in coeffs:
+        for exp, coeff in coeffs.items():
             self._check_exponent(exp)
-        self._coeffs = {exp: int(coeff) for exp, coeff in coeffs.items() if coeff}
+            self._check_coefficient(coeff)
+        self._coeffs = {exp: coeff for exp, coeff in coeffs.items() if coeff}
 
     @staticmethod
     def _check_exponent(exp) -> None:
         if not isinstance(exp, int) or isinstance(exp, bool) or exp < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {exp!r}")
+
+    @staticmethod
+    def _check_coefficient(coeff) -> None:
+        """An int, never a float or str (which int() would truncate or
+        parse) nor a bool."""
+        if not isinstance(coeff, int) or isinstance(coeff, bool):
+            raise ValueError(f"coefficient must be an integer, got {coeff!r}")
 
     @classmethod
     def _checked(cls, coeffs: dict[int, int]) -> "IntPolynomial":
@@ -46,7 +54,8 @@ class IntPolynomial:
         acc: dict[int, int] = {}
         for exp, coeff in terms:
             cls._check_exponent(exp)
-            acc[exp] = acc.get(exp, 0) + int(coeff)
+            cls._check_coefficient(coeff)
+            acc[exp] = acc.get(exp, 0) + coeff
         return cls._checked(acc)
 
     @classmethod

@@ -29,7 +29,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import closed_forms, invariants
 from .graphs import find_induced, is_complete_multipartite, is_k_regular, non_commuting_graph
-from .groups import FiniteGroup, U6nElement, omega_partition, u6n_group
+from .groups import FiniteGroup, U6nElement, u6n_group
 from .invariants import Caps, CapacityError, DEFAULT_CAPS
 from .polynomials import IntPolynomial, integer_roots
 
@@ -127,14 +127,6 @@ def _text_value(value, limit: int = 30) -> str:
     return text
 
 
-_CLASS_REPRESENTATIVES = {
-    1: U6nElement(1, 0),
-    2: U6nElement(1, 1),
-    3: U6nElement(1, 2),
-    4: U6nElement(0, 1),
-}
-
-
 def _labels_of(g: FiniteGroup, indices) -> tuple[str, ...]:
     return tuple(g.labels[i] for i in sorted(indices))
 
@@ -154,11 +146,10 @@ def verify_all(n: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
     """Run every closed form for U(6n) against the exhaustive computation."""
     g = u6n_group(n)
     graph = non_commuting_graph(g)
-    omega = omega_partition(g)
     # graph vertices carry the labels of their elements
     element_of = {label: x for x, label in enumerate(g.labels)}
     vertex_of = {element_of[label]: v for v, label in enumerate(graph.labels)}
-    element_classes = omega.classes()
+    element_classes = closed_forms.cf_omega_classes(n)
     entries: list[ReportEntry] = []
 
     def add(name, predicted, compute, applies=True):
@@ -186,13 +177,14 @@ def verify_all(n: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
     independence = cache(lambda: invariants.independence_polynomial(graph, cap=caps.indep))
 
     # centralizers and center
-    for cls in (1, 2, 3, 4):
-        rep = _CLASS_REPRESENTATIVES[cls]
+    for cls, members in enumerate(element_classes, start=1):
+        # the least index of each class: a, ab, ab^2 and b
+        rep = U6nElement.from_index(min(members), n)
         predicted = _labels_of(g, closed_forms.cf_centralizer(cls, rep, n))
 
-        def compute(cls=cls):
+        def compute(members=members):
             # elements with one commutation row share one centralizer
-            reps = {g.non_commuting_row(x): x for x in element_classes[cls - 1]}
+            reps = {g.non_commuting_row(x): x for x in members}
             sets = {g.centralizer(x) for x in reps.values()}
             if len(sets) == 1:
                 return _labels_of(g, sets.pop())
@@ -202,7 +194,7 @@ def verify_all(n: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
 
     add(
         "center",
-        _labels_of(g, (6 * r for r in range(n))),
+        _labels_of(g, closed_forms.cf_center(n)),
         lambda: _labels_of(g, g.center()),
     )
 
@@ -250,9 +242,7 @@ def verify_all(n: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
     add("no_induced_p4", True, lambda: find_induced(graph, "path_4") is None)
 
     def regular_part():
-        keep = sorted(
-            vertex_of[x] for x in omega.omega1 | omega.omega2 | omega.omega3
-        )
+        keep = sorted(vertex_of[x] for c in element_classes[:3] for x in c)
         return is_k_regular(graph.induced_subgraph(keep))
 
     add("regular_omega123", 2 * n, regular_part)
@@ -289,27 +279,27 @@ def verify_all(n: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
         lambda: detour().derivative_at_one(),
     )
 
-    # eccentricities; the closed forms carry the n >= 2 validity flag, and
-    # all three entries rest on its premise that every eccentricity is 2
+    # eccentricities; the closed forms apply only from n = 2, and all three
+    # entries rest on their premise that every eccentricity is 2
     theta = closed_forms.cf_total_eccentricity_polynomial(n)
     xi = closed_forms.cf_eccentric_connectivity_polynomial(n)
     add(
         "eccentricities",
         (2,),
         lambda: tuple(sorted(set(invariants.eccentricities(graph)))),
-        applies=theta.applies(),
+        applies=theta.applies,
     )
     add(
         "total_eccentricity_polynomial",
         theta.value,
         lambda: invariants.total_eccentricity_polynomial(graph),
-        applies=theta.applies(),
+        applies=theta.applies,
     )
     add(
         "eccentric_connectivity_polynomial",
         xi.value,
         lambda: invariants.eccentric_connectivity_polynomial(graph),
-        applies=xi.applies(),
+        applies=xi.applies,
     )
 
     # counting polynomials

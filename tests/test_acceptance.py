@@ -13,7 +13,7 @@ import pytest
 from u6n_ncg import closed_forms
 from u6n_ncg.cli import cli_main
 from u6n_ncg.graphs import find_induced, is_complete_multipartite, is_k_regular, non_commuting_graph
-from u6n_ncg.groups import omega_partition, u6n_group
+from u6n_ncg.groups import u6n_group
 from u6n_ncg.invariants import (
     chromatic_number,
     clique_number,
@@ -68,9 +68,8 @@ def test_criterion_02_degrees():
         for n in range(1, 7):
             g = u6n_group(n)
             graph = non_commuting_graph(g)
-            omega = omega_partition(g)
             vertex_of = {x: i for i, x in enumerate(g.non_central())}
-            for cls_index, members in enumerate(omega.classes(), start=1):
+            for cls_index, members in enumerate(closed_forms.cf_omega_classes(n), start=1):
                 expected = closed_forms.cf_degree(cls_index, n)
                 for x in members:
                     degree = graph.degree(vertex_of[x])
@@ -93,7 +92,7 @@ def test_criterion_03_multipartite_structure():
             }
             omega_labels = {
                 frozenset(g.labels[x] for x in c)
-                for c in omega_partition(g).classes()
+                for c in closed_forms.cf_omega_classes(n)
             }
             assert witness_labels == omega_labels
 
@@ -128,11 +127,9 @@ def test_criterion_06_regularity():
         for n in range(1, 7):
             g = u6n_group(n)
             graph = non_commuting_graph(g)
-            omega = omega_partition(g)
+            omega1, omega2, omega3, _ = closed_forms.cf_omega_classes(n)
             vertex_of = {x: i for i, x in enumerate(g.non_central())}
-            keep = sorted(
-                vertex_of[x] for x in omega.omega1 | omega.omega2 | omega.omega3
-            )
+            keep = sorted(vertex_of[x] for x in omega1 | omega2 | omega3)
             assert is_k_regular(graph.induced_subgraph(keep)) == 2 * n
             assert is_k_regular(graph) is None
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -158,6 +159,33 @@ class TestPolyCommand:
         code, out, _ = run(capsys, "poly", "resolving", "--n", "5")
         assert code == 0
         assert out.strip() == str(closed_forms.cf_resolving_polynomial(5))
+
+    def test_closed_source_refuses_an_over_limit_n(self, capsys):
+        # the closed-form counts grow as n^2 bits: the table limit that bounds
+        # the brute source bounds this one too, before anything is built
+        tracemalloc.start()
+        try:
+            code, out, err = run(
+                capsys, "poly", "independence", "--n", "20000", "--source", "closed"
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert err == (
+            "u6n-ncg: error: U(6n) at n = 20000 needs a Cayley table of 14400000000 "
+            "entries, over the limit of 36000000\n"
+        )
+        assert peak < 1_000_000
+
+    def test_closed_source_at_n1000_is_unchanged(self, capsys):
+        code, out, _ = run(capsys, "poly", "independence", "--n", "1000", "--source", "closed")
+        assert code == 0
+        assert out.startswith("1 + 5000*x + 3497500*x^2 + 1829835000*x^3 + ")
+        assert out.endswith(" + 1999000*x^1998 + 2000*x^1999 + x^2000\n")
+        # the whole output, as it was before n was bounded
+        digest = "cb462a7a3b86dfb4bf64cca35612ea3eff1bd9537c85e1402216c1c6b2a2bb41"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_unknown_kind(self, capsys):
         code, _, _ = run(capsys, "poly", "zeta", "--n", "2")

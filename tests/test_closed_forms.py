@@ -3,8 +3,8 @@ from math import comb
 import pytest
 
 from u6n_ncg.closed_forms import (
-    VALIDITY_N_GE_2,
     cf_alpha,
+    cf_center,
     cf_centralizer,
     cf_chi_omega,
     cf_degree,
@@ -14,6 +14,7 @@ from u6n_ncg.closed_forms import (
     cf_edge_count,
     cf_independence_polynomial,
     cf_metric_dimension,
+    cf_omega_classes,
     cf_partition_sizes,
     cf_resolving_polynomial,
     cf_resolving_roots,
@@ -22,7 +23,7 @@ from u6n_ncg.closed_forms import (
     cf_total_eccentricity_polynomial,
     cf_vertex_cover_polynomial,
 )
-from u6n_ncg.groups import U6nElement, omega_partition, u6n_group
+from u6n_ncg.groups import U6nElement, u6n_group
 from u6n_ncg.polynomials import IntPolynomial
 
 
@@ -57,7 +58,7 @@ class TestScalars:
         assert cf_metric_dimension(5) == 21
 
     def test_invalid_n(self):
-        for fn in (cf_edge_count, cf_alpha, cf_metric_dimension):
+        for fn in (cf_edge_count, cf_alpha, cf_metric_dimension, cf_omega_classes, cf_center):
             with pytest.raises(ValueError):
                 fn(0)
 
@@ -118,10 +119,9 @@ class TestEccentricityFormulas:
 
     def test_validity_flags(self):
         theta1 = cf_total_eccentricity_polynomial(1)
-        assert theta1.validity == VALIDITY_N_GE_2
-        assert not theta1.applies()
+        assert theta1.applies is False
         assert theta1.value == IntPolynomial.monomial(2, 5)
-        assert cf_eccentric_connectivity_polynomial(2).applies()
+        assert cf_eccentric_connectivity_polynomial(2).applies is True
 
 
 class TestCountingPolynomials:
@@ -164,6 +164,35 @@ class TestCountingPolynomials:
         assert total == 2 * cf_edge_count(n)
 
 
+class TestOmegaClasses:
+    def test_n1_explicit(self):
+        labels = u6n_group(1).labels
+        named = [sorted(labels[i] for i in c) for c in cf_omega_classes(1)]
+        assert named == [["a"], ["ab"], ["ab^2"], ["b", "b^2"]]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_sizes(self, n):
+        assert tuple(map(len, cf_omega_classes(n))) == (n, n, n, 2 * n)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_classes_partition_the_non_central_elements(self, n):
+        g = u6n_group(n)
+        classes = cf_omega_classes(n)
+        union = frozenset().union(*classes)
+        assert union == frozenset(g.non_central())
+        assert sum(map(len, classes)) == len(union)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_classes_and_center_are_read_off_the_table(self, n):
+        # the non-central elements grouped by their computed centralizer
+        g = u6n_group(n)
+        by_centralizer: dict[frozenset[int], set[int]] = {}
+        for x in g.non_central():
+            by_centralizer.setdefault(g.centralizer(x), set()).add(x)
+        assert set(map(frozenset, by_centralizer.values())) == set(cf_omega_classes(n))
+        assert cf_center(n) == g.center()
+
+
 class TestCentralizerFormulas:
     def test_class1(self):
         got = cf_centralizer(1, U6nElement(1, 0), 2)
@@ -188,8 +217,7 @@ class TestCentralizerFormulas:
     @pytest.mark.parametrize("n", range(1, 5))
     def test_predictions_match_computed_centralizers(self, n):
         g = u6n_group(n)
-        omega = omega_partition(g)
-        for cls, members in enumerate(omega.classes(), start=1):
+        for cls, members in enumerate(cf_omega_classes(n), start=1):
             for x in members:
                 rep = U6nElement(x // 3, x % 3)
                 predicted = cf_centralizer(cls, rep, n)

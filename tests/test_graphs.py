@@ -19,7 +19,8 @@ from u6n_ncg.graphs import (
     to_json,
     twin_classes,
 )
-from u6n_ncg.groups import group_from_table, omega_partition, u6n_group
+from u6n_ncg.closed_forms import cf_omega_classes
+from u6n_ncg.groups import group_from_table, u6n_group
 
 TRIANGLE = Graph.from_edges(["x", "y", "z"], [(0, 1), (1, 2), (0, 2)])
 PATH4 = Graph.from_edges(["p0", "p1", "p2", "p3"], [(0, 1), (1, 2), (2, 3)])
@@ -277,7 +278,7 @@ class TestCompleteMultipartite:
             frozenset(graph.labels[v] for v in c) for c in witness.classes
         }
         omega_labels = {
-            frozenset(g.labels[x] for x in c) for c in omega_partition(g).classes()
+            frozenset(g.labels[x] for x in c) for c in cf_omega_classes(n)
         }
         assert witness_labels == omega_labels
 
@@ -405,10 +406,10 @@ class TestRegularity:
     def test_omega123_is_2n_regular(self, n):
         g = u6n_group(n)
         graph = non_commuting_graph(g)
-        omega = omega_partition(g)
+        omega1, omega2, omega3, _ = cf_omega_classes(n)
         non_central = g.non_central()
         pos = {x: i for i, x in enumerate(non_central)}
-        keep = sorted(pos[x] for x in omega.omega1 | omega.omega2 | omega.omega3)
+        keep = sorted(pos[x] for x in omega1 | omega2 | omega3)
         assert is_k_regular(graph.induced_subgraph(keep)) == 2 * n
 
     def test_omega123_at_n600_is_1200_regular_and_fast(self):
@@ -416,9 +417,9 @@ class TestRegularity:
         # the restriction is timed
         g = u6n_group(600)
         graph = non_commuting_graph(g)
-        omega = omega_partition(g)
+        omega1, omega2, omega3, _ = cf_omega_classes(600)
         vertex_of = {label: v for v, label in enumerate(graph.labels)}
-        keep = [vertex_of[g.labels[x]] for x in omega.omega1 | omega.omega2 | omega.omega3]
+        keep = [vertex_of[g.labels[x]] for x in omega1 | omega2 | omega3]
         start = perf_counter()
         sub = graph.induced_subgraph(keep)
         elapsed = perf_counter() - start

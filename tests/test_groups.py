@@ -6,12 +6,12 @@ from functools import cache
 import pytest
 
 from u6n_ncg import groups
+from u6n_ncg.closed_forms import cf_omega_classes
 from u6n_ncg.groups import (
     FiniteGroup,
     U6nElement,
     group_from_json,
     group_from_table,
-    omega_partition,
     u6n_group,
 )
 
@@ -187,8 +187,7 @@ class TestCenterAndCentralizers:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_centralizer_sizes_by_class(self, n):
         g = u6n_group(n)
-        omega = omega_partition(g)
-        for cls, expected in zip(omega.classes(), (2 * n, 2 * n, 2 * n, 3 * n)):
+        for cls, expected in zip(cf_omega_classes(n), (2 * n, 2 * n, 2 * n, 3 * n)):
             for x in cls:
                 assert len(g.centralizer(x)) == expected
 
@@ -200,31 +199,6 @@ class TestAbelian:
 
     def test_cyclic_is_abelian(self):
         assert group_from_table(C3_LABELS, C3_TABLE).is_abelian()
-
-
-class TestOmegaPartition:
-    def test_n1_explicit(self):
-        g = u6n_group(1)
-        omega = omega_partition(g)
-        named = [sorted(g.labels[i] for i in c) for c in omega.classes()]
-        assert named == [["a"], ["ab"], ["ab^2"], ["b", "b^2"]]
-
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_sizes(self, n):
-        omega = omega_partition(u6n_group(n))
-        assert omega.sizes() == (n, n, n, 2 * n)
-
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_classes_partition_the_non_central_elements(self, n):
-        g = u6n_group(n)
-        omega = omega_partition(g)
-        assert omega.union() == frozenset(g.non_central())
-        assert sum(omega.sizes()) == len(omega.union())
-
-    def test_requires_constructed_group(self):
-        g = group_from_table(C3_LABELS, C3_TABLE)
-        with pytest.raises(ValueError, match="u6n_group"):
-            omega_partition(g)
 
 
 class TestCayleyTableLoading:

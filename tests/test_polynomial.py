@@ -83,6 +83,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             IntPolynomial({exp: 3})
 
+    @pytest.mark.parametrize("coeff", [1.5, 2.9, True, "7"])
+    def test_non_int_coefficients_rejected(self, coeff):
+        # int() would truncate a float, take a bool as 1 and parse a str
+        with pytest.raises(ValueError, match="coefficient must be an integer"):
+            IntPolynomial({0: coeff})
+        with pytest.raises(ValueError, match="coefficient must be an integer"):
+            IntPolynomial.from_terms([(1, coeff)])
+
     def test_zero_polynomial(self):
         zero = IntPolynomial()
         assert not zero

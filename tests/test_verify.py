@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 
@@ -7,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from u6n_ncg import closed_forms, invariants, verify
-from u6n_ncg.groups import omega_partition, u6n_group
+from u6n_ncg.groups import u6n_group
 from u6n_ncg.invariants import Caps
 from u6n_ncg.verify import verify_all
 
@@ -105,10 +104,10 @@ class TestStatuses:
         # a first class holding one element of Ω1 and one of Ω4: the entry
         # lists each distinct centralizer, ordered by element indices
         g = u6n_group(2)
-        real = omega_partition(g)
-        x1, x4 = min(real.omega1), min(real.omega4)
-        mixed = dataclasses.replace(real, omega1=frozenset({x1, x4}))
-        monkeypatch.setattr(verify, "omega_partition", lambda group: mixed)
+        omega1, omega2, omega3, omega4 = closed_forms.cf_omega_classes(2)
+        x1, x4 = min(omega1), min(omega4)
+        mixed = (frozenset({x1, x4}), omega2, omega3, omega4)
+        monkeypatch.setattr(closed_forms, "cf_omega_classes", lambda n: mixed)
         entry = entry_map(verify_all(2))["centralizer_omega1"]
         centralizers = sorted(sorted(g.centralizer(x)) for x in (x1, x4))
         assert centralizers[0] != centralizers[1]
