@@ -9,7 +9,6 @@ and cross-checks everything against closed-form predictions in n.
 from .closed_forms import Prediction
 from .graphs import (
     Graph,
-    PartitionWitness,
     export_graph,
     find_induced,
     is_complete_multipartite,
@@ -43,7 +42,6 @@ __all__ = [
     "FiniteGroup",
     "Graph",
     "IntPolynomial",
-    "PartitionWitness",
     "Prediction",
     "ReportEntry",
     "ResolvingSequence",

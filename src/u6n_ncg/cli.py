@@ -123,7 +123,11 @@ def _parse_caps(text: str | None) -> Caps:
         key = key.strip()
         if not sep or key not in valid:
             raise ValueError(f"unknown cap override {item!r}; caps are {sorted(valid)}")
+        if key in overrides:
+            raise ValueError(f"cap override {item!r} sets {key} a second time")
         overrides[key] = int(value)
+        if overrides[key] < 0:
+            raise ValueError(f"cap override {item!r} is negative")
     return dataclasses.replace(DEFAULT_CAPS, **overrides)
 
 
@@ -138,8 +142,8 @@ def _cmd_build(args) -> int:
     print(f"abelian: {'true' if group.is_abelian() else 'false'}")
     print(f"center_size: {len(center)}")
     print("center: " + ", ".join(group.labels[x] for x in center))
-    if group.parameter_n is not None:
-        print(f"parameter_n: {group.parameter_n}")
+    if args.n is not None:
+        print(f"parameter_n: {args.n}")
     return 0
 
 

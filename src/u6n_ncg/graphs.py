@@ -168,17 +168,6 @@ def non_commuting_graph(g: FiniteGroup) -> Graph:
     return Graph(labels=tuple(g.labels[x] for x in vertices), adj=adj)
 
 
-@dataclass(frozen=True)
-class PartitionWitness:
-    """Certificate that a graph is complete multipartite: the classes are
-    independent sets and every cross-class pair is an edge."""
-
-    classes: tuple[frozenset[int], ...]
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(sorted(len(c) for c in self.classes))
-
-
 def twin_classes(graph: Graph) -> tuple[tuple[int, ...], ...]:
     """Vertices grouped by identical adjacency row (false twins, never
     adjacent), classes in order of their smallest vertex; two classes are
@@ -186,9 +175,10 @@ def twin_classes(graph: Graph) -> tuple[tuple[int, ...], ...]:
     return graph._twin_classes
 
 
-def is_complete_multipartite(graph: Graph) -> PartitionWitness | None:
-    """Group vertices by identical neighbourhoods, then check the
-    certificate. Returns None when the graph is not complete multipartite."""
+def is_complete_multipartite(graph: Graph) -> tuple[tuple[int, ...], ...] | None:
+    """The parts of a complete multipartite graph, which are its false-twin
+    classes (ordered by smallest vertex), or None when the graph is not
+    complete multipartite."""
     classes = twin_classes(graph)
     everything = (1 << graph.vertex_count) - 1
     # false twins are never adjacent, so a class's row must be exactly the
@@ -196,7 +186,7 @@ def is_complete_multipartite(graph: Graph) -> PartitionWitness | None:
     for members in classes:
         if graph.adj[members[0]] != everything ^ sum(1 << u for u in members):
             return None
-    return PartitionWitness(classes=tuple(frozenset(c) for c in classes))
+    return classes
 
 
 def _parse_pattern(pattern: str) -> tuple[str, int]:

@@ -102,15 +102,13 @@ class FiniteGroup:
 
     `cells` is the table, one 2-byte big-endian cell per entry in row-major
     order: x*y sits at byte 2 * (x * order + y). Immutable; all methods are
-    pure lookups or scans over the cells. parameter_n is set only for
-    groups built by u6n_group, and is only displayed (by repr and the
-    `build` command): no routine computes with it.
+    pure lookups or scans over the cells. A group is its table: U(6n) from
+    u6n_group equals the same table loaded with group_from_table.
     """
 
     labels: tuple[str, ...]
     cells: bytes
     identity: int
-    parameter_n: int | None = None
 
     @property
     def order(self) -> int:
@@ -203,8 +201,7 @@ class FiniteGroup:
         return tuple(x for x, row in enumerate(self._commutation_rows) if 1 in row)
 
     def __repr__(self) -> str:
-        tag = f", n={self.parameter_n}" if self.parameter_n is not None else ""
-        return f"FiniteGroup(order={self.order}{tag})"
+        return f"FiniteGroup(order={self.order})"
 
 
 def _find_identity(table: Sequence[Sequence[int]]) -> int | None:
@@ -362,4 +359,4 @@ def u6n_group(n: int) -> FiniteGroup:
             for k in range(3)
         ]
     )
-    return FiniteGroup(labels=tuple(labels), cells=cells, identity=0, parameter_n=n)
+    return FiniteGroup(labels=tuple(labels), cells=cells, identity=0)

@@ -173,7 +173,7 @@ def verify_all(n: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
     # expensive searches
     resolving = cache(lambda: invariants.resolving_polynomial(graph, cap=caps.resolving))
     detour = cache(lambda: invariants.detour_polynomial(graph, cap=caps.detour))
-    witness = cache(lambda: is_complete_multipartite(graph))
+    parts = cache(lambda: is_complete_multipartite(graph))
     independence = cache(lambda: invariants.independence_polynomial(graph, cap=caps.indep))
 
     # centralizers and center
@@ -210,21 +210,19 @@ def verify_all(n: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
     add("edge_count", closed_forms.cf_edge_count(n), graph.edge_count)
 
     # complete multipartite structure against the omega classes
-    def witness_sizes():
-        return None if witness() is None else witness().sizes()
+    def part_sizes():
+        return None if parts() is None else tuple(sorted(map(len, parts())))
 
-    def witness_classes():
-        if witness() is None:
+    def part_classes():
+        if parts() is None:
             return None
-        return _canonical_classes(
-            sorted(graph.labels[v] for v in c) for c in witness().classes
-        )
+        return _canonical_classes(sorted(graph.labels[v] for v in c) for c in parts())
 
-    add("partition_sizes", closed_forms.cf_partition_sizes(n), witness_sizes)
+    add("partition_sizes", closed_forms.cf_partition_sizes(n), part_sizes)
     add(
         "partition_classes",
         _canonical_classes(sorted(_labels_of(g, c)) for c in element_classes),
-        witness_classes,
+        part_classes,
     )
 
     # numeric invariants

@@ -50,8 +50,9 @@ class TestVerifyCommand:
         # file holds the bytes json.dumps(..., indent=2) writes
         code, out, _ = run(capsys, "verify", "--n-range", "1:4", "--format", "json")
         assert code == 0
-        golden = Path(__file__).parent / "data" / "verify_n1_4.json"
-        assert out == golden.read_text()
+        golden = (Path(__file__).parent / "data" / "verify_n1_4.json").read_text()
+        assert out == golden
+        assert golden == json.dumps(json.loads(golden), indent=2) + "\n"
 
     def test_range_text_matches_golden_report(self, capsys):
         code, out, _ = run(capsys, "verify", "--n-range", "1:4")
@@ -116,6 +117,32 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--n-range", "3")
         assert code == 1
         assert "A:B" in err
+
+    @pytest.mark.parametrize("span", ["0:3", "2:1"])
+    def test_empty_or_nonpositive_range(self, capsys, span):
+        code, out, err = run(capsys, "verify", "--n-range", span)
+        assert (code, out) == (1, "")
+        assert err == f"u6n-ncg: error: --n-range '{span}' is empty or starts below 1\n"
+
+    @pytest.mark.parametrize(
+        "caps, message",
+        [
+            ("metric=-5", "cap override 'metric=-5' is negative"),
+            ("resolving=4,detour=-1", "cap override 'detour=-1' is negative"),
+            ("resolving=1,resolving=16", "cap override 'resolving=16' sets resolving a second time"),
+            ("metric=20, metric=20", "cap override ' metric=20' sets metric a second time"),
+        ],
+    )
+    def test_negative_or_repeated_cap_refused(self, capsys, caps, message):
+        code, out, err = run(capsys, "verify", "--n", "1", "--caps", caps)
+        assert (code, out) == (1, "")
+        assert err == f"u6n-ncg: error: {message}\n"
+
+    def test_zero_cap_accepted(self, capsys):
+        code, out, _ = run(capsys, "verify", "--n", "1", "--caps", "metric=0", "--format", "json")
+        assert code == 0
+        statuses = {e["name"]: e["status"] for e in json.loads(out)["entries"]}
+        assert statuses["metric_dimension"] == "skipped_cap"
 
     def test_over_limit_range_refused_before_any_report(self, capsys, monkeypatch):
         reported = []

@@ -205,6 +205,26 @@ class TestConstruction:
         with pytest.raises(ValueError, match="unique"):
             Graph.from_edges(["u", "u"], [])
 
+    @pytest.mark.parametrize(
+        "labels, adj, message",
+        [
+            (("u", "v", "w"), (2, 1), "2 adjacency rows for 3 labels"),
+            (("u", "v"), (6, 1), "adjacency row 0 has bits outside the vertex range"),
+        ],
+    )
+    def test_validation_rejects_bad_rows(self, labels, adj, message):
+        with pytest.raises(ValueError) as info:
+            Graph(labels=labels, adj=adj)
+        assert str(info.value) == message
+
+    def test_from_edges_rejects_out_of_range_edges_and_loops(self):
+        with pytest.raises(IndexError) as info:
+            Graph.from_edges(["u", "v", "w"], [(0, 1), (1, 3)])
+        assert str(info.value) == "edge (1, 3) out of range for 3 vertices"
+        with pytest.raises(ValueError) as info:
+            Graph.from_edges(["u", "v", "w"], [(0, 1), (2, 2)])
+        assert str(info.value) == "loop edge at vertex 2"
+
 
 class TestDegrees:
     def test_class_degrees_n2(self):
@@ -268,37 +288,43 @@ class TestInducedSubgraph:
 
 class TestCompleteMultipartite:
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_witness_matches_omega_classes(self, n):
+    def test_parts_match_omega_classes(self, n):
         g = u6n_group(n)
         graph = non_commuting_graph(g)
-        witness = is_complete_multipartite(graph)
-        assert witness is not None
-        assert witness.sizes() == tuple(sorted([n, n, n, 2 * n]))
-        witness_labels = {
-            frozenset(graph.labels[v] for v in c) for c in witness.classes
-        }
+        parts = is_complete_multipartite(graph)
+        assert parts is not None
+        assert sorted(map(len, parts)) == sorted([n, n, n, 2 * n])
+        part_labels = {frozenset(graph.labels[v] for v in c) for c in parts}
         omega_labels = {
             frozenset(g.labels[x] for x in c) for c in cf_omega_classes(n)
         }
-        assert witness_labels == omega_labels
+        assert part_labels == omega_labels
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_parts_are_the_twin_classes(self, n):
+        graph = ncg(n)
+        assert is_complete_multipartite(graph) == twin_classes(graph)
+
+    def test_parts_ordered_by_smallest_vertex(self):
+        # K(2, 1) with the singleton part listed between the pair's members
+        graph = Graph.from_edges(["x", "y", "z"], [(0, 1), (1, 2)])
+        assert is_complete_multipartite(graph) == ((0, 2), (1,))
 
     def test_triangle_is_k111(self):
-        witness = is_complete_multipartite(TRIANGLE)
-        assert witness is not None and witness.sizes() == (1, 1, 1)
+        assert is_complete_multipartite(TRIANGLE) == ((0,), (1,), (2,))
 
     def test_path4_is_not_multipartite(self):
         assert is_complete_multipartite(PATH4) is None
 
-    def test_witness_certificate_holds(self):
+    def test_parts_certificate_holds(self):
         graph = ncg(2)
-        witness = is_complete_multipartite(graph)
-        for cls in witness.classes:
+        parts = is_complete_multipartite(graph)
+        for cls in parts:
             for u in cls:
                 for v in cls:
                     assert u == v or not graph.has_edge(u, v)
-        classes = witness.classes
-        for i, ci in enumerate(classes):
-            for cj in classes[i + 1 :]:
+        for i, ci in enumerate(parts):
+            for cj in parts[i + 1 :]:
                 for u in ci:
                     for v in cj:
                         assert graph.has_edge(u, v)
@@ -307,13 +333,14 @@ class TestCompleteMultipartite:
     @settings(max_examples=200, deadline=None)
     def test_matches_pair_oracle(self, graph):
         expected = multipartite_by_pairs(graph)
-        witness = is_complete_multipartite(graph)
+        parts = is_complete_multipartite(graph)
         if expected is None:
-            assert witness is None
+            assert parts is None
         else:
-            assert witness is not None
-            assert len(witness.classes) == len(expected)
-            assert set(witness.classes) == expected
+            assert parts is not None
+            assert len(parts) == len(expected)
+            assert set(map(frozenset, parts)) == expected
+            assert [c[0] for c in parts] == sorted(c[0] for c in parts)
 
 
 class TestTwinClasses:
@@ -387,6 +414,11 @@ class TestFindInduced:
             find_induced(TRIANGLE, "star_3")
         with pytest.raises(ValueError):
             find_induced(TRIANGLE, "cycle_2")
+
+    def test_empty_path_refused(self):
+        with pytest.raises(ValueError) as info:
+            find_induced(TRIANGLE, "path_0")
+        assert str(info.value) == "paths need at least 1 vertex"
 
     @given(random_graphs())
     @settings(max_examples=150, deadline=None)

@@ -248,6 +248,16 @@ class TestCayleyTableLoading:
         with pytest.raises(ValueError, match="no two-sided inverse"):
             group_from_table(["e", "x"], [[0, 1], [1, 1]])
 
+    def test_empty_table_refused(self):
+        with pytest.raises(ValueError) as info:
+            group_from_table([], [])
+        assert str(info.value) == "a group needs at least one element"
+
+    def test_fewer_rows_than_labels(self):
+        with pytest.raises(ValueError) as info:
+            group_from_table(C3_LABELS, C3_TABLE[:2])
+        assert str(info.value) == "table has 2 rows for 3 labels"
+
     def test_duplicate_labels(self):
         with pytest.raises(ValueError, match="unique"):
             group_from_table(["e", "e"], [[0, 1], [1, 0]])
@@ -273,9 +283,10 @@ class TestCayleyTableLoading:
         g1, g2 = u6n_group(n), u6n_group(n)
         assert g1 == g2 and hash(g1) == hash(g2)
         assert g1 != u6n_group(n + 1)
-        # the same table loaded as data: equal cells, but no parameter_n
+        # a group is its table: the same table loaded as data is the same group
         loaded = group_from_table(list(g1.labels), double_loop_u6n_table(n))
-        assert loaded.cells == g1.cells and loaded != g1
+        assert loaded == g1 and hash(loaded) == hash(g1)
+        assert repr(loaded) == repr(g1) == f"FiniteGroup(order={6 * n})"
 
 
 # -- reference scans, kept as oracles for the commutation rows -------------

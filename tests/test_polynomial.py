@@ -203,6 +203,11 @@ class TestCanonicalStrings:
         )
         assert IntPolynomial.parse("0") == IntPolynomial()
 
+    def test_parse_refuses_a_coefficient_without_its_star(self):
+        with pytest.raises(ValueError) as info:
+            IntPolynomial.parse("3x")
+        assert str(info.value) == "malformed term '3x'"
+
     def test_json_terms_round_trip(self):
         p = IntPolynomial.from_terms([(0, 1), (6, 32), (10, 1)])
         assert p.to_json_terms() == [[0, "1"], [6, "32"], [10, "1"]]

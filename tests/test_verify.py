@@ -182,6 +182,11 @@ class TestSerialization:
         assert by_name["metric_dimension"]["status"] == "skipped_cap"
         assert by_name["metric_dimension"]["computed"] is None
 
+    def test_text_report_shows_a_skipped_value_as_dash(self):
+        lines = verify_all(5).to_text().splitlines()
+        row = next(line for line in lines if line.startswith("metric_dimension "))
+        assert row.split() == ["metric_dimension", "skipped_cap", "21", "-"]
+
     def test_text_report_one_row_per_entry(self):
         report = verify_all(1)
         lines = report.to_text().splitlines()
