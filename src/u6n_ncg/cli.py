@@ -125,7 +125,10 @@ def _parse_caps(text: str | None) -> Caps:
             raise ValueError(f"unknown cap override {item!r}; caps are {sorted(valid)}")
         if key in overrides:
             raise ValueError(f"cap override {item!r} sets {key} a second time")
-        overrides[key] = int(value)
+        try:
+            overrides[key] = int(value)
+        except ValueError:
+            raise ValueError(f"cap override {item!r} is not an integer") from None
         if overrides[key] < 0:
             raise ValueError(f"cap override {item!r} is negative")
     return dataclasses.replace(DEFAULT_CAPS, **overrides)
@@ -179,16 +182,19 @@ def _cmd_export(args) -> int:
 def _cmd_verify(args) -> int:
     caps = _parse_caps(args.caps)
     if args.n is not None:
-        span = [args.n]
+        first = last = args.n
     else:
-        first, sep, last = args.n_range.partition(":")
-        if not sep:
-            raise ValueError(f"--n-range wants A:B, got {args.n_range!r}")
-        span = list(range(int(first), int(last) + 1))
-        if not span or span[0] < 1:
+        first, _, last = args.n_range.partition(":")
+        try:
+            first, last = int(first), int(last)
+        except ValueError:
+            raise ValueError(
+                f"--n-range wants A:B with integers A and B, got {args.n_range!r}"
+            ) from None
+        if last < first or first < 1:
             raise ValueError(f"--n-range {args.n_range!r} is empty or starts below 1")
-    u6n_order(span[-1])  # refuse an over-limit n before computing any report
-    reports = [verify_all(n, caps=caps) for n in span]
+    u6n_order(last)  # refuse an over-limit n before computing any report
+    reports = [verify_all(n, caps=caps) for n in range(first, last + 1)]
     if args.format == "json":
         print(report_to_json(reports))
     else:

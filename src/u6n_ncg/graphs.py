@@ -50,8 +50,50 @@ def _restrict_rows(rows: Iterable[bytes], marks: bytes) -> tuple[int, ...]:
     return tuple(map(bitsets.__getitem__, rows))
 
 
+def _classes_symmetric(adj: Sequence[int], classes: Sequence[Sequence[int]]) -> bool:
+    """Whether rows that are equal on each class are symmetric and
+    loop-free. Take every two classes A and B, with rows a and b: a vertex
+    of A sees all of B or none of it, B sees A alike, the two agree, and A
+    sees none of itself. O(m^2) big-int operations on V bits, for m
+    classes."""
+    masks = [sum(1 << u for u in members) for members in classes]
+    rows = [adj[members[0]] for members in classes]
+    for i, (a, mask_a) in enumerate(zip(rows, masks)):
+        if a & mask_a:
+            return False
+        for b, mask_b in zip(rows[i + 1 :], masks[i + 1 :]):
+            if (a & mask_b, b & mask_a) not in ((0, 0), (mask_b, mask_a)):
+                return False
+    return True
+
+
+def _strings_symmetric(adj: Sequence[int]) -> bool:
+    """Whether the rows are symmetric. Character w of strings[u] is bit w of
+    row u, and the strided slice big[u::v] of their join is column u; the
+    rows are symmetric exactly when each string equals its column. Equal
+    rows share one string. O(V^2) characters."""
+    v = len(adj)
+    spec = f"0{v}b"
+    formatted = {row: format(row, spec)[::-1] for row in set(adj)}
+    strings = list(map(formatted.__getitem__, adj))
+    big = "".join(strings)
+    return all(s == big[u::v] for u, s in enumerate(strings))
+
+
 @dataclass(frozen=True)
 class Graph:
+    """An undirected graph: vertex labels and one adjacency bitset per
+    vertex. Construction refuses rows with bits outside the vertex range,
+    loops and asymmetric rows.
+
+    Symmetry is checked one of two ways, chosen from the graph itself. The
+    classes of false twins (equal rows) are computed first, and stay cached
+    for the engines. With m classes and V vertices, m^2 <= V checks the
+    rows class pair by class pair (_classes_symmetric); otherwise each row
+    is compared with its column as a string of V characters
+    (_strings_symmetric). Either way a refused graph is scanned edge by
+    edge for the message that names the first asymmetric pair."""
+
     labels: tuple[str, ...]
     adj: tuple[int, ...]
 
@@ -66,14 +108,12 @@ class Graph:
                 raise ValueError(f"adjacency row {u} has bits outside the vertex range")
             if (row >> u) & 1:
                 raise ValueError(f"loop at vertex {u} ({self.labels[u]!r})")
-        # character w of strings[u] is bit w of row u, and the strided slice
-        # big[u::v] of their join is column u; the rows are symmetric exactly
-        # when each string equals its column. Equal rows share one string.
-        spec = f"0{v}b"
-        formatted = {row: format(row, spec)[::-1] for row in set(self.adj)}
-        strings = list(map(formatted.__getitem__, self.adj))
-        big = "".join(strings)
-        if all(s == big[u::v] for u, s in enumerate(strings)):
+        classes = self._twin_classes
+        if len(classes) ** 2 <= v:
+            symmetric = _classes_symmetric(self.adj, classes)
+        else:
+            symmetric = _strings_symmetric(self.adj)
+        if symmetric:
             return
         for u in range(v):
             for w in _bits(self.adj[u]):

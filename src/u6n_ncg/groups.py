@@ -10,26 +10,29 @@ Everything here is computed from the multiplication table by definition;
 no closed-form shortcuts, so these routines stay honest inputs for the
 verification pipeline.
 
-A FiniteGroup stores its table as one flat `bytes` object, `cells`: entry
-x*y is the 2-byte big-endian cell at byte offset 2 * (x * order + y), rows
-in order. Every routine works on whole rows and strided columns of it with
-C-level slicing and big-int arithmetic, never entry by entry. Commutation
-is read from one primitive, the commutation row of x: row x of the table
-compared with column x, one byte per element. The rows of every element
-are computed once per group, on its first commutation query, and equal
-rows are held as one object: elements with one centralizer share one row,
-so U(6n) holds 5 distinct rows at every n. The center, the
-centralizers and the non-commuting graph all derive from these rows.
+A FiniteGroup stores its table as one flat `bytes` object, `cells`, in two
+planes: first the high byte of every entry, then the low byte of every
+entry, each plane row-major. With i = x * order + y, entry x*y is
+cells[i] << 8 | cells[order * order + i]; the table takes 2 * order^2
+bytes, 72n^2 for U(6n). Every routine works on whole rows and strided
+columns of a plane with C-level slicing and big-int arithmetic, never
+entry by entry. Commutation is read from one primitive, the commutation
+row of x: row x of the table compared with column x, one byte per
+element. The rows of every element are computed once per group, on its
+first commutation query, and equal rows are held as one object: elements
+with one centralizer share one row, so U(6n) holds 5 distinct rows at
+every n. The center, the centralizers and the non-commuting graph all
+derive from these rows.
 
 The rows are computed a tile at a time, after the blocked transpose of
 Frigo, Leiserson, Prokop and Ramachandran ("Cache-oblivious algorithms",
 FOCS 1999). A block of _BLOCK_ROWS consecutive table rows is one
-contiguous slice; the same columns are strided slices, read _CHUNK_ROWS
-table rows at a time with every column of the block taken from one chunk
-before the next, so the strided reads of a chunk stay within a few
-hundred memory pages instead of sweeping the whole table once per column.
-Each block is compared with its columns in one pass of big-int and byte
-operations and then cut into rows.
+contiguous slice of each plane; the same columns are strided slices,
+read _CHUNK_ROWS table rows at a time with every column of the block
+taken from one chunk before the next, so the strided reads of a chunk
+stay within a few hundred memory pages instead of sweeping the whole
+plane once per column. Each block is compared with its columns in one
+pass of big-int and byte operations and then cut into rows.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ _ASSOC_SAMPLES = 100_000
 
 # u6n_group and group_from_table refuse a table with more entries than this:
 # order 6000 (n = 1000) still builds, as 72 MB of cells. Every group's order
-# is therefore below 2^16, so a 2-byte cell holds any element index.
+# is therefore below 2^16, so a high and a low byte hold any element index.
 _DENSE_TABLE_LIMIT = 6000 * 6000
 
 # a byte of a commutation row: 0 stays 0, any difference becomes 1
@@ -100,8 +103,9 @@ class U6nElement:
 class FiniteGroup:
     """A finite group as labels plus a multiplication table on indices.
 
-    `cells` is the table, one 2-byte big-endian cell per entry in row-major
-    order: x*y sits at byte 2 * (x * order + y). Immutable; all methods are
+    `cells` is the table in two row-major planes, the high bytes of all
+    entries and then their low bytes: with i = x * order + y, x*y is
+    cells[i] << 8 | cells[order * order + i]. Immutable; all methods are
     pure lookups or scans over the cells. A group is its table: U(6n) from
     u6n_group equals the same table loaded with group_from_table.
     """
@@ -114,10 +118,6 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.labels)
 
-    def _row(self, x: int) -> bytes:
-        width = 2 * self.order
-        return self.cells[x * width : (x + 1) * width]
-
     def _check_index(self, x: int) -> None:
         if not 0 <= x < self.order:
             raise IndexError(f"element index {x} out of range for order {self.order}")
@@ -125,18 +125,20 @@ class FiniteGroup:
     def mul(self, x: int, y: int) -> int:
         self._check_index(x)
         self._check_index(y)
-        at = 2 * (x * self.order + y)
-        return int.from_bytes(self.cells[at : at + 2], "big")
+        at = x * self.order + y
+        return self.cells[at] << 8 | self.cells[self.order * self.order + at]
 
     def inv(self, x: int) -> int:
         self._check_index(x)
-        row = self._row(x)
-        cell = self.identity.to_bytes(2, "big")
-        at = row.find(cell)
-        while at >= 0:
-            if at % 2 == 0 and self.mul(at // 2, x) == self.identity:
-                return at // 2
-            at = row.find(cell, at + 1)
+        order = self.order
+        start = order * order + x * order
+        low_row = self.cells[start : start + order]
+        low = bytes([self.identity & 0xFF])
+        y = low_row.find(low)
+        while y >= 0:
+            if self.mul(x, y) == self.identity == self.mul(y, x):
+                return y
+            y = low_row.find(low, y + 1)
         raise ValueError(f"element {self.labels[x]!r} has no inverse")
 
     @cached_property
@@ -146,32 +148,33 @@ class FiniteGroup:
 
         The pass works a tile at a time. Rows x0..x1-1 of the table (a
         block of _BLOCK_ROWS, fewer in the last one) are one contiguous
-        stretch of the cells, read as its high and its low bytes. Columns
-        x0..x1-1 are strided slices, read in chunks of _CHUNK_ROWS table
-        rows: every column of the block takes its piece of one chunk
-        before any column moves to the next, and each column's pieces are
-        then joined in order. Block and columns are XORed as big ints, the
-        high bytes and the low bytes apart; a lane that differs in either
-        is nonzero, and one translate turns the block's lanes into 0/1
-        flags, cut into rows of `order` bytes. Equal rows are interned, so
-        each distinct row is held once."""
-        cells, order, width = self.cells, self.order, 2 * self.order
+        slice of each plane. Columns x0..x1-1 of a plane are strided
+        slices of step `order`, read in chunks of _CHUNK_ROWS table rows:
+        every column of the block takes its piece of one chunk before any
+        column moves to the next, and each column's pieces are then
+        joined in order. Block and columns are XORed as big ints, the high
+        plane and the low plane apart; a lane that differs in either is
+        nonzero, and one translate turns the block's lanes into 0/1 flags,
+        cut into rows of `order` bytes. Equal rows are interned, so each
+        distinct row is held once. No plane is ever copied whole."""
+        cells, order = self.cells, self.order
+        planes = (0, order * order)  # offsets of the high and the low plane
         chunks = [
-            (y * width, min(y + _CHUNK_ROWS, order) * width) for y in range(0, order, _CHUNK_ROWS)
+            (y * order, min(y + _CHUNK_ROWS, order) * order) for y in range(0, order, _CHUNK_ROWS)
         ]
         interned: dict[bytes, bytes] = {}
         rows = []
         for x0 in range(0, order, _BLOCK_ROWS):
             x1 = min(x0 + _BLOCK_ROWS, order)
-            start, stop = x0 * width, x1 * width
-            # byte offsets, within a table row, of the high bytes of columns x0..x1-1
-            lanes = range(2 * x0, 2 * x1, 2)
             differs = 0
-            for plane in (0, 1):  # high bytes, then low bytes
-                pieces = [[cells[y0 + c + plane : y1 : width] for c in lanes] for y0, y1 in chunks]
+            for plane in planes:
+                pieces = [
+                    [cells[plane + y0 + c : plane + y1 : order] for c in range(x0, x1)]
+                    for y0, y1 in chunks
+                ]
                 # zip(*pieces) regroups the chunk-major pieces column by column
                 columns = b"".join(chain.from_iterable(zip(*pieces)))
-                block = cells[start + plane : stop : 2]
+                block = cells[plane + x0 * order : plane + x1 * order]
                 differs |= int.from_bytes(block, "big") ^ int.from_bytes(columns, "big")
             flags = differs.to_bytes((x1 - x0) * order, "big").translate(_NONZERO)
             for at in range(0, len(flags), order):
@@ -266,12 +269,13 @@ def _validate_table(labels: Sequence[str], table: Sequence[Sequence[int]]) -> in
     return identity
 
 
-def _pack(entries: Iterable[int]) -> bytes:
-    """The entries as 2-byte big-endian cells, in order."""
+def _planes(entries: Iterable[int]) -> tuple[bytes, bytes]:
+    """The high bytes and the low bytes of the entries, each in order."""
     packed = array("H", entries)
     if sys.byteorder == "little":
         packed.byteswap()
-    return packed.tobytes()
+    cells = packed.tobytes()  # big-endian: high byte first
+    return cells[0::2], cells[1::2]
 
 
 def group_from_table(labels: Sequence[str], table: Sequence[Sequence[int]]) -> FiniteGroup:
@@ -294,7 +298,8 @@ def group_from_table(labels: Sequence[str], table: Sequence[Sequence[int]]) -> F
     labels = tuple(str(s) for s in labels)
     table_t = tuple(tuple(row) for row in table)
     identity = _validate_table(labels, table_t)
-    return FiniteGroup(labels=labels, cells=_pack(chain.from_iterable(table_t)), identity=identity)
+    cells = b"".join(_planes(chain.from_iterable(table_t)))
+    return FiniteGroup(labels=labels, cells=cells, identity=identity)
 
 
 def group_from_json(text: str) -> FiniteGroup:
@@ -338,23 +343,23 @@ def u6n_group(n: int) -> FiniteGroup:
     # Row x = 3i + k (x = a^i b^k) maps y = 3j + l to
     # 3 * ((i + j) mod 2n) + ((-1)^j k + l) mod 3. As 2n is even,
     # (-1)^(i+j) = (-1)^i (-1)^j, so row 3i + k is row (-1)^i k mod 3 (the
-    # row of b^((-1)^i k)) rotated left by 3i entries. Those three rows are
-    # each held twice over, so that every rotation is one slice, and the
-    # cells are joined from the slices without copying any row first.
+    # row of b^((-1)^i k)) rotated left by 3i entries. Each plane of those
+    # three rows is held twice over, so that every rotation is one slice,
+    # and both planes of the cells are joined from the slices at once,
+    # without copying any row first.
     # In base row k, the entries y = 3j + l with j of one parity p step by
     # 6 and map to 3j + ((-1)^p k + l) mod 3: one range each.
-    first_rows = []
+    doubled = []  # [high plane, low plane] of each base row, held twice over
     for k in range(3):
         row = array("H", bytes(2 * order))
         for p, sign in ((0, 1), (1, -1)):
             for l in range(3):
                 row[3 * p + l :: 6] = array("H", range(3 * p + (sign * k + l) % 3, order, 6))
-        first_rows.append(_pack(row))
-    doubled = [memoryview(row * 2) for row in first_rows]
-    width = 2 * order
+        doubled.append([memoryview(plane * 2) for plane in _planes(row)])
     cells = b"".join(
         [
-            doubled[(k if i % 2 == 0 else -k) % 3][6 * i : 6 * i + width]
+            doubled[(k if i % 2 == 0 else -k) % 3][plane][3 * i : 3 * i + order]
+            for plane in (0, 1)
             for i in range(two_n)
             for k in range(3)
         ]

@@ -138,6 +138,29 @@ class TestVerifyCommand:
         assert (code, out) == (1, "")
         assert err == f"u6n-ncg: error: {message}\n"
 
+    @pytest.mark.parametrize("caps", ["metric=x", "resolving=4,detour=1.5", "metric="])
+    def test_non_integer_cap_refused(self, capsys, caps):
+        item = caps.split(",")[-1]
+        code, out, err = run(capsys, "verify", "--n", "1", "--caps", caps)
+        assert (code, out) == (1, "")
+        assert err == f"u6n-ncg: error: cap override {item!r} is not an integer\n"
+
+    @pytest.mark.parametrize("span", ["x:3", "1:", "1:3:5", ":", "1.5:2"])
+    def test_non_integer_range_refused(self, capsys, span):
+        code, out, err = run(capsys, "verify", "--n-range", span)
+        assert (code, out) == (1, "")
+        assert err == f"u6n-ncg: error: --n-range wants A:B with integers A and B, got {span!r}\n"
+
+    def test_huge_range_end_refused_before_the_range_is_built(self, capsys):
+        # the end is checked against the table limit before any n of the
+        # range is listed, so a range of 10^12 values costs nothing
+        code, out, err = run(capsys, "verify", "--n-range", "1:1000000000000")
+        assert (code, out) == (1, "")
+        assert err == (
+            "u6n-ncg: error: U(6n) at n = 1000000000000 needs a Cayley table of "
+            f"{36 * 10**24} entries, over the limit of {groups._DENSE_TABLE_LIMIT}\n"
+        )
+
     def test_zero_cap_accepted(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "1", "--caps", "metric=0", "--format", "json")
         assert code == 0

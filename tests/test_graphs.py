@@ -558,10 +558,130 @@ class TestConstructionAgainstPairLoop:
         labels = tuple(f"v{i}" for i in range(len(rows)))
         expected = edge_loop_asymmetry(rows)
         if expected is None:
-            # symmetric rows pass the string check without the per-edge loop
+            # symmetric rows pass the symmetry check without the per-edge loop
             with mock.patch.object(graphs, "_bits", side_effect=AssertionError("edge loop")):
                 assert Graph(labels=labels, adj=rows).adj == rows
         else:
             with pytest.raises(ValueError) as info:
                 Graph(labels=labels, adj=rows)
             assert str(info.value) == expected
+
+
+# -- the string symmetry check, kept as the oracle for the class-pair one --
+
+def string_check_graph(labels, adj):
+    """Graph validation as it was before the class-pair check: the row
+    checks, then every row compared with its column as a string of V
+    characters, then the per-edge scan for the message. Returns the
+    message of the refusal, or None."""
+    v = len(labels)
+    if len(adj) != v:
+        return f"{len(adj)} adjacency rows for {v} labels"
+    if len(set(labels)) != v:
+        return "vertex labels must be unique"
+    for u, row in enumerate(adj):
+        if row < 0 or row >> v:
+            return f"adjacency row {u} has bits outside the vertex range"
+        if (row >> u) & 1:
+            return f"loop at vertex {u} ({labels[u]!r})"
+    strings = [format(row, f"0{v}b")[::-1] for row in adj]
+    big = "".join(strings)
+    if all(s == big[u::v] for u, s in enumerate(strings)):
+        return None
+    for u in range(v):
+        for w in range(v):
+            if (adj[u] >> w) & 1 and not (adj[w] >> u) & 1:
+                return f"asymmetric adjacency between {u} and {w}"
+
+
+def refusal(labels, adj):
+    try:
+        Graph(labels=labels, adj=adj)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def class_path_blowups(draw):
+    """A twin blow-up of a random quotient on at most 4 vertices, each class
+    large enough that V >= (q + 1)^2: the class-pair check runs even after
+    one row leaves its class."""
+    base = draw(random_graphs(max_vertices=4))
+    q = base.vertex_count
+    least = -(-((q + 1) ** 2) // q) if q else 0
+    sizes = draw(st.lists(st.integers(least, least + 4), min_size=q, max_size=q))
+    owner = [b for b, size in enumerate(sizes) for _ in range(size)]
+    owner = [owner[i] for i in draw(st.permutations(range(len(owner))))]
+    edges = [
+        (a, b) for a, b in combinations(range(len(owner)), 2) if base.has_edge(owner[a], owner[b])
+    ]
+    return Graph.from_edges([f"v{i}" for i in range(len(owner))], edges).adj
+
+
+@st.composite
+def validation_inputs(draw):
+    """Rows of a twin blow-up or of a random graph, left symmetric or with
+    one bit flipped in one row, one bit flipped in every row of a class,
+    the bits of one class flipped in every row of another (one way only,
+    so each sees all or none of the other but the two disagree), a loop,
+    or a bit at or past V."""
+    rows = list(draw(st.one_of(class_path_blowups(), st.builds(lambda g: g.adj, random_graphs()))))
+    v = len(rows)
+    change = draw(st.sampled_from(["none", "flip_row", "flip_class", "flip_pair", "loop", "wide"]))
+    if v and change != "none":
+        u = draw(st.integers(0, v - 1))
+        w = draw(st.integers(0, v - 1))
+        if change == "flip_row":
+            rows[u] ^= 1 << w
+        elif change == "flip_class":
+            rows = [row ^ (1 << w) if row == rows[u] else row for row in rows]
+        elif change == "flip_pair":
+            mask = sum(1 << x for x in range(v) if rows[x] == rows[w])
+            rows = [row ^ mask if row == rows[u] else row for row in rows]
+        elif change == "loop":
+            rows[u] |= 1 << u
+        else:
+            rows[u] |= 1 << (v + draw(st.integers(0, 3)))
+    return tuple(rows)
+
+
+class TestSymmetryCheckAgainstStrings:
+    @given(validation_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_same_verdict_and_message(self, rows):
+        labels = tuple(f"v{i}" for i in range(len(rows)))
+        assert refusal(labels, rows) == string_check_graph(labels, rows)
+
+    @given(validation_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_class_pairs_alone_match_strings(self, rows):
+        # on rows within range, whatever m^2 against V
+        v = len(rows)
+        if any(row >> v for row in rows):
+            return
+        classes = {}
+        for u, row in enumerate(rows):
+            classes.setdefault(row, []).append(u)
+        labels = tuple(f"v{i}" for i in range(v))
+        expected = string_check_graph(labels, rows) is None
+        assert graphs._classes_symmetric(rows, list(classes.values())) == expected
+
+    @pytest.mark.parametrize("n, path", [(1, "strings"), (3, "strings"), (4, "classes"), (7, "classes")])
+    def test_check_chosen_by_class_count(self, n, path):
+        # Γ(U(6n)) has V = 5n vertices in m = 4 classes: the class pairs
+        # from n = 4 (16 <= 20), the strings below
+        unused = "_strings_symmetric" if path == "classes" else "_classes_symmetric"
+        g = u6n_group(n)
+        with mock.patch.object(graphs, unused, side_effect=AssertionError(unused)):
+            assert non_commuting_graph(g) == pair_loop_non_commuting_graph(g)
+
+    def test_refused_class_path_names_the_first_asymmetric_pair(self):
+        # K_{5,5} with one arc dropped one way only: m = 3 classes, V = 10
+        labels = tuple(f"v{i}" for i in range(10))
+        rows = list(Graph.from_edges(labels, [(a, b) for a in range(5) for b in range(5, 10)]).adj)
+        rows[6] &= ~(1 << 1)
+        with mock.patch.object(graphs, "_strings_symmetric", side_effect=AssertionError):
+            with pytest.raises(ValueError) as info:
+                Graph(labels=labels, adj=tuple(rows))
+        assert str(info.value) == "asymmetric adjacency between 1 and 6"
