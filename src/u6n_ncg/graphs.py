@@ -67,32 +67,17 @@ def _classes_symmetric(adj: Sequence[int], classes: Sequence[Sequence[int]]) -> 
     return True
 
 
-def _strings_symmetric(adj: Sequence[int]) -> bool:
-    """Whether the rows are symmetric. Character w of strings[u] is bit w of
-    row u, and the strided slice big[u::v] of their join is column u; the
-    rows are symmetric exactly when each string equals its column. Equal
-    rows share one string. O(V^2) characters."""
-    v = len(adj)
-    spec = f"0{v}b"
-    formatted = {row: format(row, spec)[::-1] for row in set(adj)}
-    strings = list(map(formatted.__getitem__, adj))
-    big = "".join(strings)
-    return all(s == big[u::v] for u, s in enumerate(strings))
-
-
 @dataclass(frozen=True)
 class Graph:
     """An undirected graph: vertex labels and one adjacency bitset per
     vertex. Construction refuses rows with bits outside the vertex range,
     loops and asymmetric rows.
 
-    Symmetry is checked one of two ways, chosen from the graph itself. The
-    classes of false twins (equal rows) are computed first, and stay cached
-    for the engines. With m classes and V vertices, m^2 <= V checks the
-    rows class pair by class pair (_classes_symmetric); otherwise each row
-    is compared with its column as a string of V characters
-    (_strings_symmetric). Either way a refused graph is scanned edge by
-    edge for the message that names the first asymmetric pair."""
+    Symmetry is checked on the classes of false twins (equal rows), which
+    are computed first and stay cached for the engines: the rows are
+    compared class pair by class pair (_classes_symmetric). A refused graph
+    is scanned edge by edge for the message that names the first
+    asymmetric pair."""
 
     labels: tuple[str, ...]
     adj: tuple[int, ...]
@@ -108,12 +93,7 @@ class Graph:
                 raise ValueError(f"adjacency row {u} has bits outside the vertex range")
             if (row >> u) & 1:
                 raise ValueError(f"loop at vertex {u} ({self.labels[u]!r})")
-        classes = self._twin_classes
-        if len(classes) ** 2 <= v:
-            symmetric = _classes_symmetric(self.adj, classes)
-        else:
-            symmetric = _strings_symmetric(self.adj)
-        if symmetric:
+        if _classes_symmetric(self.adj, self._twin_classes):
             return
         for u in range(v):
             for w in _bits(self.adj[u]):
