@@ -17,22 +17,28 @@ cells[i] << 8 | cells[order * order + i]; the table takes 2 * order^2
 bytes, 72n^2 for U(6n). Every routine works on whole rows and strided
 columns of a plane with C-level slicing and big-int arithmetic, never
 entry by entry. Commutation is read from one primitive, the commutation
-row of x: row x of the table compared with column x, one byte per
-element. The rows of every element are computed once per group, on its
-first commutation query, and equal rows are held as one object: elements
-with one centralizer share one row, so U(6n) holds 5 distinct rows at
-every n. The center, the centralizers and the non-commuting graph all
-derive from these rows.
+row of x: byte y is 1 when x*y != y*x, one byte per element. The rows of
+every element are computed once per group, on its first commutation
+query, and equal rows are held as one object: elements with one
+centralizer share one row, so U(6n) holds 5 distinct rows at every n.
+The center, the centralizers and the non-commuting graph all derive from
+these rows.
 
-The rows are computed a tile at a time, after the blocked transpose of
-Frigo, Leiserson, Prokop and Ramachandran ("Cache-oblivious algorithms",
-FOCS 1999). A block of _BLOCK_ROWS consecutive table rows is one
-contiguous slice of each plane; the same columns are strided slices,
-read _CHUNK_ROWS table rows at a time with every column of the block
-taken from one chunk before the next, so the strided reads of a chunk
-stay within a few hundred memory pages instead of sweeping the whole
-plane once per column. Each block is compared with its columns in one
-pass of big-int and byte operations and then cut into rows.
+The relation x*y != y*x is symmetric, so the rows are computed from the
+upper triangle of the table only and each entry is read once. The pass
+works a block of _BLOCK_ROWS consecutive rows at a time, after the
+blocked transpose of Frigo, Leiserson, Prokop and Ramachandran
+("Cache-oblivious algorithms", FOCS 1999). For rows x0..x1-1, lanes x0 to
+the end of each row are compared with columns x0..x1-1 over table rows
+x0 to the end. The columns are strided slices, read _CHUNK_ROWS table
+rows at a time with every column of the block taken from one chunk
+before the next, so the strided reads of a chunk stay within a few
+hundred memory pages instead of sweeping the whole plane once per
+column. Each block becomes one strip of 0/1 flags in one pass of big-int
+and byte operations. The lanes left of x0 are those of the earlier
+strips read across: each strip is cut into one piece per later block,
+and a piece is dropped once its block is done, so the pieces held at
+once peak near order^2 / 4 bytes.
 """
 
 from __future__ import annotations
@@ -59,10 +65,10 @@ _DENSE_TABLE_LIMIT = 6000 * 6000
 # a byte of a commutation row: 0 stays 0, any difference becomes 1
 _NONZERO = bytes(1) + b"\x01" * 255
 
-# Tile of the commutation pass: rows per block, and table rows per chunk of
-# the block's strided column reads. Chosen from timings at n = 150 and
-# n = 1000; neither changes any result.
-_BLOCK_ROWS = 32
+# Tile of the commutation pass: rows per block (one strip of the upper
+# triangle), and table rows per chunk of the block's strided column reads.
+# Chosen from timings at n = 150 and n = 1000; neither changes any result.
+_BLOCK_ROWS = 128
 _CHUNK_ROWS = 512
 
 
@@ -146,26 +152,41 @@ class FiniteGroup:
         """The commutation row of every element, computed on the first
         commutation query and kept.
 
-        The pass works a tile at a time. Rows x0..x1-1 of the table (a
-        block of _BLOCK_ROWS, fewer in the last one) are one contiguous
-        slice of each plane. Columns x0..x1-1 of a plane are strided
-        slices of step `order`, read in chunks of _CHUNK_ROWS table rows:
-        every column of the block takes its piece of one chunk before any
-        column moves to the next, and each column's pieces are then
-        joined in order. Block and columns are XORed as big ints, the high
-        plane and the low plane apart; a lane that differs in either is
-        nonzero, and one translate turns the block's lanes into 0/1 flags,
-        cut into rows of `order` bytes. Equal rows are interned, so each
-        distinct row is held once. No plane is ever copied whole."""
+        The flags F[x][y] = [x*y != y*x] are symmetric for any table, so
+        the pass computes only the upper triangle, a strip per block of
+        _BLOCK_ROWS rows x0..x1-1 (fewer in the last block). The row side
+        of the strip is lanes x0..order-1 of each row of the block, one
+        slice per row of each plane. The column side is columns x0..x1-1
+        over table rows x0..order-1, strided slices of step `order` read
+        in chunks of _CHUNK_ROWS table rows: every column of the block
+        takes its piece of one chunk before any column moves to the next,
+        and each column's pieces are then joined in order. The two sides
+        are XORed as big ints, the high plane and the low plane apart; a
+        lane that differs in either is nonzero, and one translate turns
+        the strip into 0/1 flags, order - x0 lanes per row. So each table
+        entry goes through int.from_bytes once.
+
+        Lanes y < x0 of row x are F[y][x], lane x of row y in an earlier
+        strip. Each strip, once made, is cut into one piece per later
+        block: the lanes of that block, row after row. When a block is
+        reached, its pieces are joined, F[y][x0..x1-1] for every y < x0,
+        and each row of the block takes its lanes y < x0 from them with
+        one strided slice. A piece lives from its strip to its block, so
+        the pieces held at once peak near order^2 / 4 bytes, at the middle
+        block. Equal rows are interned, so each distinct row is held once.
+        No plane is ever copied whole."""
         cells, order = self.cells, self.order
         planes = (0, order * order)  # offsets of the high and the low plane
-        chunks = [
-            (y * order, min(y + _CHUNK_ROWS, order) * order) for y in range(0, order, _CHUNK_ROWS)
-        ]
         interned: dict[bytes, bytes] = {}
         rows = []
+        later: dict[int, list[bytes]] = {}  # the pieces of each later block, by its x0
         for x0 in range(0, order, _BLOCK_ROWS):
             x1 = min(x0 + _BLOCK_ROWS, order)
+            width = order - x0
+            chunks = [
+                (y * order, min(y + _CHUNK_ROWS, order) * order)
+                for y in range(x0, order, _CHUNK_ROWS)
+            ]
             differs = 0
             for plane in planes:
                 pieces = [
@@ -174,12 +195,18 @@ class FiniteGroup:
                 ]
                 # zip(*pieces) regroups the chunk-major pieces column by column
                 columns = b"".join(chain.from_iterable(zip(*pieces)))
-                block = cells[plane + x0 * order : plane + x1 * order]
+                row_starts = range(plane + x0 * order + x0, plane + x1 * order, order)
+                block = b"".join([cells[at : at + width] for at in row_starts])
                 differs |= int.from_bytes(block, "big") ^ int.from_bytes(columns, "big")
-            flags = differs.to_bytes((x1 - x0) * order, "big").translate(_NONZERO)
-            for at in range(0, len(flags), order):
-                row = flags[at : at + order]
+            strip = differs.to_bytes((x1 - x0) * width, "big").translate(_NONZERO)
+            starts = range(0, len(strip), width)
+            left = b"".join(later.pop(x0, []))  # x0 rows of x1 - x0 lanes
+            for x, at in zip(range(x0, x1), starts):
+                row = left[x - x0 :: x1 - x0] + strip[at : at + width]
                 rows.append(interned.setdefault(row, row))
+            for c0 in range(x1, order, _BLOCK_ROWS):
+                lo, hi = c0 - x0, min(c0 + _BLOCK_ROWS, order) - x0
+                later.setdefault(c0, []).append(b"".join([strip[at + lo : at + hi] for at in starts]))
         return tuple(rows)
 
     def non_commuting_row(self, x: int) -> bytes:

@@ -4,6 +4,8 @@ import tracemalloc
 from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from u6n_ncg import groups
 from u6n_ncg.closed_forms import cf_omega_classes
@@ -385,7 +387,7 @@ class TestCommutationRowsAgainstScans:
             u6n_group(1).non_commuting_row(6)
 
 
-# -- the row-at-a-time pass, kept as the oracle for the tiled one ----------
+# -- the row-at-a-time pass, kept as the oracle for the triangle pass -------
 
 def row_by_row_commutation(g):
     """Every commutation row from its own pass: row x of each plane of the
@@ -480,9 +482,9 @@ class TestTiledCommutationPass:
         rows = wide_group(name)[0]._commutation_rows
         assert len({id(r) for r in rows}) == len(set(rows))
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 6, 16, 42, 43, 128])
+    @pytest.mark.parametrize("n", [1, 2, 5, 6, 16, 42, 43, 64, 128])
     def test_u6n_matches_row_by_row(self, n):
-        # orders 6..30 fit in one block; 96 and 768 are whole blocks, and
+        # orders 6..96 fit in one block; 384 and 768 are whole blocks, and
         # 768 is more than one chunk; 252 and 258 end on a short block
         g = u6n_group(n)
         assert g._commutation_rows == row_by_row_commutation(g)
@@ -499,6 +501,58 @@ class TestTiledCommutationPass:
             assert_lookups_match_scans(g, table)
             rows = g._commutation_rows
             assert len({id(r) for r in rows}) == len(set(rows))
+
+
+@st.composite
+def arbitrary_cells(draw):
+    """A tile, an order and random planar cells of that order, group or not.
+    Orders include one whole block, one row past it and any number of
+    blocks plus a one-row last block. Entries come from a few values, so
+    that many pairs commute and many rows repeat: 0, 1, 256 and 257, so
+    that two values may differ in one plane only."""
+    block, chunk = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    order = draw(
+        st.one_of(
+            st.integers(1, 70),
+            st.integers(1, 70 // block).map(lambda k: k * block),
+            st.integers(1, 69 // block).map(lambda k: k * block + 1),
+        )
+    )
+    values = draw(st.lists(st.sampled_from([0, 1, 256, 257]), min_size=1, max_size=4))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    entries = [rng.choice(values) for _ in range(order * order)]
+    cells = bytes(v >> 8 for v in entries) + bytes(v & 0xFF for v in entries)
+    return block, chunk, FiniteGroup(tuple(f"g{i}" for i in range(order)), cells, 0)
+
+
+class TestTrianglePass:
+    @settings(max_examples=300, deadline=None)
+    @given(arbitrary_cells())
+    def test_arbitrary_cells_match_row_by_row(self, case):
+        # the triangle needs no group axiom, only that equality is symmetric
+        block, chunk, g = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(groups, "_BLOCK_ROWS", block)
+            patch.setattr(groups, "_CHUNK_ROWS", chunk)
+            rows = g._commutation_rows
+        assert rows == row_by_row_commutation(g)
+        assert all(rows[x][y] == rows[y][x] for x in range(g.order) for y in range(x))
+        assert len({id(r) for r in rows}) == len(set(rows))
+
+    @pytest.mark.parametrize("n, planes", [(300, 1), (1000, 1 / 2)])
+    def test_row_pass_peak_memory(self, n, planes):
+        # no plane (order^2 bytes) is ever copied whole; at n = 1000, where
+        # the pieces outweigh the buffers of one block, they peak near
+        # order^2 / 4 because each is dropped once its block is done
+        g = u6n_group(n)
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            g._commutation_rows
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - baseline < planes * g.order * g.order
 
 
 class TestTableSizeLimit:
