@@ -73,10 +73,11 @@ class Graph:
     vertex. Construction refuses rows with bits outside the vertex range,
     loops and asymmetric rows.
 
-    Symmetry is checked on the classes of false twins (equal rows), which
-    are computed first and stay cached for the engines: the rows are
-    compared class pair by class pair (_classes_symmetric). A refused graph
-    is scanned edge by edge for the message that names the first
+    The rows are checked once per class of false twins (equal rows), which
+    are computed first and stay cached for the engines: the range on one
+    row of each class, then loops and symmetry class pair by class pair
+    (_classes_symmetric). A refused graph is scanned vertex by vertex and
+    edge by edge for the message that names the first bad vertex or
     asymmetric pair."""
 
     labels: tuple[str, ...]
@@ -88,13 +89,21 @@ class Graph:
             raise ValueError(f"{len(self.adj)} adjacency rows for {v} labels")
         if len(set(self.labels)) != v:
             raise ValueError("vertex labels must be unique")
+        classes = self._twin_classes
+        in_range = all(0 <= self.adj[c[0]] < 1 << v for c in classes)
+        if in_range and _classes_symmetric(self.adj, classes):
+            return
+        self._scan_rows()
+
+    def _scan_rows(self) -> None:
+        """Raise the error of the first vertex whose row is out of range or
+        has a loop, else of the first asymmetric pair."""
+        v = len(self.labels)
         for u, row in enumerate(self.adj):
             if row < 0 or row >> v:
                 raise ValueError(f"adjacency row {u} has bits outside the vertex range")
             if (row >> u) & 1:
                 raise ValueError(f"loop at vertex {u} ({self.labels[u]!r})")
-        if _classes_symmetric(self.adj, self._twin_classes):
-            return
         for u in range(v):
             for w in _bits(self.adj[u]):
                 if not (self.adj[w] >> u) & 1:
@@ -180,11 +189,13 @@ def non_commuting_graph(g: FiniteGroup) -> Graph:
     commute. Vertices follow element-index order; row v is the commutation
     row of the v-th of them with the central lanes deleted."""
     rows = g._commutation_rows
-    vertices = [x for x, row in enumerate(rows) if 1 in row]
+    non_central = {row: 1 in row for row in set(rows)}  # each distinct row once
+    vertices = [x for x, row in enumerate(rows) if non_central[row]]
     if not vertices:
         raise ValueError("abelian group: the non-commuting graph has no vertices")
     # a central element commutes with everything, so its lane is 0 in every row
-    adj = _restrict_rows((rows[x] for x in vertices), bytes(0 if 1 in row else 2 for row in rows))
+    marks = bytes(0 if non_central[row] else 2 for row in rows)
+    adj = _restrict_rows((rows[x] for x in vertices), marks)
     return Graph(labels=tuple(g.labels[x] for x in vertices), adj=adj)
 
 

@@ -35,10 +35,9 @@ rows at a time with every column of the block taken from one chunk
 before the next, so the strided reads of a chunk stay within a few
 hundred memory pages instead of sweeping the whole plane once per
 column. Each block becomes one strip of 0/1 flags in one pass of big-int
-and byte operations. The lanes left of x0 are those of the earlier
-strips read across: each strip is cut into one piece per later block,
-and a piece is dropped once its block is done, so the pieces held at
-once peak near order^2 / 4 bytes.
+and byte operations. The lanes left of x0 are lanes x0..x1-1 of the rows
+already built, cut once per distinct row, so no strip outlives its block
+and the pass holds little beyond the buffers of one block.
 """
 
 from __future__ import annotations
@@ -67,8 +66,9 @@ _NONZERO = bytes(1) + b"\x01" * 255
 
 # Tile of the commutation pass: rows per block (one strip of the upper
 # triangle), and table rows per chunk of the block's strided column reads.
-# Chosen from timings at n = 150 and n = 1000; neither changes any result.
-_BLOCK_ROWS = 128
+# Chosen from timings at n = 150 and n = 1000 (block rows 64 and 96 were
+# within noise of each other, 128 slower); neither changes any result.
+_BLOCK_ROWS = 96
 _CHUNK_ROWS = 512
 
 
@@ -166,20 +166,18 @@ class FiniteGroup:
         the strip into 0/1 flags, order - x0 lanes per row. So each table
         entry goes through int.from_bytes once.
 
-        Lanes y < x0 of row x are F[y][x], lane x of row y in an earlier
-        strip. Each strip, once made, is cut into one piece per later
-        block: the lanes of that block, row after row. When a block is
-        reached, its pieces are joined, F[y][x0..x1-1] for every y < x0,
-        and each row of the block takes its lanes y < x0 from them with
-        one strided slice. A piece lives from its strip to its block, so
-        the pieces held at once peak near order^2 / 4 bytes, at the middle
-        block. Equal rows are interned, so each distinct row is held once.
-        No plane is ever copied whole."""
+        Lanes y < x0 of row x are F[y][x], lane x of row y, and every row
+        y < x0 is complete when block x0 is reached. So lanes x0..x1-1 are
+        cut once from each distinct row built so far and joined in element
+        order, F[y][x0..x1-1] for every y < x0, and each row of the block
+        takes its lanes y < x0 from them with one strided slice. Nothing
+        of a strip outlives its block. Equal rows are interned, so each
+        distinct row is held and cut once. No plane is ever copied
+        whole."""
         cells, order = self.cells, self.order
         planes = (0, order * order)  # offsets of the high and the low plane
         interned: dict[bytes, bytes] = {}
         rows = []
-        later: dict[int, list[bytes]] = {}  # the pieces of each later block, by its x0
         for x0 in range(0, order, _BLOCK_ROWS):
             x1 = min(x0 + _BLOCK_ROWS, order)
             width = order - x0
@@ -195,18 +193,16 @@ class FiniteGroup:
                 ]
                 # zip(*pieces) regroups the chunk-major pieces column by column
                 columns = b"".join(chain.from_iterable(zip(*pieces)))
+                del pieces  # not held through the big ints below
                 row_starts = range(plane + x0 * order + x0, plane + x1 * order, order)
                 block = b"".join([cells[at : at + width] for at in row_starts])
                 differs |= int.from_bytes(block, "big") ^ int.from_bytes(columns, "big")
             strip = differs.to_bytes((x1 - x0) * width, "big").translate(_NONZERO)
-            starts = range(0, len(strip), width)
-            left = b"".join(later.pop(x0, []))  # x0 rows of x1 - x0 lanes
-            for x, at in zip(range(x0, x1), starts):
+            lanes = {row: row[x0:x1] for row in interned}
+            left = b"".join(map(lanes.__getitem__, rows))  # x0 rows of x1 - x0 lanes
+            for x, at in zip(range(x0, x1), range(0, len(strip), width)):
                 row = left[x - x0 :: x1 - x0] + strip[at : at + width]
                 rows.append(interned.setdefault(row, row))
-            for c0 in range(x1, order, _BLOCK_ROWS):
-                lo, hi = c0 - x0, min(c0 + _BLOCK_ROWS, order) - x0
-                later.setdefault(c0, []).append(b"".join([strip[at + lo : at + hi] for at in starts]))
         return tuple(rows)
 
     def non_commuting_row(self, x: int) -> bytes:

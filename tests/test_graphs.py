@@ -210,6 +210,10 @@ class TestConstruction:
         [
             (("u", "v", "w"), (2, 1), "2 adjacency rows for 3 labels"),
             (("u", "v"), (6, 1), "adjacency row 0 has bits outside the vertex range"),
+            (("u", "v", "w"), (2, 1, -8), "adjacency row 2 has bits outside the vertex range"),
+            (("u", "v", "w"), (8, 8, 8), "adjacency row 0 has bits outside the vertex range"),
+            (("u", "v", "w"), (6, 1, 5), "loop at vertex 2 ('w')"),
+            (("u", "v", "w"), (2, 5, 0), "asymmetric adjacency between 1 and 2"),
         ],
     )
     def test_validation_rejects_bad_rows(self, labels, adj, message):
@@ -623,10 +627,12 @@ def validation_inputs(draw):
     one bit flipped in one row, one bit flipped in every row of a class,
     the bits of one class flipped in every row of another (one way only,
     so each sees all or none of the other but the two disagree), a loop,
-    or a bit at or past V."""
+    a bit at or past V in one row or in every row of a class, or one row
+    or every row of a class made negative with its lanes below V kept."""
     rows = list(draw(st.one_of(small_quotient_blowups(), st.builds(lambda g: g.adj, random_graphs()))))
     v = len(rows)
-    change = draw(st.sampled_from(["none", "flip_row", "flip_class", "flip_pair", "loop", "wide"]))
+    changes = ["none", "flip_row", "flip_class", "flip_pair", "loop"]
+    change = draw(st.sampled_from(changes + ["wide", "wide_class", "negative", "negative_class"]))
     if v and change != "none":
         u = draw(st.integers(0, v - 1))
         w = draw(st.integers(0, v - 1))
@@ -639,9 +645,54 @@ def validation_inputs(draw):
             rows = [row ^ mask if row == rows[u] else row for row in rows]
         elif change == "loop":
             rows[u] |= 1 << u
-        else:
+        elif change == "wide":
             rows[u] |= 1 << (v + draw(st.integers(0, 3)))
+        elif change == "wide_class":
+            rows = [row | 1 << (v + w) if row == rows[u] else row for row in rows]
+        elif change == "negative":
+            rows[u] -= 1 << (v + w)
+        else:
+            rows = [row - (1 << (v + w)) if row == rows[u] else row for row in rows]
     return tuple(rows)
+
+
+# -- the per-vertex checks, kept as the oracle for the per-class ones -------
+
+def per_vertex_check_graph(labels, adj):
+    """Graph validation as it was before the range check moved to the
+    twin classes: the range and the loop checked row by row, then the
+    class-pair symmetry check, then the per-edge scan for the message.
+    Returns the message of the refusal, or None."""
+    v = len(labels)
+    if len(adj) != v:
+        return f"{len(adj)} adjacency rows for {v} labels"
+    if len(set(labels)) != v:
+        return "vertex labels must be unique"
+    for u, row in enumerate(adj):
+        if row < 0 or row >> v:
+            return f"adjacency row {u} has bits outside the vertex range"
+        if (row >> u) & 1:
+            return f"loop at vertex {u} ({labels[u]!r})"
+    classes = {}
+    for u, row in enumerate(adj):
+        classes.setdefault(row, []).append(u)
+    if graphs._classes_symmetric(adj, list(classes.values())):
+        return None
+    return edge_loop_asymmetry(adj)
+
+
+class TestPerClassChecksAgainstPerVertex:
+    @given(validation_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_same_verdict_and_message(self, rows):
+        labels = tuple(f"v{i}" for i in range(len(rows)))
+        expected = per_vertex_check_graph(labels, rows)
+        if expected is None:
+            # accepted rows are never scanned vertex by vertex
+            with mock.patch.object(Graph, "_scan_rows", side_effect=AssertionError("scan")):
+                assert Graph(labels=labels, adj=rows).adj == rows
+        else:
+            assert refusal(labels, rows) == expected
 
 
 class TestSymmetryCheckAgainstStrings:
