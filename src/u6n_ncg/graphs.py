@@ -189,12 +189,12 @@ def non_commuting_graph(g: FiniteGroup) -> Graph:
     commute. Vertices follow element-index order; row v is the commutation
     row of the v-th of them with the central lanes deleted."""
     rows = g._commutation_rows
-    non_central = {row: 1 in row for row in set(rows)}  # each distinct row once
-    vertices = [x for x, row in enumerate(rows) if non_central[row]]
+    is_vertex = {row: 1 in row for row in set(rows)}  # each distinct row once
+    vertices = [x for x, row in enumerate(rows) if is_vertex[row]]
     if not vertices:
         raise ValueError("abelian group: the non-commuting graph has no vertices")
     # a central element commutes with everything, so its lane is 0 in every row
-    marks = bytes(0 if non_central[row] else 2 for row in rows)
+    marks = bytes(0 if is_vertex[row] else 2 for row in rows)
     adj = _restrict_rows((rows[x] for x in vertices), marks)
     return Graph(labels=tuple(g.labels[x] for x in vertices), adj=adj)
 

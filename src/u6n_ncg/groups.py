@@ -134,19 +134,6 @@ class FiniteGroup:
         at = x * self.order + y
         return self.cells[at] << 8 | self.cells[self.order * self.order + at]
 
-    def inv(self, x: int) -> int:
-        self._check_index(x)
-        order = self.order
-        start = order * order + x * order
-        low_row = self.cells[start : start + order]
-        low = bytes([self.identity & 0xFF])
-        y = low_row.find(low)
-        while y >= 0:
-            if self.mul(x, y) == self.identity == self.mul(y, x):
-                return y
-            y = low_row.find(low, y + 1)
-        raise ValueError(f"element {self.labels[x]!r} has no inverse")
-
     @cached_property
     def _commutation_rows(self) -> tuple[bytes, ...]:
         """The commutation row of every element, computed on the first
@@ -222,9 +209,6 @@ class FiniteGroup:
     def center(self) -> frozenset[int]:
         """Elements commuting with everything."""
         return frozenset(x for x, row in enumerate(self._commutation_rows) if 1 not in row)
-
-    def non_central(self) -> tuple[int, ...]:
-        return tuple(x for x, row in enumerate(self._commutation_rows) if 1 in row)
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"

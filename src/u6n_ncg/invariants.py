@@ -287,7 +287,7 @@ def _class_detours(graph: Graph, cap: int) -> list[list[int]]:
     v_count = graph.vertex_count
     if m <= _QUOTIENT_CLASSES and _hamilton_connected(quotient, sizes):
         return [[v_count - 1 if a != w or sizes[a] > 1 else 0 for w in range(m)] for a in range(m)]
-    _check_cap("detour_matrix", v_count, cap, "vertices")
+    _check_cap("detour_polynomial", v_count, cap, "vertices")
     if not is_connected(graph):
         raise DisconnectedGraphError("detour distance requires a connected graph")
 
@@ -317,25 +317,6 @@ def _class_detours(graph: Graph, cap: int) -> list[list[int]]:
                         grown[x] |= row[w]
             ends[a] = [(g & r) << step for g, r, step in zip(grown, room, stride)]
     return best
-
-
-def detour_matrix(graph: Graph, cap: int = DEFAULT_CAPS.detour) -> tuple[tuple[int, ...], ...]:
-    """All-pairs longest-simple-path lengths, spread from the class pairs
-    to the vertices; twins share their rows."""
-    best = _class_detours(graph, cap)
-    index = _class_index(graph)
-    return tuple(
-        tuple(best[a][index[w]] if u != w else 0 for w in range(graph.vertex_count))
-        for u, a in enumerate(index)
-    )
-
-
-def detour_distance(graph: Graph, u: int, v: int, cap: int = DEFAULT_CAPS.detour) -> int:
-    graph._check_vertex(u)
-    graph._check_vertex(v)
-    best = _class_detours(graph, cap)
-    index = _class_index(graph)
-    return best[index[u]][index[v]] if u != v else 0
 
 
 def detour_polynomial(graph: Graph, cap: int = DEFAULT_CAPS.detour) -> IntPolynomial:
@@ -611,24 +592,6 @@ def _hits_all(subset: int, masks: list[int]) -> bool:
         if not subset & mask:
             return False
     return True
-
-
-def is_resolving(graph: Graph, witness) -> bool:
-    """True when distance vectors to the witness set separate all
-    vertices."""
-    subset = 0
-    for w in witness:
-        graph._check_vertex(w)
-        subset |= 1 << w
-    masks = _disagreement_masks(graph)
-    pattern = 0
-    for members in twin_classes(graph):
-        left_out = [u for u in members if not subset >> u & 1]
-        if len(left_out) > 1:  # only twins tell twins apart
-            return False
-        if not left_out:
-            pattern |= 1 << members[0]
-    return _hits_all(pattern, masks)
 
 
 def _resolving_counts(graph: Graph) -> list[int]:

@@ -163,37 +163,10 @@ class IntPolynomial:
     def __repr__(self) -> str:
         return f"IntPolynomial({self})"
 
-    @classmethod
-    def parse(cls, text: str) -> "IntPolynomial":
-        """Inverse of str() for canonical strings."""
-        text = text.strip()
-        if text == "0":
-            return cls()
-        terms = []
-        for part in text.split(" + "):
-            part = part.strip()
-            if "x" not in part:
-                terms.append((0, int(part)))
-                continue
-            head, _, tail = part.partition("x")
-            if head == "":
-                coeff = 1
-            elif head.endswith("*"):
-                coeff = int(head[:-1])
-            else:
-                raise ValueError(f"malformed term {part!r}")
-            exp = 1 if tail == "" else int(tail.removeprefix("^"))
-            terms.append((exp, coeff))
-        return cls.from_terms(terms)
-
     def to_json_terms(self) -> list[list]:
         """[[exponent, "coefficient"], ...] ascending, coefficients as
         decimal strings so arbitrary precision survives any JSON reader."""
         return [[exp, str(coeff)] for exp, coeff in self.terms()]
-
-    @classmethod
-    def from_json_terms(cls, data: Iterable) -> "IntPolynomial":
-        return cls.from_terms((int(exp), int(coeff)) for exp, coeff in data)
 
 
 # a word-size prime; an integer root of a polynomial is a root modulo it

@@ -128,27 +128,6 @@ class TestU6nConstruction:
             g.mul(-1, 0)
 
 
-class TestInverses:
-    def test_identity_inverse(self):
-        g = u6n_group(2)
-        assert g.inv(g.identity) == g.identity
-
-    def test_a_has_order_2n(self):
-        g = u6n_group(2)
-        a, a3 = 3, 9
-        assert g.inv(a) == a3
-
-    def test_b_inverse_is_b_squared(self):
-        g = u6n_group(1)
-        assert g.inv(1) == 2
-
-    def test_all_inverses_two_sided(self):
-        g = u6n_group(3)
-        for x in range(g.order):
-            y = g.inv(x)
-            assert g.mul(x, y) == g.identity == g.mul(y, x)
-
-
 class TestCenterAndCentralizers:
     def test_center_n1_trivial(self):
         assert u6n_group(1).center() == {0}
@@ -212,7 +191,7 @@ class TestCayleyTableLoading:
         g = group_from_table(C3_LABELS, C3_TABLE)
         assert g.order == 3
         assert g.identity == 0
-        assert g.inv(1) == 2
+        assert g.mul(1, 2) == g.mul(2, 1) == 0
 
     def test_identity_detected_off_index_zero(self):
         # C3 with the identity stored at index 1
@@ -326,10 +305,6 @@ def scan_center(t):
     )
 
 
-def scan_inverse(t, x, e):
-    return next(y for y in range(len(t)) if t[x][y] == e and t[y][x] == e)
-
-
 # every group the suite loads from a table, and S3 (= U(6)) from its table
 TABLE_GROUPS = [
     (["e"], [[0]]),
@@ -341,15 +316,12 @@ TABLE_GROUPS = [
 
 
 def assert_lookups_match_scans(g, t):
-    """mul, inv and every commutation query of g against the table t."""
+    """mul and every commutation query of g against the table t."""
     order = len(t)
     assert g.order == order
     assert all(g.mul(x, y) == t[x][y] for x in range(order) for y in range(order))
-    assert all(g.inv(x) == scan_inverse(t, x, g.identity) for x in range(order))
     assert g.is_abelian() == scan_is_abelian(t)
-    center = scan_center(t)
-    assert g.center() == center
-    assert g.non_central() == tuple(x for x in range(order) if x not in center)
+    assert g.center() == scan_center(t)
     for x in range(order):
         row = g.non_commuting_row(x)
         assert row == bytes(t[x][y] != t[y][x] for y in range(order))

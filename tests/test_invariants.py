@@ -18,9 +18,7 @@ from u6n_ncg.invariants import (
     is_connected,
     chromatic_number,
     clique_number,
-    detour_distance,
     detour_index,
-    detour_matrix,
     detour_polynomial,
     distance_matrix,
     eccentric_connectivity_polynomial,
@@ -28,7 +26,6 @@ from u6n_ncg.invariants import (
     eccentricity,
     independence_number,
     independence_polynomial,
-    is_resolving,
     metric_dimension,
     resolving_polynomial,
     total_eccentricity_polynomial,
@@ -148,24 +145,26 @@ class TestEccentricity:
 
 class TestDetour:
     def test_commuting_pair_n1(self):
+        # b and b^2 commute, yet one term x^4 puts them at detour 4 too
         graph = ncg(1)
-        assert detour_distance(graph, vid(graph, "b"), vid(graph, "b^2")) == 4
+        assert not graph.has_edge(vid(graph, "b"), vid(graph, "b^2"))
+        assert detour_polynomial(graph) == IntPolynomial.monomial(4, 10)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_every_pair_is_hamiltonian(self, n):
-        matrix = detour_matrix(ncg(n))
-        v = len(matrix)
-        for u in range(v):
-            for w in range(u + 1, v):
-                assert matrix[u][w] == 5 * n - 1
+        # one term C(V, 2) x^(5n-1) puts every pair at 5n - 1
+        graph = ncg(n)
+        assert graph.vertex_count == 5 * n
+        assert detour_polynomial(graph) == IntPolynomial.monomial(5 * n - 1, comb(5 * n, 2))
 
     def test_path_endpoints(self):
-        assert detour_distance(path_graph(3), 0, 2) == 2
+        # two adjacent pairs at 1, the endpoints at 2
+        assert detour_polynomial(path_graph(3)) == IntPolynomial.from_terms([(1, 2), (2, 1)])
 
     def test_cycle_detour(self):
         # longest simple path between adjacent cycle vertices walks the
-        # long way round
-        assert detour_distance(cycle_graph(5), 0, 1) == 4
+        # long way round, 4 edges; the other five pairs take 3
+        assert detour_polynomial(cycle_graph(5)) == IntPolynomial.from_terms([(3, 5), (4, 5)])
 
     def test_polynomials(self):
         assert detour_polynomial(ncg(1)) == IntPolynomial.monomial(4, 10)
@@ -179,11 +178,11 @@ class TestDetour:
 
     def test_cap(self):
         with pytest.raises(CapacityError):
-            detour_matrix(path_graph(16))
+            detour_polynomial(path_graph(16))
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
-            detour_matrix(DISCONNECTED)
+            detour_polynomial(DISCONNECTED)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_pair_count_identity(self, n):
@@ -346,22 +345,7 @@ class TestCliqueAndChromatic:
 
 
 class TestResolvingSets:
-    def test_known_resolving_set_n1(self):
-        graph = ncg(1)
-        witness = [vid(graph, "a"), vid(graph, "ab"), vid(graph, "b")]
-        assert is_resolving(graph, witness)
-
-    def test_known_non_resolving_set_n1(self):
-        graph = ncg(1)
-        assert not is_resolving(graph, [vid(graph, "a"), vid(graph, "ab")])
-
-    def test_full_vertex_set_resolves(self):
-        for graph in (ncg(1), ncg(2), path_graph(5)):
-            assert is_resolving(graph, range(graph.vertex_count))
-
     def test_disconnected_rejected(self):
-        with pytest.raises(DisconnectedGraphError):
-            is_resolving(DISCONNECTED, [0])
         with pytest.raises(DisconnectedGraphError):
             metric_dimension(DISCONNECTED)
 
@@ -416,18 +400,6 @@ class TestResolvingSets:
         assert seq.counts[-1] == 1
         assert seq.counts[-2] == graph.vertex_count
 
-    def test_supersets_of_resolving_sets_resolve(self):
-        graph = ncg(1)
-        v = graph.vertex_count
-        minimal = [
-            set(c) for c in combinations(range(v), 3) if is_resolving(graph, c)
-        ]
-        assert minimal
-        for base in minimal:
-            for extra in range(v):
-                if extra not in base:
-                    assert is_resolving(graph, base | {extra})
-
 
 def naive_detour_matrix(graph):
     """Longest simple paths by plain DFS over all paths; independent of
@@ -450,14 +422,24 @@ def naive_detour_matrix(graph):
     return best
 
 
+def spread_detours(graph, cap=DEFAULT_CAPS.detour):
+    """All-pairs detour distances: the engine's class-pair values spread
+    over the class members, 0 on the diagonal."""
+    best = invariants._class_detours(graph, cap)
+    index = invariants._class_index(graph)
+    return tuple(
+        tuple(best[a][index[w]] if u != w else 0 for w in range(graph.vertex_count))
+        for u, a in enumerate(index)
+    )
+
+
 class TestDetourAgainstNaiveSearch:
     @given(random_graphs(max_vertices=7))
     @settings(max_examples=60)
     def test_matrix_matches_path_enumeration(self, graph):
         assume(is_connected(graph))
         expected = naive_detour_matrix(graph)
-        matrix = detour_matrix(graph)
-        assert [list(row) for row in matrix] == expected
+        assert [list(row) for row in spread_detours(graph)] == expected
 
 
 def resolves_by_vectors(dist, members):
@@ -510,10 +492,6 @@ class TestResolvingAgainstDirectEnumeration:
         beta = next(k for k, c in enumerate(expected) if c)
         assert seq.beta == beta
         assert metric_dimension(graph) == beta
-        dist = distance_matrix(graph)
-        for k in range(v + 1):
-            for combo in combinations(range(v), k):
-                assert is_resolving(graph, combo) == resolves_by_vectors(dist, combo)
 
 
 class TestCoverAgainstDirectEnumeration:
@@ -699,7 +677,7 @@ def assert_engines_match_oracles(graph):
         (v - k, c) for k, c in expected.terms()
     )
     if not is_connected(graph):
-        for engine in (resolving_polynomial, metric_dimension, detour_matrix):
+        for engine in (resolving_polynomial, metric_dimension, detour_polynomial):
             with pytest.raises(DisconnectedGraphError):
                 engine(graph)
         return
@@ -709,7 +687,7 @@ def assert_engines_match_oracles(graph):
     beta = next(k for k, c in enumerate(counts) if c)
     assert (seq.beta, seq.counts) == (beta, tuple(counts[beta:]))
     assert metric_dimension(graph) == gosper_metric_dimension(graph) == beta
-    assert detour_matrix(graph) == subset_detour_matrix(graph)
+    assert spread_detours(graph) == subset_detour_matrix(graph)
 
 
 class TestTwinClassEnginesAgainstSubsetOracles:
@@ -733,7 +711,7 @@ class TestTwinClassEnginesAgainstSubsetOracles:
         assert_engines_match_oracles(graph)
         assert independence_polynomial(graph) == (IntPolynomial.monomial(1) + 1) ** v
         assert resolving_polynomial(graph)[1].beta == 0
-        assert detour_matrix(graph) == ((0,),) * v
+        assert spread_detours(graph) == ((0,),) * v
 
     @pytest.mark.parametrize(
         "engine, cap",
@@ -743,7 +721,7 @@ class TestTwinClassEnginesAgainstSubsetOracles:
             (resolving_polynomial, DEFAULT_CAPS.resolving),
             (metric_dimension, DEFAULT_CAPS.metric),
             (chromatic_number, DEFAULT_CAPS.chromatic),
-            (detour_matrix, DEFAULT_CAPS.detour),
+            (detour_polynomial, DEFAULT_CAPS.detour),
         ],
     )
     def test_one_vertex_over_the_cap_is_refused_before_any_work(self, engine, cap):
@@ -775,16 +753,6 @@ class TestTwinClassEnginesAgainstSubsetOracles:
         assert len(set(masks)) == len(masks)
         assert [m.bit_count() for m in masks] == sorted(m.bit_count() for m in masks)
         assert all(m & firsts == m for m in masks)
-
-    @given(twin_blowups(max_vertices=10))
-    @settings(max_examples=40, deadline=None)
-    def test_is_resolving_matches_distance_vectors_with_twins(self, graph):
-        assume(is_connected(graph))
-        v = graph.vertex_count
-        dist = distance_matrix(graph)
-        for k in range(v + 1):
-            for combo in combinations(range(v), k):
-                assert is_resolving(graph, combo) == resolves_by_vectors(dist, combo)
 
 
 def shift_unpacking_independence_polynomial(graph):
@@ -898,9 +866,9 @@ class TestClosedFormsPastTheOracles:
         assert metric_dimension(graph, cap=big) == closed_forms.cf_metric_dimension(n)
         assert independence_polynomial(graph, cap=big) == closed_forms.cf_independence_polynomial(n)
         assert vertex_cover_polynomial(graph, cap=big) == closed_forms.cf_vertex_cover_polynomial(n)
-        matrix = detour_matrix(graph, cap=big)
+        # one term C(V, 2) x^(5n-1) puts every pair at 5n - 1
         v = graph.vertex_count
-        assert all(matrix[a][b] == (0 if a == b else 5 * n - 1) for a in range(v) for b in range(v))
+        assert detour_polynomial(graph, cap=big) == IntPolynomial.monomial(5 * n - 1, comb(v, 2))
 
 
 @st.composite
@@ -999,11 +967,12 @@ class TestDetourOnTheTwinQuotient:
         # through the centre cannot cover, so the DP and its cap decide
         graph = Graph.from_edges([f"s{i}" for i in range(21)], [(0, i) for i in range(1, 21)])
         assert not _hamilton_connected(*graph._twin_quotient)
-        message = "^detour_matrix handles at most 15 vertices, got 21$"
+        message = "^detour_polynomial handles at most 15 vertices, got 21$"
         with pytest.raises(CapacityError, match=message):
             detour_polynomial(graph)
-        assert detour_polynomial(graph, cap=21) == dp_detour_polynomial(graph)
-        assert detour_distance(graph, 1, 2, cap=21) == 2
+        # 20 centre-leaf pairs at 1, C(20, 2) leaf pairs at 2
+        expected = IntPolynomial.from_terms([(1, 20), (2, comb(20, 2))])
+        assert detour_polynomial(graph, cap=21) == dp_detour_polynomial(graph) == expected
 
 
 # -- full-graph searches, kept as oracles for the twin-quotient ones ------

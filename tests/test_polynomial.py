@@ -197,21 +197,9 @@ class TestCanonicalStrings:
     def test_rendering(self, terms, expected):
         assert str(IntPolynomial.from_terms(terms)) == expected
 
-    def test_parse_examples(self):
-        assert IntPolynomial.parse("1 + 5*x + x^2") == IntPolynomial.from_terms(
-            [(0, 1), (1, 5), (2, 1)]
-        )
-        assert IntPolynomial.parse("0") == IntPolynomial()
-
-    def test_parse_refuses_a_coefficient_without_its_star(self):
-        with pytest.raises(ValueError) as info:
-            IntPolynomial.parse("3x")
-        assert str(info.value) == "malformed term '3x'"
-
     def test_json_terms_round_trip(self):
         p = IntPolynomial.from_terms([(0, 1), (6, 32), (10, 1)])
         assert p.to_json_terms() == [[0, "1"], [6, "32"], [10, "1"]]
-        assert IntPolynomial.from_json_terms(p.to_json_terms()) == p
 
 
 class TestRingAxioms:
@@ -240,6 +228,6 @@ class TestRingAxioms:
         assert (p * q).evaluate(v) == p.evaluate(v) * q.evaluate(v)
         assert (p + q).evaluate(v) == p.evaluate(v) + q.evaluate(v)
 
-    @given(small_polys)
-    def test_canonical_string_round_trips(self, p):
-        assert IntPolynomial.parse(str(p)) == p
+    @given(small_polys, small_polys)
+    def test_canonical_string_tells_polynomials_apart(self, p, q):
+        assert (str(p) == str(q)) == (p == q)
