@@ -128,6 +128,30 @@ class TestU6nConstruction:
             g.mul(-1, 0)
 
 
+class TestInverses:
+    # each element's inverse read off the table through mul
+    def test_identity_inverse(self):
+        g = u6n_group(2)
+        assert g.mul(g.identity, g.identity) == g.identity
+
+    def test_a_has_order_2n(self):
+        g = u6n_group(2)
+        a, a3 = 3, 9
+        assert g.mul(a, a3) == g.identity == g.mul(a3, a)
+        assert g.mul(a, a) != g.identity
+
+    def test_b_inverse_is_b_squared(self):
+        g = u6n_group(1)
+        assert g.mul(1, 2) == g.identity == g.mul(2, 1)
+
+    def test_all_inverses_two_sided(self):
+        g = u6n_group(3)
+        for x in range(g.order):
+            right = [y for y in range(g.order) if g.mul(x, y) == g.identity]
+            left = [y for y in range(g.order) if g.mul(y, x) == g.identity]
+            assert len(right) == 1 and right == left
+
+
 class TestCenterAndCentralizers:
     def test_center_n1_trivial(self):
         assert u6n_group(1).center() == {0}

@@ -394,6 +394,40 @@ class TestResolvingSets:
         with pytest.raises(CapacityError):
             resolving_polynomial(path_graph(17))
 
+    # resolving sets checked by their distance vectors, tied to the engines
+    def test_known_resolving_set_n1(self):
+        graph = ncg(1)
+        witness = [vid(graph, "a"), vid(graph, "ab"), vid(graph, "b")]
+        assert resolves_by_vectors(distance_matrix(graph), witness)
+        assert metric_dimension(graph) == len(witness)
+
+    def test_known_non_resolving_set_n1(self):
+        graph = ncg(1)
+        assert not resolves_by_vectors(distance_matrix(graph), [vid(graph, "a"), vid(graph, "ab")])
+
+    def test_full_vertex_set_resolves(self):
+        for graph in (ncg(1), ncg(2), path_graph(5)):
+            v = graph.vertex_count
+            assert resolves_by_vectors(distance_matrix(graph), range(v))
+            assert resolving_polynomial(graph)[0].coefficient(v) == 1
+
+    def test_supersets_of_resolving_sets_resolve(self):
+        graph = ncg(1)
+        v = graph.vertex_count
+        dist = distance_matrix(graph)
+        minimal = [
+            set(c) for c in combinations(range(v), 3) if resolves_by_vectors(dist, c)
+        ]
+        poly, _ = resolving_polynomial(graph)
+        assert len(minimal) == poly.coefficient(3)
+        supersets = set()
+        for base in minimal:
+            for extra in range(v):
+                if extra not in base:
+                    assert resolves_by_vectors(dist, base | {extra})
+                    supersets.add(frozenset(base | {extra}))
+        assert len(supersets) == poly.coefficient(4)
+
     @pytest.mark.parametrize("graph", [ncg(1), ncg(2), path_graph(4), complete_graph(3)])
     def test_top_two_counts(self, graph):
         _, seq = resolving_polynomial(graph)
@@ -753,6 +787,15 @@ class TestTwinClassEnginesAgainstSubsetOracles:
         assert len(set(masks)) == len(masks)
         assert [m.bit_count() for m in masks] == sorted(m.bit_count() for m in masks)
         assert all(m & firsts == m for m in masks)
+
+
+    @given(twin_blowups(max_vertices=10))
+    @settings(max_examples=40, deadline=None)
+    def test_resolving_counts_match_distance_vectors_with_twins(self, graph):
+        assume(is_connected(graph))
+        poly, _ = resolving_polynomial(graph)
+        expected = naive_resolving_counts(graph)
+        assert [poly.coefficient(k) for k in range(graph.vertex_count + 1)] == expected
 
 
 def shift_unpacking_independence_polynomial(graph):

@@ -201,6 +201,13 @@ class TestCanonicalStrings:
         p = IntPolynomial.from_terms([(0, 1), (6, 32), (10, 1)])
         assert p.to_json_terms() == [[0, "1"], [6, "32"], [10, "1"]]
 
+    @given(small_polys)
+    def test_json_terms_rebuild_the_polynomial(self, p):
+        terms = p.to_json_terms()
+        assert [k for k, _ in terms] == sorted({k for k, _ in terms})
+        assert all(isinstance(c, str) and c != "0" for _, c in terms)
+        assert IntPolynomial.from_terms((k, int(c)) for k, c in terms) == p
+
 
 class TestRingAxioms:
     @given(small_polys, small_polys)
