@@ -7,7 +7,12 @@ verify (full brute-vs-closed report).
 Exit codes: 0 success, 1 usage or I/O error, 2 at least one mismatch in a
 verification report, 3 at least one `error` entry in a verification report
 (an engine raised; each such entry is also written to stderr). 3 takes
-precedence over 2: a report with both exits 3.
+precedence over 2: a report with both exits 3. A stdout closed by its
+reader (`u6n-ncg verify ... | head -1`) stops the command with exit 1, the
+code of an I/O error, and nothing on stderr.
+
+`verify` writes each report as soon as it is computed; the `error` lines
+on stderr follow the last report.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -22,7 +28,7 @@ from . import closed_forms, invariants
 from .graphs import export_graph, non_commuting_graph
 from .groups import group_from_json, u6n_group, u6n_order
 from .invariants import Caps, DEFAULT_CAPS
-from .verify import report_to_json, verify_all
+from .verify import VerificationReport, report_to_json, verify_all
 
 # Each entry looks its engine up when called, so that a rebound module
 # attribute (a test's monkeypatch, a tracer's span) is the one that runs.
@@ -194,17 +200,31 @@ def _cmd_verify(args) -> int:
         if last < first or first < 1:
             raise ValueError(f"--n-range {args.n_range!r} is empty or starts below 1")
     u6n_order(last)  # refuse an over-limit n before computing any report
-    reports = [verify_all(n, caps=caps) for n in range(first, last + 1)]
-    if args.format == "json":
-        print(report_to_json(reports))
+    # each report is written as soon as it is computed and then dropped, so
+    # a range holds one report at a time; a JSON range is the array that
+    # json.dumps(..., indent=2) writes
+    if args.format == "text":
+        head, sep, tail, render = "", "\n\n", "\n", VerificationReport.to_text
+    elif first == last:
+        head, sep, tail, render = "", "", "\n", lambda report: report_to_json([report])
     else:
-        print("\n\n".join(r.to_text() for r in reports))
-    errors = [(r.n, e) for r in reports for e in r.entries if e.status == "error"]
-    for n, e in errors:
-        sys.stderr.write(f"u6n-ncg: error: n = {n}, {e.name}: {e.error}\n")
+        head, sep, tail = "[\n  ", ",\n  ", "\n]\n"
+        render = functools.partial(VerificationReport.to_json, level=1)
+    errors, mismatch = [], False
+    out = sys.stdout
+    for n in range(first, last + 1):
+        report = verify_all(n, caps=caps)
+        out.write(sep if n > first else head)
+        out.write(render(report))
+        errors += [f"n = {n}, {e.name}: {e.error}" for e in report.entries if e.status == "error"]
+        mismatch = mismatch or report.has_mismatch()
+        del report  # not held while the next one is computed
+    out.write(tail)
+    for error in errors:
+        sys.stderr.write(f"u6n-ncg: error: {error}\n")
     if errors:
         return 3
-    return 2 if any(r.has_mismatch() for r in reports) else 0
+    return 2 if mismatch else 0
 
 
 _COMMANDS = {
@@ -223,7 +243,17 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader left early, as `| head` does: say nothing, and point
+        # stdout at devnull so that the flush at exit writes nothing either
+        # (the Python docs' note on SIGPIPE)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"u6n-ncg: error: {exc}\n")
         return 1

@@ -19,6 +19,14 @@ exception's text, which the JSON leaves out. Statuses:
 A disagreement never raises: it becomes an entry, and the exhaustive
 side is the authority. An exception from an engine becomes an `error`
 entry, and the report goes on with the next entry.
+
+A report's JSON is the text json.dumps(report.to_json_obj(), indent=2)
+writes, but `to_json` writes it straight from the entries, with no object
+tree in between: scalars through `_SCALAR_TEXT`, a tuple of labels with one
+join, nested tuples recursively, and a polynomial with one formatted string
+per term. Its `level` indents a report as an element of an array, so the
+CLI writes a range report by report, each as soon as it is computed, and
+never holds more than one.
 """
 
 from __future__ import annotations
@@ -70,6 +78,27 @@ class VerificationReport:
                 for e in self.entries
             ],
         }
+
+    def to_json(self, level: int = 0) -> str:
+        """The text of json.dumps(self.to_json_obj(), indent=2), written
+        straight from the entries; each line after the first is indented
+        by `level` more steps of two spaces, as in an array of reports."""
+        indent = "\n" + "  " * level
+        inner = indent + "  "
+        row = inner + "  "
+        cell = row + "  "
+        entries = [
+            f'{{{cell}"name": {encode_basestring_ascii(e.name)},'
+            f'{cell}"predicted": {_json_text(e.predicted, cell)},'
+            f'{cell}"computed": {_json_text(e.computed, cell)},'
+            f'{cell}"status": {encode_basestring_ascii(e.status)}{row}}}'
+            for e in self.entries
+        ]
+        entries = "[" + row + ("," + row).join(entries) + inner + "]" if entries else "[]"
+        return (
+            "{" + inner + '"n": ' + _json_text(self.n, inner)
+            + "," + inner + '"entries": ' + entries + indent + "}"
+        )
 
     def to_text(self) -> str:
         header = f"{'invariant':<36} {'status':<22} {'predicted':<30} computed"
@@ -319,41 +348,37 @@ def verify_all(n: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
 
 def report_to_json(reports: list[VerificationReport]) -> str:
     """One report object for a single n, an array for a range."""
-    objs = [r.to_json_obj() for r in reports]
-    return _dumps(objs[0] if len(objs) == 1 else objs)
+    if len(reports) == 1:
+        return reports[0].to_json()
+    if not reports:
+        return "[]"
+    return "[\n  " + ",\n  ".join(r.to_json(level=1) for r in reports) + "\n]"
 
 
-def _dumps(value, indent: str = "\n") -> str:
-    """The text of json.dumps(value, indent=2) for str, int, bool and None
-    held in lists, tuples and dicts with str keys; any other type raises
-    TypeError, as does a key that is not a str. Before Python 3.13,
-    json.dumps runs its pure-Python encoder whenever it indents, one
-    generator step per token; here a container writes its scalars itself,
-    and a run of scalars of one type with one join."""
+def _json_text(value, indent: str) -> str:
+    """The text of json.dumps(_json_value(value), indent=2) for a value
+    whose first line sits at `indent`, a newline and the spaces before it;
+    a value _json_value refuses raises TypeError here too."""
     text = _SCALAR_TEXT.get(type(value))
     if text is not None:
         return text(value)
     inner = indent + "  "
-    if type(value) is dict:
-        if not value:
-            return "{}"
-        items = []
-        for key, v in value.items():
-            text = _SCALAR_TEXT.get(type(v))
-            v = text(v) if text else _dumps(v, inner)
-            items.append(encode_basestring_ascii(key) + ": " + v)
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if type(value) is list or type(value) is tuple:
+    if isinstance(value, IntPolynomial):
+        terms = value.terms()
+        if not terms:
+            return "{" + inner + '"terms": []' + indent + "}"
+        row = inner + "  "
+        cell = row + "  "
+        term = "[" + cell + "%d," + cell + '"%d"' + row + "]"
+        return (
+            "{" + inner + '"terms": [' + row + ("," + row).join([term % t for t in terms])
+            + inner + "]" + indent + "}"
+        )
+    if isinstance(value, tuple):
         if not value:
             return "[]"
         kinds = set(map(type, value))
         text = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
-        if text is not None:
-            items = map(text, value)
-        else:
-            items = []
-            for v in value:
-                text = _SCALAR_TEXT.get(type(v))
-                items.append(text(v) if text else _dumps(v, inner))
+        items = map(text, value) if text else [_json_text(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     raise TypeError(f"cannot serialise {value!r}")

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +11,18 @@ import pytest
 
 from u6n_ncg import cli, closed_forms, groups, invariants
 from u6n_ncg.cli import cli_main
+from u6n_ncg.invariants import DEFAULT_CAPS, Caps
+from u6n_ncg.verify import verify_all
+
+
+class _Discard:
+    """A stdout that keeps nothing."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
 
 
 def run(capsys, *argv):
@@ -60,6 +73,51 @@ class TestVerifyCommand:
         golden = Path(__file__).parent / "data" / "verify_n1_4.txt"
         assert out == golden.read_text()
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize(
+        "span, options, caps",
+        [("1:3", [], DEFAULT_CAPS), ("1:6", ["--caps", "metric=3"], Caps(metric=3))],
+        ids=["1:3", "1:6-metric=3"],
+    )
+    def test_range_is_every_report_in_one_document(self, capsys, fmt, span, options, caps):
+        code, out, err = run(capsys, "verify", "--n-range", span, *options, "--format", fmt)
+        first, last = map(int, span.split(":"))
+        reports = [verify_all(n, caps=caps) for n in range(first, last + 1)]
+        if fmt == "json":
+            expected = json.dumps([r.to_json_obj() for r in reports], indent=2)
+        else:
+            expected = "\n\n".join(r.to_text() for r in reports)
+        assert (code, out, err) == (0, expected + "\n", "")
+
+    @pytest.mark.parametrize(
+        "fmt, title", [("json", '"n": '), ("text", "non-commuting graph")], ids=["json", "text"]
+    )
+    def test_each_report_is_written_before_the_next_is_computed(self, monkeypatch, fmt, title):
+        stream = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", stream)
+        written = []
+        compute = cli.verify_all
+        monkeypatch.setattr(
+            cli, "verify_all", lambda n, caps: written.append(stream.getvalue()) or compute(n, caps=caps)
+        )
+        assert cli_main(["verify", "--n-range", "1:3", "--format", fmt]) == 0
+        assert [text.count(title) for text in written] == [0, 1, 2]
+        assert all(stream.getvalue().startswith(text) for text in written)
+
+    def test_range_memory_is_that_of_its_largest_report(self, monkeypatch):
+        # a range holds one report at a time: its peak is that of its last n
+        monkeypatch.setattr(sys, "stdout", _Discard())
+        peaks = []
+        for span in (["--n", "120"], ["--n-range", "1:120"]):
+            tracemalloc.start()
+            try:
+                assert cli_main(["verify", *span, "--format", "json"]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        single, whole_range = peaks
+        assert whole_range <= 2 * single, peaks
+
     def test_text_format(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "2")
         assert code == 0
@@ -95,6 +153,24 @@ class TestVerifyCommand:
         assert entries["omega"]["computed"] is None
         assert all(e["status"] == "match" for name, e in entries.items() if name != "omega")
         assert err == "u6n-ncg: error: n = 2, omega: RuntimeError: engine fault\n"
+
+    def test_range_with_a_failing_engine_writes_every_report_then_the_errors(self, monkeypatch):
+        def broken(graph):
+            raise RuntimeError("engine fault")
+
+        monkeypatch.setattr(invariants, "clique_number", broken)
+        # one stream for both, so the order of reports and error lines shows
+        stream = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", stream)
+        monkeypatch.setattr(sys, "stderr", stream)
+        code = cli_main(["verify", "--n-range", "1:3", "--format", "json"])
+        reports = [verify_all(n) for n in (1, 2, 3)]
+        assert code == 3
+        assert stream.getvalue() == (
+            json.dumps([r.to_json_obj() for r in reports], indent=2)
+            + "\n"
+            + "".join(f"u6n-ncg: error: n = {n}, omega: RuntimeError: engine fault\n" for n in (1, 2, 3))
+        )
 
     def test_error_entry_takes_precedence_over_mismatch(self, capsys, monkeypatch):
         def broken(graph):
@@ -439,3 +515,30 @@ class TestModuleEntryPoint:
         )
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout)["n"] == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--n-range", "1:12", "--format", "json"],
+            ["export", "--n", "100", "--format", "dot"],
+        ],
+        ids=["verify-range", "export"],
+    )
+    def test_a_reader_that_leaves_early_gets_no_error(self, argv):
+        # as `u6n-ncg ... | head -1` does; each output is over 150 kB, more
+        # than a pipe holds, so the writer meets the closed pipe
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        with subprocess.Popen(
+            [sys.executable, "-m", "u6n_ncg.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        ) as proc:
+            try:
+                assert proc.stdout.readline()
+                proc.stdout.close()
+                _, err = proc.communicate(timeout=60)
+            finally:
+                proc.kill()  # does nothing once the process has exited
+        assert (proc.returncode, err) == (1, b"")

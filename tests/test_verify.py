@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from u6n_ncg import closed_forms, invariants, verify
 from u6n_ncg.groups import u6n_group
 from u6n_ncg.invariants import Caps
+from u6n_ncg.polynomials import IntPolynomial
 from u6n_ncg.verify import verify_all
 
 
@@ -195,26 +196,47 @@ class TestSerialization:
         assert lines[-1].startswith("n=1:")
 
 
-json_scalars = (
-    st.none()
-    | st.booleans()
-    | st.integers(min_value=-(10**40), max_value=10**40)
-    | st.text()
-    | st.sampled_from(['"', "\\", "\n", "é", "a^2b", "\u2028", "\U0001f600"])
+labels = st.text() | st.sampled_from(['"', "\\", "\n", "é", "a^2b", "\u2028", "\U0001f600"])
+report_scalars = (
+    st.none() | st.booleans() | st.integers(min_value=-(10**40), max_value=10**40) | labels
 )
-json_values = st.recursive(
-    json_scalars,
-    lambda inner: st.lists(inner)
-    | st.lists(inner).map(tuple)
-    | st.dictionaries(st.text(), inner),
-    max_leaves=40,
+# the zero polynomial among them: the empty map, or coefficients all zero
+polynomials = st.dictionaries(
+    st.integers(min_value=0, max_value=60), st.integers(min_value=-(10**40), max_value=10**40)
+).map(IntPolynomial)
+# what a report entry holds: scalars, polynomials, and tuples of them,
+# nested, of one type (labels) or mixed
+report_values = st.recursive(
+    report_scalars | polynomials, lambda inner: st.lists(inner).map(tuple), max_leaves=40
+)
+reports = st.builds(
+    verify.VerificationReport,
+    n=st.integers(min_value=1, max_value=10**6),
+    entries=st.lists(
+        st.builds(
+            verify.ReportEntry,
+            name=labels,
+            predicted=report_values,
+            computed=report_values,
+            status=st.sampled_from(["match", "mismatch", "skipped_cap", "error"]),
+        ),
+        max_size=4,
+    ).map(tuple),
 )
 
 
 class TestRenderer:
-    @given(json_values)
+    @given(report_values)
     def test_matches_json_dumps_with_indent(self, value):
-        assert verify._dumps(value) == json.dumps(value, indent=2)
+        expected = json.dumps(verify._json_value(value), indent=2)
+        assert verify._json_text(value, "\n") == expected
+        # a value nested deeper carries the deeper indent on every line
+        assert verify._json_text(value, "\n      ") == expected.replace("\n", "\n      ")
+
+    @given(reports, st.integers(min_value=0, max_value=3))
+    def test_report_matches_json_dumps_of_its_object(self, report, level):
+        expected = json.dumps(report.to_json_obj(), indent=2)
+        assert report.to_json(level) == expected.replace("\n", "\n" + "  " * level)
 
     @pytest.mark.parametrize(
         "value",
@@ -222,7 +244,11 @@ class TestRenderer:
     )
     def test_other_types_raise(self, value):
         with pytest.raises(TypeError):
-            verify._dumps(value)
+            verify._json_text(value, "\n")
+        with pytest.raises(TypeError):
+            verify._json_text(("a", (1, value)), "\n")
+        with pytest.raises(TypeError):
+            verify.VerificationReport(1, (verify.ReportEntry("x", value, None, "match"),)).to_json()
 
     def test_reports_render_as_json_dumps_does(self):
         reports = [verify_all(n) for n in (1, 2)]
