@@ -9,10 +9,13 @@ verification report, 3 at least one `error` entry in a verification report
 (an engine raised; each such entry is also written to stderr). 3 takes
 precedence over 2: a report with both exits 3. A stdout closed by its
 reader (`u6n-ncg verify ... | head -1`) stops the command with exit 1, the
-code of an I/O error, and nothing on stderr.
+code of an I/O error, and nothing on stderr. Running out of memory
+(`MemoryError`) writes one error line to stderr and exits 1; stdout may
+then hold partial output.
 
-`verify` writes each report as soon as it is computed; the `error` lines
-on stderr follow the last report.
+`verify` writes each report as soon as it is computed, and `export` each
+vertex and each row of edges; the `error` lines of `verify` on stderr
+follow the last report.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import sys
 from pathlib import Path
 
 from . import closed_forms, invariants
-from .graphs import export_graph, non_commuting_graph
+from .graphs import export_chunks, non_commuting_graph
 from .groups import group_from_json, u6n_group, u6n_order
 from .invariants import Caps, DEFAULT_CAPS
 from .verify import VerificationReport, report_to_json, verify_all
@@ -181,7 +184,10 @@ def _cmd_poly(args) -> int:
 
 def _cmd_export(args) -> int:
     graph = non_commuting_graph(u6n_group(args.n))
-    print(export_graph(graph, args.format))
+    out = sys.stdout
+    for chunk in export_chunks(graph, args.format):
+        out.write(chunk)
+    out.write("\n")
     return 0
 
 
@@ -256,6 +262,9 @@ def cli_main(argv=None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"u6n-ncg: error: {exc}\n")
+        return 1
+    except MemoryError:
+        sys.stderr.write("u6n-ncg: error: out of memory\n")
         return 1
 
 

@@ -4,15 +4,18 @@ non-commuting graph construction.
 Vertices are 0..V-1 with string labels; row v is an int whose bit u says
 "u adjacent to v". Graphs are immutable, so every operation is a pure
 function and safe to share. One lane-deletion path, `_restrict_rows`,
-serves the graph build and every induced subgraph.
+serves the graph build and every induced subgraph. What the engines
+compute from a graph is kept with it (`Graph._memo`), so the entries of
+one report share it.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import compress
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Iterator, Sequence
 
 from .groups import FiniteGroup
 
@@ -25,6 +28,8 @@ MAX_PATTERN_ORDER = 8
 # digits to binary digits; a lane with 2 OR-ed in is one of _MARKED, deleted
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _MARKED = b"\x02\x0323"
+# ASCII binary digits to the bytes 0/1, a selector for itertools.compress
+_SELECTOR = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _bits(mask: int):
@@ -142,14 +147,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """Edges as sorted pairs, lexicographic."""
-        out = []
-        for u, row in enumerate(self.adj):
-            for v in _bits(row >> (u + 1)):
-                out.append((u, u + 1 + v))
-        return tuple(out)
-
     def induced_subgraph(self, vertices: Iterable[int]) -> "Graph":
         """Subgraph on the given vertices (kept in ascending order)."""
         chosen = sorted(set(vertices))
@@ -182,6 +179,22 @@ class Graph:
         if len(classes) == self.vertex_count:
             return self, (1,) * self.vertex_count
         return self.induced_subgraph(c[0] for c in classes), tuple(map(len, classes))
+
+    @cached_property
+    def _memos(self) -> dict:
+        """The values kept by _memo, keyed by the function computing each."""
+        return {}
+
+    def _memo(self, compute):
+        """compute(self), computed on first use and kept with this graph, as
+        the twin classes are. Nothing is kept at module level or by graph
+        value, so two graphs never share a value, equal or not. Two threads
+        that both compute a value first compute the same one, and both
+        return the one stored first."""
+        memos = self._memos
+        if compute not in memos:
+            memos.setdefault(compute, compute(self))
+        return memos[compute]
 
 
 def non_commuting_graph(g: FiniteGroup) -> Graph:
@@ -279,6 +292,15 @@ def _copies_at(adj, closed, kind, k, m):
                     yield (m, *left, *right)
 
 
+def _two_per_class(graph: Graph) -> tuple[tuple[int, ...], Graph]:
+    """The two smallest members of each class of false twins, ascending,
+    and the subgraph they induce (the graph itself if that is all)."""
+    kept = tuple(sorted(u for c in twin_classes(graph) for u in c[:2]))
+    if len(kept) < graph.vertex_count:
+        return kept, graph.induced_subgraph(kept)
+    return kept, graph
+
+
 def find_induced(graph: Graph, pattern: str) -> tuple[int, ...] | None:
     """First vertex subset (lexicographic, as a sorted tuple) whose induced
     subgraph is the requested path or cycle, or None if there is none.
@@ -293,9 +315,7 @@ def find_induced(graph: Graph, pattern: str) -> tuple[int, ...] | None:
     copy gives the answer: the smallest of its copies.
     """
     kind, k = _parse_pattern(pattern)
-    kept = sorted(u for c in twin_classes(graph) for u in c[:2])
-    if len(kept) < graph.vertex_count:
-        graph = graph.induced_subgraph(kept)
+    kept, graph = graph._memo(_two_per_class)
     adj = graph.adj
     closed = [row | (1 << u) for u, row in enumerate(adj)]
     for m in range(graph.vertex_count):
@@ -314,28 +334,66 @@ def is_k_regular(graph: Graph) -> int | None:
     return None
 
 
+def _rows_above(graph: Graph) -> Iterator[tuple[int, Iterator[str]]]:
+    """(u, the neighbours v > u of u as decimal strings, ascending) for
+    every vertex u that has one. The row's bits, as 0/1 bytes from bit 0
+    up, select the names with itertools.compress."""
+    names = [str(v) for v in range(graph.vertex_count)]
+    for u, row in enumerate(graph.adj):
+        above = row >> (u + 1) << (u + 1)
+        if above:
+            yield u, compress(names, format(above, "b")[::-1].encode().translate(_SELECTOR))
+
+
+def _dot_chunks(graph: Graph) -> Iterator[str]:
+    yield "graph G {"
+    for v, label in enumerate(graph.labels):
+        yield f'\n  {v} [label="{label}"];'
+    for u, above in _rows_above(graph):
+        edge = f"\n  {u} -- "
+        yield edge + f";{edge}".join(above) + ";"
+    yield "\n}"
+
+
+def _json_chunks(graph: Graph) -> Iterator[str]:
+    # the separators of json.dumps: ", " between items, ": " after keys
+    yield '{"vertices": ['
+    sep = ""
+    for v, label in enumerate(graph.labels):
+        yield f'{sep}{{"id": {v}, "label": {encode_basestring_ascii(label)}}}'
+        sep = ", "
+    yield '], "edges": ['
+    sep = ""
+    for u, above in _rows_above(graph):
+        yield f"{sep}[{u}, " + f"], [{u}, ".join(above) + "]"
+        sep = ", "
+    yield "]}"
+
+
+_EXPORT_FORMATS = {"dot": _dot_chunks, "json": _json_chunks}
+
+
+def export_chunks(graph: Graph, fmt: str) -> Iterator[str]:
+    """The text of export_graph in pieces: the header, one piece per
+    vertex, one per vertex with a neighbour above it (its edges to those
+    neighbours, ascending), and the footer. Each piece is made when it is
+    asked for, so a writer holds one row's edges at a time."""
+    if fmt not in _EXPORT_FORMATS:
+        raise ValueError(f"unknown export format {fmt!r}; expected 'dot' or 'json'")
+    return _EXPORT_FORMATS[fmt](graph)
+
+
 def to_dot(graph: Graph) -> str:
     """Deterministic DOT text: vertices in index order, edges lexicographic."""
-    lines = ["graph G {"]
-    for v, label in enumerate(graph.labels):
-        lines.append(f'  {v} [label="{label}"];')
-    for u, v in graph.edges():
-        lines.append(f"  {u} -- {v};")
-    lines.append("}")
-    return "\n".join(lines)
+    return "".join(_dot_chunks(graph))
 
 
 def to_json(graph: Graph) -> str:
-    obj = {
-        "vertices": [{"id": v, "label": label} for v, label in enumerate(graph.labels)],
-        "edges": [[u, v] for u, v in graph.edges()],
-    }
-    return json.dumps(obj)
+    """The text json.dumps writes, with its default separators, for the
+    vertices (id and label) in index order and the edges [u, v], u < v,
+    lexicographic."""
+    return "".join(_json_chunks(graph))
 
 
 def export_graph(graph: Graph, fmt: str) -> str:
-    if fmt == "dot":
-        return to_dot(graph)
-    if fmt == "json":
-        return to_json(graph)
-    raise ValueError(f"unknown export format {fmt!r}; expected 'dot' or 'json'")
+    return "".join(export_chunks(graph, fmt))

@@ -26,6 +26,13 @@ one DSATUR branch and bound on the twin quotient, which stops at ω.
 Eccentricities take one BFS per class on the twin quotient: two classes
 are as far apart as there, and two members of one class are at
 distance 2.
+
+A value that several engines read is computed once per graph and kept
+with it (Graph._memo): the resolving counts (β and the resolving
+polynomial), the class eccentricities (the eccentricities and both
+eccentricity polynomials), the weighted α of the twin quotient (α and
+the vertex cover number) and the quotient's clique size (ω and χ's lower
+bound). Each engine checks its own cap before it reads the kept value.
 """
 
 from __future__ import annotations
@@ -124,12 +131,12 @@ def _class_index(graph: Graph) -> list[int]:
     return index
 
 
-def _class_eccentricities(graph: Graph) -> list[int]:
+def _class_eccentricities(graph: Graph) -> tuple[int, ...]:
     """Eccentricity of each class of false twins, from one BFS per class on
-    the twin quotient. Members of two classes are as far apart as the
-    classes in the quotient, since a shortest path never enters one class
-    twice; two members of one class are at distance 2 through any
-    neighbour."""
+    the twin quotient; read through graph._memo. Members of two classes
+    are as far apart as the classes in the quotient, since a shortest path
+    never enters one class twice; two members of one class are at
+    distance 2 through any neighbour."""
     quotient, sizes = graph._twin_quotient
     everything = (1 << quotient.vertex_count) - 1
     eccs = []
@@ -139,26 +146,26 @@ def _class_eccentricities(graph: Graph) -> list[int]:
         if sum(layers) != everything or (size > 1 and len(layers) == 1):
             raise DisconnectedGraphError("eccentricity requires a connected graph")
         eccs.append(max(len(layers) - 1, 2 if size > 1 else 0))
-    return eccs
+    return tuple(eccs)
 
 
 def eccentricities(graph: Graph) -> tuple[int, ...]:
     """Eccentricity of every vertex; twins share theirs."""
-    eccs = _class_eccentricities(graph)
+    eccs = graph._memo(_class_eccentricities)
     return tuple(eccs[i] for i in _class_index(graph))
 
 
 def total_eccentricity_polynomial(graph: Graph) -> IntPolynomial:
     """Sum of x^ecc(v) over all vertices, a class of twins at a time."""
     sizes = graph._twin_quotient[1]
-    return IntPolynomial.from_terms(zip(_class_eccentricities(graph), sizes))
+    return IntPolynomial.from_terms(zip(graph._memo(_class_eccentricities), sizes))
 
 
 def eccentric_connectivity_polynomial(graph: Graph) -> IntPolynomial:
     """Sum of deg(v) * x^ecc(v) over all vertices, a class of twins at a
     time: twins share their degree."""
     degrees = (len(c) * graph.adj[c[0]].bit_count() for c in twin_classes(graph))
-    return IntPolynomial.from_terms(zip(_class_eccentricities(graph), degrees))
+    return IntPolynomial.from_terms(zip(graph._memo(_class_eccentricities), degrees))
 
 
 # -- longest simple paths ----------------------------------------------
@@ -341,6 +348,12 @@ def independence_number(graph: Graph) -> int:
     """Maximum independent set size. An independent set may take a whole
     class of false twins or none of it, so the search runs on the twin
     quotient with the class sizes as weights."""
+    return graph._memo(_quotient_independence)
+
+
+def _quotient_independence(graph: Graph) -> int:
+    """The largest weight of an independent set of the twin quotient,
+    weighted by class sizes; read through graph._memo."""
     quotient, sizes = graph._twin_quotient
     return _max_weight_independent(quotient.adj, sizes)
 
@@ -468,12 +481,12 @@ def clique_number(graph: Graph) -> int:
     """Maximum clique size, on the twin quotient: false twins are never
     adjacent, so a clique takes at most one vertex per class, and any one
     will do."""
-    return _clique_size(graph._twin_quotient[0])
+    return graph._twin_quotient[0]._memo(_clique_size)
 
 
 def _clique_size(graph: Graph) -> int:
     """Maximum clique size: the largest independent set of the complement,
-    every vertex of weight 1."""
+    every vertex of weight 1; read through graph._memo."""
     full = (1 << graph.vertex_count) - 1
     complement = tuple(full ^ row ^ (1 << u) for u, row in enumerate(graph.adj))
     return _max_weight_independent(complement, (1,) * graph.vertex_count)
@@ -494,7 +507,7 @@ def chromatic_number(graph: Graph, cap: int = DEFAULT_CAPS.chromatic) -> int:
     _check_cap("chromatic_number", len(twin_classes(graph)), cap)
     graph = graph._twin_quotient[0]
     adj = graph.adj
-    lower = _clique_size(graph)
+    lower = graph._memo(_clique_size)
     best = graph.vertex_count + 1
     stack = [((), (1 << graph.vertex_count) - 1)]
     while stack and best > lower:
@@ -594,10 +607,10 @@ def _hits_all(subset: int, masks: list[int]) -> bool:
     return True
 
 
-def _resolving_counts(graph: Graph) -> list[int]:
-    """Resolving-set counts by size, index k for k vertices. Every class
-    pattern is tested; the masks its high part meets are dropped before
-    the low parts."""
+def _resolving_counts(graph: Graph) -> tuple[int, ...]:
+    """Resolving-set counts by size, index k for k vertices; read through
+    graph._memo. Every class pattern is tested; the masks its high part
+    meets are dropped before the low parts."""
     masks = _disagreement_masks(graph)
     low, high = _pattern_tables(twin_classes(graph))
     counts = [0] * (graph.vertex_count + 1)
@@ -606,7 +619,7 @@ def _resolving_counts(graph: Graph) -> list[int]:
         for rep_l, size_l, weight_l in low:
             if _hits_all(rep_l, rest):
                 counts[size_h + size_l] += weight_h * weight_l
-    return counts
+    return tuple(counts)
 
 
 def metric_dimension(graph: Graph, cap: int = DEFAULT_CAPS.metric) -> int:
@@ -614,7 +627,7 @@ def metric_dimension(graph: Graph, cap: int = DEFAULT_CAPS.metric) -> int:
     resolving sweep. The sweep tests all 2^m class patterns whatever the
     answer is. The cap counts vertices."""
     _check_cap("metric_dimension", graph.vertex_count, cap, "vertices")
-    return next(k for k, c in enumerate(_resolving_counts(graph)) if c)
+    return next(k for k, c in enumerate(graph._memo(_resolving_counts)) if c)
 
 
 def resolving_polynomial(
@@ -622,7 +635,7 @@ def resolving_polynomial(
 ) -> tuple[IntPolynomial, ResolvingSequence]:
     """Counts of resolving sets by cardinality, from the resolving sweep."""
     _check_cap("resolving_polynomial", len(twin_classes(graph)), cap)
-    counts = _resolving_counts(graph)
+    counts = graph._memo(_resolving_counts)
     poly = IntPolynomial.from_terms(enumerate(counts))
     beta = next(k for k, c in enumerate(counts) if c)
     return poly, ResolvingSequence(beta=beta, counts=tuple(counts[beta:]))

@@ -20,6 +20,17 @@ A disagreement never raises: it becomes an entry, and the exhaustive
 side is the authority. An exception from an engine becomes an `error`
 entry, and the report goes on with the next entry.
 
+Every entry calls its public engine, looked up when the entry runs, so a
+rebound engine changes only the entries that call it. Entries that rest
+on one intermediate share it, since the graph computes it once and keeps
+it (`Graph._memo`), each engine checking its own cap first: β and the
+three resolving entries share the resolving sweep; the eccentricities
+and the two eccentricity polynomials the class eccentricities; α and τ
+the weighted α of the twin quotient; ω and χ the quotient's clique size;
+and the C5 and P4 entries the subgraph on two members of each twin
+class. `regular_omega123` reads each degree within Ω1–Ω3 as one masked
+popcount of the vertex's row.
+
 A report's JSON is the text json.dumps(report.to_json_obj(), indent=2)
 writes, but `to_json` writes it straight from the entries, with no object
 tree in between: scalars through `_SCALAR_TEXT`, a tuple of labels with one
@@ -269,8 +280,11 @@ def verify_all(n: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
     add("no_induced_p4", True, lambda: find_induced(graph, "path_4") is None)
 
     def regular_part():
-        keep = sorted(vertex_of[x] for c in element_classes[:3] for x in c)
-        return is_k_regular(graph.induced_subgraph(keep))
+        # the common degree within Ω1–Ω3, as is_k_regular of their subgraph
+        keep = [vertex_of[x] for c in element_classes[:3] for x in c]
+        mask = sum(1 << v for v in keep)
+        degrees = {(graph.adj[v] & mask).bit_count() for v in keep}
+        return degrees.pop() if len(degrees) == 1 else None
 
     add("regular_omega123", 2 * n, regular_part)
     add("full_graph_not_regular", True, lambda: is_k_regular(graph) is None)

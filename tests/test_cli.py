@@ -11,6 +11,7 @@ import pytest
 
 from u6n_ncg import cli, closed_forms, groups, invariants
 from u6n_ncg.cli import cli_main
+from u6n_ncg.graphs import export_graph, non_commuting_graph
 from u6n_ncg.invariants import DEFAULT_CAPS, Caps
 from u6n_ncg.verify import verify_all
 
@@ -342,6 +343,29 @@ class TestExportCommand:
         assert len(data["vertices"]) == 5
         assert len(data["edges"]) == 9
 
+    @pytest.mark.parametrize("n", [1, 7, 50])
+    @pytest.mark.parametrize("fmt", ["dot", "json"])
+    def test_writes_the_text_of_export_graph(self, capsys, n, fmt):
+        code, out, err = run(capsys, "export", "--n", str(n), "--format", fmt)
+        graph = non_commuting_graph(groups.u6n_group(n))
+        assert (code, out, err) == (0, export_graph(graph, fmt) + "\n", "")
+
+    @pytest.mark.parametrize("fmt", ["dot", "json"])
+    def test_export_peaks_no_higher_than_the_graph_build(self, monkeypatch, fmt):
+        # the text (4.7 MB of DOT at n = 200) is written a row at a time, so
+        # exporting costs no more memory than building the graph does
+        monkeypatch.setattr(sys, "stdout", _Discard())
+        peaks = []
+        for argv in (["graph", "--n", "200", "--invariant", "edges"], ["export", "--n", "200", "--format", fmt]):
+            tracemalloc.start()
+            try:
+                assert cli_main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        build, export = peaks
+        assert export <= 1.1 * build, peaks
+
 
 class TestBuildCommand:
     def test_u6n_summary(self, capsys):
@@ -515,6 +539,33 @@ class TestModuleEntryPoint:
         )
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout)["n"] == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--n", "1000", "--format", "json"], ["export", "--n", "1000", "--format", "dot"]],
+        ids=["verify", "export"],
+    )
+    def test_out_of_memory_is_one_error_line(self, argv):
+        # 64 MB of address space is short of the 72 MB Cayley table at
+        # n = 1000; the limit is set in the child alone, before exec
+        resource = pytest.importorskip("resource")
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (64 << 20, 64 << 20))
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        result = subprocess.run(
+            [sys.executable, "-m", "u6n_ncg.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            preexec_fn=limit_address_space,
+            timeout=60,
+        )
+        assert result.returncode == 1
+        assert result.stderr == "u6n-ncg: error: out of memory\n"
+        assert "Traceback" not in result.stdout + result.stderr
 
     @pytest.mark.parametrize(
         "argv",

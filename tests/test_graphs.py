@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from u6n_ncg import graphs
 from u6n_ncg.graphs import (
     Graph,
+    export_chunks,
     export_graph,
     find_induced,
     is_complete_multipartite,
@@ -45,6 +46,32 @@ N1_DOT = """graph G {
 
 def ncg(n):
     return non_commuting_graph(u6n_group(n))
+
+
+def edge_pairs(graph):
+    """Edges as pairs u < v, lexicographic, one adjacency bit at a time."""
+    v_count = graph.vertex_count
+    return [(u, v) for u in range(v_count) for v in range(u + 1, v_count) if graph.adj[u] >> v & 1]
+
+
+def reference_dot(graph):
+    """The DOT writer that built the whole text from a list of lines."""
+    lines = ["graph G {"]
+    for v, label in enumerate(graph.labels):
+        lines.append(f'  {v} [label="{label}"];')
+    for u, v in edge_pairs(graph):
+        lines.append(f"  {u} -- {v};")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def reference_json(graph):
+    """The JSON writer that built an object tree for json.dumps."""
+    obj = {
+        "vertices": [{"id": v, "label": label} for v, label in enumerate(graph.labels)],
+        "edges": [[u, v] for u, v in edge_pairs(graph)],
+    }
+    return json.dumps(obj)
 
 
 def vid(graph, label):
@@ -371,7 +398,7 @@ class TestTwinClasses:
     @settings(max_examples=200, deadline=None)
     def test_equal_graphs_built_apart_agree(self, graph):
         # the same graph again, from its edge list: equal, but nothing shared
-        other = Graph.from_edges(list(graph.labels), graph.edges())
+        other = Graph.from_edges(list(graph.labels), edge_pairs(graph))
         assert other == graph and other is not graph
         classes = twin_classes(graph)
         assert twin_classes(other) == classes
@@ -500,9 +527,57 @@ class TestExport:
         with pytest.raises(ValueError, match="format"):
             export_graph(TRIANGLE, "gml")
 
-    def test_edges_lexicographic(self):
-        graph = ncg(2)
-        assert list(graph.edges()) == sorted(graph.edges())
+    def test_json_edges_lexicographic(self):
+        edges = json.loads(to_json(ncg(2)))["edges"]
+        assert edges == sorted(edges) and all(u < v for u, v in edges)
+
+    @pytest.mark.parametrize("n", [1, 7, 50])
+    def test_writers_match_the_reference_writers(self, n):
+        graph = ncg(n)
+        assert to_dot(graph) == export_graph(graph, "dot") == reference_dot(graph)
+        assert to_json(graph) == export_graph(graph, "json") == reference_json(graph)
+
+    @given(st.one_of(random_graphs(), twin_blowups()))
+    @settings(max_examples=100, deadline=None)
+    def test_writers_match_the_reference_writers_on_random_graphs(self, graph):
+        assert to_dot(graph) == reference_dot(graph)
+        assert to_json(graph) == reference_json(graph)
+
+    def test_json_labels_are_escaped_as_json_dumps_does(self):
+        labels = ['"', "\\", "\n", "é", "\u2028", "\U0001f600"]
+        graph = Graph.from_edges(labels, [(0, 1), (2, 5), (3, 4)])
+        assert to_json(graph) == reference_json(graph)
+        assert json.loads(to_json(graph))["vertices"][4]["label"] == "\u2028"
+
+    def test_chunks_are_header_vertices_rows_footer(self):
+        # a piece per vertex, then one per vertex with a neighbour above it
+        # (0, 1 and 2 on the path 0-1-2-3)
+        assert list(export_chunks(PATH4, "dot")) == [
+            "graph G {",
+            *(f'\n  {v} [label="p{v}"];' for v in range(4)),
+            "\n  0 -- 1;",
+            "\n  1 -- 2;",
+            "\n  2 -- 3;",
+            "\n}",
+        ]
+        assert list(export_chunks(PATH4, "json")) == [
+            '{"vertices": [',
+            *(f'{", " if v else ""}{{"id": {v}, "label": "p{v}"}}' for v in range(4)),
+            '], "edges": [',
+            "[0, 1]",
+            ", [1, 2]",
+            ", [2, 3]",
+            "]}",
+        ]
+
+    def test_a_row_is_one_chunk(self):
+        star = Graph.from_edges(["c", "x", "y", "z"], [(0, 1), (0, 2), (0, 3), (2, 3)])
+        assert list(export_chunks(star, "dot"))[5:7] == ["\n  0 -- 1;\n  0 -- 2;\n  0 -- 3;", "\n  2 -- 3;"]
+        assert list(export_chunks(star, "json"))[6:8] == ["[0, 1], [0, 2], [0, 3]", ", [2, 3]"]
+
+    def test_chunks_refuse_an_unknown_format_before_writing(self):
+        with pytest.raises(ValueError, match="format"):
+            export_chunks(TRIANGLE, "gml")
 
 
 # -- reference constructions, kept as oracles for the commutation rows -----

@@ -41,6 +41,11 @@ def ncg(n):
     return non_commuting_graph(u6n_group(n))
 
 
+def edge_pairs(graph):
+    """Edges as pairs u < v, lexicographic."""
+    return [(u, v) for u in range(graph.vertex_count) for v in _bits(graph.adj[u]) if u < v]
+
+
 def vid(graph, label):
     return graph.labels.index(label)
 
@@ -299,7 +304,7 @@ class TestVertexCover:
         direct = 0
         for combo in combinations(range(4), 2):
             chosen = set(combo)
-            if all(u in chosen or v in chosen for u, v in graph.edges()):
+            if all(u in chosen or v in chosen for u, v in edge_pairs(graph)):
                 direct += 1
         assert poly.coefficient(2) == direct
 
@@ -497,7 +502,7 @@ def naive_resolving_counts(graph):
 def naive_cover_counts(graph):
     """Vertex covers by size, each subset checked edge by edge."""
     v = graph.vertex_count
-    edges = graph.edges()
+    edges = edge_pairs(graph)
     return [
         sum(
             1

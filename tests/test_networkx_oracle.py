@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from u6n_ncg.graphs import Graph, find_induced
+from u6n_ncg.graphs import Graph, _bits, find_induced
 from u6n_ncg.invariants import (
     UNREACHABLE,
     clique_number,
@@ -32,7 +32,7 @@ def random_graphs(draw, max_vertices=8):
 def to_nx(graph):
     g = nx.Graph()
     g.add_nodes_from(range(graph.vertex_count))
-    g.add_edges_from(graph.edges())
+    g.add_edges_from((u, v) for u in range(graph.vertex_count) for v in _bits(graph.adj[u]) if u < v)
     return g
 
 

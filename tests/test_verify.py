@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from u6n_ncg import closed_forms, invariants, verify
+from u6n_ncg import closed_forms, graphs, invariants, verify
+from u6n_ncg.graphs import find_induced, is_k_regular, non_commuting_graph
 from u6n_ncg.groups import u6n_group
-from u6n_ncg.invariants import Caps
-from u6n_ncg.polynomials import IntPolynomial
+from u6n_ncg.invariants import Caps, CapacityError, DEFAULT_CAPS
+from u6n_ncg.polynomials import IntPolynomial, integer_roots
 from u6n_ncg.verify import verify_all
 
 
@@ -138,6 +139,142 @@ class TestStatuses:
     def test_invalid_n(self, n):
         with pytest.raises(ValueError, match=re.escape(f"n must be a positive integer, got {n!r}")):
             verify_all(n)
+
+
+def fresh_graph(n):
+    return non_commuting_graph(u6n_group(n))
+
+
+def omega123_degree(graph, n):
+    """is_k_regular of the subgraph induced by Ω1–Ω3, built whole."""
+    g = u6n_group(n)
+    labels = {g.labels[x] for c in closed_forms.cf_omega_classes(n)[:3] for x in c}
+    return is_k_regular(graph.induced_subgraph(v for v, l in enumerate(graph.labels) if l in labels))
+
+
+# each entry that rests on a value the graph keeps, as its public engine
+# computes it alone
+ALONE = {
+    "alpha": lambda graph, n, caps: invariants.independence_number(graph),
+    "tau": lambda graph, n, caps: invariants.vertex_cover_number(graph),
+    "omega": lambda graph, n, caps: invariants.clique_number(graph),
+    "chi": lambda graph, n, caps: invariants.chromatic_number(graph, cap=caps.chromatic),
+    "no_induced_c5": lambda graph, n, caps: find_induced(graph, "cycle_5") is None,
+    "no_induced_p4": lambda graph, n, caps: find_induced(graph, "path_4") is None,
+    "regular_omega123": lambda graph, n, caps: omega123_degree(graph, n),
+    "metric_dimension": lambda graph, n, caps: invariants.metric_dimension(graph, cap=caps.metric),
+    "resolving_polynomial": lambda graph, n, caps: invariants.resolving_polynomial(
+        graph, cap=caps.resolving
+    )[0],
+    "resolving_sequence": lambda graph, n, caps: invariants.resolving_polynomial(
+        graph, cap=caps.resolving
+    )[1].counts,
+    "resolving_roots": lambda graph, n, caps: integer_roots(
+        invariants.resolving_polynomial(graph, cap=caps.resolving)[0]
+    ),
+    "eccentricities": lambda graph, n, caps: tuple(sorted(set(invariants.eccentricities(graph)))),
+    "total_eccentricity_polynomial": lambda graph, n, caps: (
+        invariants.total_eccentricity_polynomial(graph)
+    ),
+    "eccentric_connectivity_polynomial": lambda graph, n, caps: (
+        invariants.eccentric_connectivity_polynomial(graph)
+    ),
+    "detour_polynomial": lambda graph, n, caps: invariants.detour_polynomial(graph, cap=caps.detour),
+    "independence_polynomial": lambda graph, n, caps: invariants.independence_polynomial(
+        graph, cap=caps.indep
+    ),
+    "vertex_cover_polynomial": lambda graph, n, caps: invariants.vertex_cover_polynomial(
+        graph, cap=caps.indep
+    ),
+}
+
+SINGLE_CAPS = ["metric=3", "resolving=3", "indep=3", "chromatic=3", "detour=0"]
+
+
+class TestSharedValuesAgainstEnginesAlone:
+    """Each entry whose engine reads a kept value equals what that engine
+    returns alone on a graph built for it, so nothing is shared."""
+
+    @staticmethod
+    def check(n, caps):
+        by_name = entry_map(verify_all(n, caps=caps))
+        for name, engine in ALONE.items():
+            entry = by_name[name]
+            try:
+                value = engine(fresh_graph(n), n, caps)
+            except CapacityError:
+                assert (entry.status, entry.computed) == ("skipped_cap", None), name
+                continue
+            assert entry.computed == value, name
+            if value == entry.predicted:
+                assert entry.status == "match", name
+            else:
+                assert entry.status in ("mismatch", "known_paper_exception"), name
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_default_caps(self, n):
+        self.check(n, DEFAULT_CAPS)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("override", SINGLE_CAPS)
+    def test_single_cap_overrides(self, n, override):
+        name, value = override.split("=")
+        self.check(n, Caps(**{name: int(value)}))
+
+
+class TestKeptValuesAreComputedOncePerGraph:
+    KEPT = {
+        invariants: ("_resolving_counts", "_class_eccentricities", "_quotient_independence", "_clique_size"),
+        graphs: ("_two_per_class",),
+    }
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {}
+        for module, names in self.KEPT.items():
+            for name in names:
+                real = getattr(module, name)
+
+                def counted(graph, real=real, name=name):
+                    calls[name] += 1
+                    return real(graph)
+
+                calls[name] = 0
+                monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_one_report_computes_each_once(self, calls, n):
+        report = verify_all(n)
+        assert calls == dict.fromkeys(calls, 1)
+        assert report == verify_all(n)
+
+    def test_two_reports_compute_each_twice(self, calls):
+        verify_all(3)
+        verify_all(3)
+        assert calls == dict.fromkeys(calls, 2)
+
+    def test_equal_graphs_never_share_a_value(self, calls):
+        first, second = fresh_graph(2), fresh_graph(2)
+        assert first == second and first is not second
+        for graph in (first, second, first, second):
+            invariants.metric_dimension(graph)
+            invariants.eccentricities(graph)
+            invariants.independence_number(graph)
+            invariants.clique_number(graph)
+            find_induced(graph, "path_4")
+        assert calls == dict.fromkeys(calls, 2)
+        assert first._memos == second._memos and first._memos is not second._memos
+
+    def test_a_cap_refusal_computes_nothing(self, calls):
+        graph = fresh_graph(2)
+        with pytest.raises(CapacityError):
+            invariants.metric_dimension(graph, cap=9)
+        with pytest.raises(CapacityError):
+            invariants.resolving_polynomial(graph, cap=3)
+        with pytest.raises(CapacityError):
+            invariants.chromatic_number(graph, cap=3)
+        assert calls == dict.fromkeys(calls, 0)
 
 
 class TestDeterminism:
