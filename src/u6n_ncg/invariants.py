@@ -27,12 +27,14 @@ Eccentricities take one BFS per class on the twin quotient: two classes
 are as far apart as there, and two members of one class are at
 distance 2.
 
-A value that several engines read is computed once per graph and kept
-with it (Graph._memo): the resolving counts (β and the resolving
-polynomial), the class eccentricities (the eccentricities and both
-eccentricity polynomials), the weighted α of the twin quotient (α and
-the vertex cover number) and the quotient's clique size (ω and χ's lower
-bound). Each engine checks its own cap before it reads the kept value.
+A value that engines read is computed once per graph and kept with it
+(Graph._memo): the resolving polynomial and sequence (β, the resolving
+polynomial), the independence polynomial (it, the cover polynomial), the
+quotient's detour verdict (the detour polynomial and index), the class
+eccentricities (the eccentricities, both eccentricity polynomials), the
+weighted α of the twin quotient (α, the vertex cover number) and the
+quotient's clique size (ω, χ's lower bound). Each engine checks its own
+cap first; the quotient test's class bound stays outside the kept verdict.
 """
 
 from __future__ import annotations
@@ -226,10 +228,9 @@ def _tutte_sets(quotient: Graph) -> list[tuple[tuple[int, ...], tuple[int, ...],
     return sets
 
 
-def _hamilton_connected(quotient: Graph, sizes: tuple[int, ...]) -> bool:
-    """Whether every two distinct vertices of the graph with this twin
-    quotient and these class sizes are joined by a path through all of
-    its vertices.
+def _hamilton_connected(graph: Graph) -> bool:
+    """Whether every two distinct vertices are joined by a path through all
+    V of them, decided on the twin quotient; read through graph._memo.
 
     Such a path from class s to class t walks the quotient, entering class
     i exactly |C_i| times; with x_e the uses of edge e, the walk is an
@@ -243,6 +244,7 @@ def _hamilton_connected(quotient: Graph, sizes: tuple[int, ...]) -> bool:
     b'(V) / 2 (Tutte, "The factors of graphs", 1952; Schrijver,
     Combinatorial Optimization, ch. 31). Only the degree sequence of T
     matters, so the work depends on the quotient alone."""
+    quotient, sizes = graph._twin_quotient
     trees = _tree_degrees(quotient)
     tutte = _tutte_sets(quotient)
 
@@ -292,7 +294,7 @@ def _class_detours(graph: Graph, cap: int) -> list[list[int]]:
     quotient, sizes = graph._twin_quotient
     m = len(sizes)
     v_count = graph.vertex_count
-    if m <= _QUOTIENT_CLASSES and _hamilton_connected(quotient, sizes):
+    if m <= _QUOTIENT_CLASSES and graph._memo(_hamilton_connected):
         return [[v_count - 1 if a != w or sizes[a] > 1 else 0 for w in range(m)] for a in range(m)]
     _check_cap("detour_polynomial", v_count, cap, "vertices")
     if not is_connected(graph):
@@ -423,6 +425,11 @@ def independence_polynomial(graph: Graph, cap: int = DEFAULT_CAPS.indep) -> IntP
     both take time linear in the packed size.
     """
     _check_cap("independence_polynomial", len(twin_classes(graph)), cap)
+    return graph._memo(_independence_counts)
+
+
+def _independence_counts(graph: Graph) -> IntPolynomial:
+    """independence_polynomial past its cap; read through graph._memo."""
     quotient, sizes = graph._twin_quotient
     adj = quotient.adj
     v_count = graph.vertex_count
@@ -465,16 +472,11 @@ def vertex_cover_number(graph: Graph) -> int:
 
 
 def vertex_cover_polynomial(graph: Graph, cap: int = DEFAULT_CAPS.indep) -> IntPolynomial:
-    """Counts of vertex covers by size, from the independence counts; the
-    independence cap refuses before any work."""
-    return _covers_from_independence(independence_polynomial(graph, cap=cap), graph.vertex_count)
-
-
-def _covers_from_independence(independence: IntPolynomial, v_count: int) -> IntPolynomial:
-    """A set covers every edge exactly when its complement is independent, so
-    complementation maps each independent k-set to a cover of size V - k:
-    the cover counts are the independence counts read backwards."""
-    return IntPolynomial.from_terms((v_count - k, c) for k, c in independence.terms())
+    """Counts of vertex covers by size, under the independence cap. A set
+    covers every edge exactly when its complement is independent, so the
+    covers of size V - k are the complements of the independent k-sets."""
+    independence = independence_polynomial(graph, cap=cap)
+    return IntPolynomial.from_terms((graph.vertex_count - k, c) for k, c in independence.terms())
 
 
 def clique_number(graph: Graph) -> int:
@@ -607,10 +609,10 @@ def _hits_all(subset: int, masks: list[int]) -> bool:
     return True
 
 
-def _resolving_counts(graph: Graph) -> tuple[int, ...]:
-    """Resolving-set counts by size, index k for k vertices; read through
-    graph._memo. Every class pattern is tested; the masks its high part
-    meets are dropped before the low parts."""
+def _resolving(graph: Graph) -> tuple[IntPolynomial, ResolvingSequence]:
+    """The resolving polynomial and its sequence; read through graph._memo.
+    Every class pattern is tested; the masks its high part meets are
+    dropped before the low parts."""
     masks = _disagreement_masks(graph)
     low, high = _pattern_tables(twin_classes(graph))
     counts = [0] * (graph.vertex_count + 1)
@@ -619,7 +621,9 @@ def _resolving_counts(graph: Graph) -> tuple[int, ...]:
         for rep_l, size_l, weight_l in low:
             if _hits_all(rep_l, rest):
                 counts[size_h + size_l] += weight_h * weight_l
-    return tuple(counts)
+    beta = next(k for k, c in enumerate(counts) if c)
+    sequence = ResolvingSequence(beta=beta, counts=tuple(counts[beta:]))
+    return IntPolynomial.from_terms(enumerate(counts)), sequence
 
 
 def metric_dimension(graph: Graph, cap: int = DEFAULT_CAPS.metric) -> int:
@@ -627,7 +631,7 @@ def metric_dimension(graph: Graph, cap: int = DEFAULT_CAPS.metric) -> int:
     resolving sweep. The sweep tests all 2^m class patterns whatever the
     answer is. The cap counts vertices."""
     _check_cap("metric_dimension", graph.vertex_count, cap, "vertices")
-    return next(k for k, c in enumerate(graph._memo(_resolving_counts)) if c)
+    return graph._memo(_resolving)[1].beta
 
 
 def resolving_polynomial(
@@ -635,7 +639,4 @@ def resolving_polynomial(
 ) -> tuple[IntPolynomial, ResolvingSequence]:
     """Counts of resolving sets by cardinality, from the resolving sweep."""
     _check_cap("resolving_polynomial", len(twin_classes(graph)), cap)
-    counts = graph._memo(_resolving_counts)
-    poly = IntPolynomial.from_terms(enumerate(counts))
-    beta = next(k for k, c in enumerate(counts) if c)
-    return poly, ResolvingSequence(beta=beta, counts=tuple(counts[beta:]))
+    return graph._memo(_resolving)

@@ -20,16 +20,18 @@ A disagreement never raises: it becomes an entry, and the exhaustive
 side is the authority. An exception from an engine becomes an `error`
 entry, and the report goes on with the next entry.
 
-Every entry calls its public engine, looked up when the entry runs, so a
-rebound engine changes only the entries that call it. Entries that rest
-on one intermediate share it, since the graph computes it once and keeps
-it (`Graph._memo`), each engine checking its own cap first: β and the
-three resolving entries share the resolving sweep; the eccentricities
-and the two eccentricity polynomials the class eccentricities; α and τ
-the weighted α of the twin quotient; ω and χ the quotient's clique size;
-and the C5 and P4 entries the subgraph on two members of each twin
-class. `regular_omega123` reads each degree within Ω1–Ω3 as one masked
-popcount of the vertex's row.
+Every entry calls its own public engine, looked up when the entry runs,
+so a rebound engine changes only the entries that call it. Entries that
+rest on one intermediate share it, since the graph computes it once and
+keeps it (`Graph._memo`), each engine checking its own cap first: β and
+the three resolving entries share the resolving sweep; the independence
+and cover entries the independence polynomial; the three detour entries
+the quotient's detour verdict; the eccentricities and the two
+eccentricity polynomials the class eccentricities; α and τ the weighted
+α of the twin quotient; ω and χ the quotient's clique size; and the C5
+and P4 entries the subgraph on two members of each twin class.
+`regular_omega123` reads each degree within Ω1–Ω3 as one masked popcount
+of the vertex's row.
 
 A report's JSON is the text json.dumps(report.to_json_obj(), indent=2)
 writes, but `to_json` writes it straight from the entries, with no object
@@ -43,7 +45,6 @@ never holds more than one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from . import closed_forms, invariants
@@ -209,13 +210,6 @@ def verify_all(n: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
                 status = "known_paper_exception"
         entries.append(ReportEntry(name, predicted, computed, status, error))
 
-    # computed on first use and shared, so sibling entries do not redo the
-    # expensive searches
-    resolving = cache(lambda: invariants.resolving_polynomial(graph, cap=caps.resolving))
-    detour = cache(lambda: invariants.detour_polynomial(graph, cap=caps.detour))
-    parts = cache(lambda: is_complete_multipartite(graph))
-    independence = cache(lambda: invariants.independence_polynomial(graph, cap=caps.indep))
-
     # centralizers and center
     for cls, members in enumerate(element_classes, start=1):
         # the least index of each class: a, ab, ab^2 and b
@@ -251,12 +245,14 @@ def verify_all(n: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
 
     # complete multipartite structure against the omega classes
     def part_sizes():
-        return None if parts() is None else tuple(sorted(map(len, parts())))
+        parts = is_complete_multipartite(graph)
+        return None if parts is None else tuple(sorted(map(len, parts)))
 
     def part_classes():
-        if parts() is None:
+        parts = is_complete_multipartite(graph)
+        if parts is None:
             return None
-        return _canonical_classes(sorted(graph.labels[v] for v in c) for c in parts())
+        return _canonical_classes(sorted(graph.labels[v] for v in c) for c in parts)
 
     add("partition_sizes", closed_forms.cf_partition_sizes(n), part_sizes)
     add(
@@ -298,26 +294,34 @@ def verify_all(n: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
     add(
         "resolving_polynomial",
         closed_forms.cf_resolving_polynomial(n),
-        lambda: resolving()[0],
+        lambda: invariants.resolving_polynomial(graph, cap=caps.resolving)[0],
     )
     add(
         "resolving_sequence",
         closed_forms.cf_resolving_sequence(n),
-        lambda: resolving()[1].counts,
+        lambda: invariants.resolving_polynomial(graph, cap=caps.resolving)[1].counts,
     )
     add(
         "resolving_roots",
         tuple(sorted(closed_forms.cf_resolving_roots(n))),
-        lambda: integer_roots(resolving()[0]),
+        lambda: integer_roots(invariants.resolving_polynomial(graph, cap=caps.resolving)[0]),
     )
 
     # detour distances: the distinct values are the polynomial's exponents
-    add("detour_distances", (5 * n - 1,), lambda: tuple(e for e, _ in detour().terms()))
-    add("detour_polynomial", closed_forms.cf_detour_polynomial(n), detour)
+    add(
+        "detour_distances",
+        (5 * n - 1,),
+        lambda: tuple(e for e, _ in invariants.detour_polynomial(graph, cap=caps.detour).terms()),
+    )
+    add(
+        "detour_polynomial",
+        closed_forms.cf_detour_polynomial(n),
+        lambda: invariants.detour_polynomial(graph, cap=caps.detour),
+    )
     add(
         "detour_index",
         closed_forms.cf_detour_index(n),
-        lambda: detour().derivative_at_one(),
+        lambda: invariants.detour_index(graph, cap=caps.detour),
     )
 
     # eccentricities; the closed forms apply only from n = 2, and all three
@@ -347,14 +351,12 @@ def verify_all(n: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
     add(
         "independence_polynomial",
         closed_forms.cf_independence_polynomial(n),
-        independence,
+        lambda: invariants.independence_polynomial(graph, cap=caps.indep),
     )
-    # the cover counts are the independence counts read backwards; a cap
-    # refusal is raised again here, so both entries skip
     add(
         "vertex_cover_polynomial",
         closed_forms.cf_vertex_cover_polynomial(n),
-        lambda: invariants._covers_from_independence(independence(), graph.vertex_count),
+        lambda: invariants.vertex_cover_polynomial(graph, cap=caps.indep),
     )
 
     return VerificationReport(n=n, entries=tuple(entries))

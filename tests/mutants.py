@@ -1,0 +1,190 @@
+"""Mutation check: each mutant is an edit to the sources that named tests
+must catch.
+
+    python tests/mutants.py
+
+A mutant is a file, a list of (old text, new text) edits, and the node ids
+of the tests that must fail once the edits are made. For each mutant the
+script copies src/, tests/ and pyproject.toml into a temporary directory,
+makes the edits there and runs pytest on those ids; since pyproject.toml
+puts src/ on pytest's path, the tests import the mutated copy. It exits 1
+if an old text does not occur exactly once, if the unmutated copy fails
+any listed id, or if a listed id does not fail under its mutant.
+
+pytest does not collect this file: its name does not match test_*.py.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+VERIFY = "tests/test_verify.py"
+KEPT = VERIFY + "::TestKeptValuesAreComputedOncePerGraph"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str
+    edits: tuple[tuple[str, str], ...]
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "detour-class-bound-inside-the-kept-verdict",
+        "src/u6n_ncg/invariants.py",
+        (
+            (
+                "    if m <= _QUOTIENT_CLASSES and graph._memo(_hamilton_connected):\n",
+                "    if graph._memo(_hamilton_connected):\n",
+            ),
+            (
+                "    quotient, sizes = graph._twin_quotient\n    trees = _tree_degrees(quotient)\n",
+                "    quotient, sizes = graph._twin_quotient\n"
+                "    if len(sizes) > _QUOTIENT_CLASSES:\n"
+                "        return False\n"
+                "    trees = _tree_degrees(quotient)\n",
+            ),
+        ),
+        (
+            "tests/test_invariants.py::TestDetourOnTheTwinQuotient"
+            "::test_the_dp_runs_on_a_graph_whose_verdict_is_kept",
+        ),
+    ),
+    Mutant(
+        "memo-kept-by-graph-value",
+        "src/u6n_ncg/graphs.py",
+        (
+            (
+                "        memos = self._memos\n",
+                '        memos = globals().setdefault("_BY_VALUE", {}).setdefault(self, {})\n',
+            ),
+        ),
+        (
+            KEPT + "::test_equal_graphs_never_share_a_value",
+            KEPT + "::test_two_reports_compute_each_twice",
+        ),
+    ),
+    Mutant(
+        "cover-polynomial-at-the-default-cap",
+        "src/u6n_ncg/invariants.py",
+        (
+            (
+                "    independence = independence_polynomial(graph, cap=cap)\n",
+                "    independence = independence_polynomial(graph)\n",
+            ),
+        ),
+        (
+            KEPT + "::test_a_cap_refusal_computes_nothing",
+            VERIFY + "::TestStatuses::test_independence_cap_skips_the_cover_entry_too",
+        ),
+    ),
+    Mutant(
+        "metric-dimension-under-the-class-cap",
+        "src/u6n_ncg/invariants.py",
+        (
+            (
+                '    _check_cap("metric_dimension", graph.vertex_count, cap, "vertices")\n',
+                '    _check_cap("metric_dimension", len(twin_classes(graph)), cap)\n',
+            ),
+        ),
+        (
+            "tests/test_invariants.py::TestCapsCountTwinClasses::test_metric_cap_still_counts_vertices",
+            KEPT + "::test_a_cap_refusal_computes_nothing",
+        ),
+    ),
+    Mutant(
+        "regular-part-masks-omega2-to-omega4",
+        "src/u6n_ncg/verify.py",
+        (
+            (
+                "        keep = [vertex_of[x] for c in element_classes[:3] for x in c]\n",
+                "        keep = [vertex_of[x] for c in element_classes[1:] for x in c]\n",
+            ),
+        ),
+        (
+            VERIFY + "::TestStatuses::test_n2_all_match",
+            VERIFY + "::TestSharedValuesAgainstEnginesAlone::test_default_caps[2]",
+        ),
+    ),
+)
+
+
+def copy_tree(into: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, into / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", into / "pyproject.toml")
+
+
+def run_pytest(tree: Path, ids) -> tuple[int, set[str], str]:
+    """pytest's exit code on these ids, the ids it reports failed, and its
+    output."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *ids],
+        cwd=tree,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    failed = {
+        line[len("FAILED ") :].split(" - ")[0]
+        for line in done.stdout.splitlines()
+        if line.startswith("FAILED ")
+    }
+    return done.returncode, failed, done.stdout + done.stderr
+
+
+def edited(text: str, mutant: Mutant) -> str:
+    """The text with the mutant's edits made, one after another; exits if
+    an old text does not occur exactly once."""
+    for old, new in mutant.edits:
+        count = text.count(old)
+        if count != 1:
+            raise SystemExit(f"{mutant.name}: old text occurs {count} times in {mutant.path}:\n{old}")
+        text = text.replace(old, new)
+    return text
+
+
+def main() -> int:
+    for mutant in MUTANTS:  # every old text is checked before any run
+        edited((ROOT / mutant.path).read_text(), mutant)
+    ids = sorted({i for m in MUTANTS for i in m.tests})
+    with tempfile.TemporaryDirectory() as scratch:
+        tree = Path(scratch) / "clean"
+        copy_tree(tree)
+        code, _, output = run_pytest(tree, ids)
+        if code != 0:
+            print(output)
+            print("the unmutated tree fails a listed test")
+            return 1
+        survived = []
+        for i, mutant in enumerate(MUTANTS):
+            tree = Path(scratch) / f"mutant{i}"
+            copy_tree(tree)
+            path = tree / mutant.path
+            path.write_text(edited(path.read_text(), mutant))
+            _, failed, output = run_pytest(tree, mutant.tests)
+            missed = [t for t in mutant.tests if t not in failed]
+            if missed:
+                print(output)
+                survived.append(mutant.name)
+            print(f"{mutant.name}: {'survived ' + ', '.join(missed) if missed else 'killed'}")
+    if survived:
+        print(f"{len(survived)} of {len(MUTANTS)} mutants survived: {', '.join(survived)}")
+        return 1
+    print(f"all {len(MUTANTS)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

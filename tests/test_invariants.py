@@ -948,8 +948,7 @@ def dp_detour_polynomial(graph, cap=10**6):
 def assert_quotient_test_is_exact(graph):
     """The quotient test accepts exactly when every two distinct vertices
     are at detour distance V - 1; the 2^V subset DP is the oracle."""
-    quotient, sizes = graph._twin_quotient
-    accepted = _hamilton_connected(quotient, sizes)
+    accepted = _hamilton_connected(graph)
     if not is_connected(graph):
         assert not accepted
         return
@@ -986,15 +985,14 @@ class TestDetourOnTheTwinQuotient:
     def test_one_class_of_twins(self, v):
         # no edges: a single vertex has no pairs, more are disconnected
         graph = Graph.from_edges([f"v{i}" for i in range(v)], [])
-        assert _hamilton_connected(*graph._twin_quotient) == (v <= 1)
+        assert _hamilton_connected(graph) == (v <= 1)
 
     @given(dense_blowups(max_vertices=30))
     @settings(max_examples=100, deadline=None)
     def test_past_the_cap_against_the_dp(self, graph):
         # up to 5 classes of up to 6 twins: V crosses the detour cap of 15
         assume(is_connected(graph))
-        quotient, sizes = graph._twin_quotient
-        if _hamilton_connected(quotient, sizes):
+        if _hamilton_connected(graph):
             assert detour_polynomial(graph) == dp_detour_polynomial(graph)
         elif graph.vertex_count > DEFAULT_CAPS.detour:
             with pytest.raises(CapacityError):
@@ -1010,11 +1008,23 @@ class TestDetourOnTheTwinQuotient:
     def test_dp_agrees_on_non_commuting_graphs(self, n):
         assert dp_detour_polynomial(ncg(n)) == closed_forms.cf_detour_polynomial(n)
 
+    def test_the_dp_runs_on_a_graph_whose_verdict_is_kept(self):
+        # the class bound is tested before the kept verdict is read, so
+        # switching the quotient test off reaches the DP and its cap even
+        # on a graph whose verdict is already kept
+        graph = ncg(4)
+        assert graph.vertex_count == 20
+        assert detour_polynomial(graph) == closed_forms.cf_detour_polynomial(4)
+        message = "^detour_polynomial handles at most 15 vertices, got 20$"
+        with patch.object(invariants, "_QUOTIENT_CLASSES", -1):
+            with pytest.raises(CapacityError, match=message):
+                detour_polynomial(graph)
+
     def test_the_dp_refuses_what_the_quotient_leaves(self):
         # a star of 20 leaves: one leaf class of 20 twins, which a path
         # through the centre cannot cover, so the DP and its cap decide
         graph = Graph.from_edges([f"s{i}" for i in range(21)], [(0, i) for i in range(1, 21)])
-        assert not _hamilton_connected(*graph._twin_quotient)
+        assert not _hamilton_connected(graph)
         message = "^detour_polynomial handles at most 15 vertices, got 21$"
         with pytest.raises(CapacityError, match=message):
             detour_polynomial(graph)

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from u6n_ncg import closed_forms, graphs, invariants, verify
-from u6n_ncg.graphs import find_induced, is_k_regular, non_commuting_graph
+from u6n_ncg.graphs import find_induced, is_complete_multipartite, is_k_regular, non_commuting_graph
 from u6n_ncg.groups import u6n_group
 from u6n_ncg.invariants import Caps, CapacityError, DEFAULT_CAPS
 from u6n_ncg.polynomials import IntPolynomial, integer_roots
@@ -15,6 +15,33 @@ from u6n_ncg.verify import verify_all
 
 def entry_map(report):
     return {e.name: e for e in report.entries}
+
+
+# each engine a report calls, and the entries that turn into `error` when
+# it raises: the entries that call it, and those whose engine calls it
+CALLERS = {
+    (invariants, "independence_number"): {"alpha", "tau"},
+    (invariants, "vertex_cover_number"): {"tau"},
+    (invariants, "clique_number"): {"omega"},
+    (invariants, "chromatic_number"): {"chi"},
+    (invariants, "metric_dimension"): {"metric_dimension"},
+    (invariants, "resolving_polynomial"): {
+        "resolving_polynomial",
+        "resolving_sequence",
+        "resolving_roots",
+    },
+    (verify, "integer_roots"): {"resolving_roots"},
+    (invariants, "detour_polynomial"): {"detour_distances", "detour_polynomial", "detour_index"},
+    (invariants, "detour_index"): {"detour_index"},
+    (invariants, "eccentricities"): {"eccentricities"},
+    (invariants, "total_eccentricity_polynomial"): {"total_eccentricity_polynomial"},
+    (invariants, "eccentric_connectivity_polynomial"): {"eccentric_connectivity_polynomial"},
+    (invariants, "independence_polynomial"): {"independence_polynomial", "vertex_cover_polynomial"},
+    (invariants, "vertex_cover_polynomial"): {"vertex_cover_polynomial"},
+    (verify, "is_complete_multipartite"): {"partition_sizes", "partition_classes"},
+    (verify, "find_induced"): {"no_induced_c5", "no_induced_p4"},
+    (verify, "is_k_regular"): {"full_graph_not_regular"},
+}
 
 
 class TestStatuses:
@@ -117,14 +144,16 @@ class TestStatuses:
         assert entry.computed == tuple(tuple(g.labels[y] for y in c) for c in centralizers)
 
     def test_independence_counts_are_computed_once(self, monkeypatch):
+        # both entries call independence_polynomial, which reads the
+        # polynomial the graph keeps
         calls = []
-        real = invariants.independence_polynomial
+        real = invariants._independence_counts
 
-        def counted(graph, cap):
+        def counted(graph):
             calls.append(graph.vertex_count)
-            return real(graph, cap=cap)
+            return real(graph)
 
-        monkeypatch.setattr(invariants, "independence_polynomial", counted)
+        monkeypatch.setattr(invariants, "_independence_counts", counted)
         by_name = entry_map(verify_all(2))
         assert calls == [10]
         for name in ("independence_polynomial", "vertex_cover_polynomial"):
@@ -134,6 +163,19 @@ class TestStatuses:
         by_name = entry_map(verify_all(2, caps=Caps(indep=3)))
         for name in ("independence_polynomial", "vertex_cover_polynomial"):
             assert (by_name[name].status, by_name[name].computed) == ("skipped_cap", None)
+
+    @pytest.mark.parametrize("engine", CALLERS, ids=lambda engine: engine[1])
+    def test_each_entry_calls_its_own_engine(self, monkeypatch, engine):
+        module, name = engine
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("engine fault")
+
+        monkeypatch.setattr(module, name, broken)
+        report = verify_all(2)
+        failed = {e.name for e in report.entries if e.status == "error"}
+        assert failed == CALLERS[engine]
+        assert {e.status for e in report.entries if e.name not in failed} == {"match"}
 
     @pytest.mark.parametrize("n", [0, -1, True, 2.0])
     def test_invalid_n(self, n):
@@ -152,9 +194,23 @@ def omega123_degree(graph, n):
     return is_k_regular(graph.induced_subgraph(v for v, l in enumerate(graph.labels) if l in labels))
 
 
-# each entry that rests on a value the graph keeps, as its public engine
-# computes it alone
+def partition_sizes(graph):
+    parts = is_complete_multipartite(graph)
+    return None if parts is None else tuple(sorted(map(len, parts)))
+
+
+def partition_classes(graph):
+    parts = is_complete_multipartite(graph)
+    if parts is None:
+        return None
+    return tuple(sorted(tuple(sorted(graph.labels[v] for v in c)) for c in parts))
+
+
+# each entry that rests on a value the graph keeps or that a sibling entry
+# reads too, as its public engine computes it alone
 ALONE = {
+    "partition_sizes": lambda graph, n, caps: partition_sizes(graph),
+    "partition_classes": lambda graph, n, caps: partition_classes(graph),
     "alpha": lambda graph, n, caps: invariants.independence_number(graph),
     "tau": lambda graph, n, caps: invariants.vertex_cover_number(graph),
     "omega": lambda graph, n, caps: invariants.clique_number(graph),
@@ -179,7 +235,11 @@ ALONE = {
     "eccentric_connectivity_polynomial": lambda graph, n, caps: (
         invariants.eccentric_connectivity_polynomial(graph)
     ),
+    "detour_distances": lambda graph, n, caps: tuple(
+        e for e, _ in invariants.detour_polynomial(graph, cap=caps.detour).terms()
+    ),
     "detour_polynomial": lambda graph, n, caps: invariants.detour_polynomial(graph, cap=caps.detour),
+    "detour_index": lambda graph, n, caps: invariants.detour_index(graph, cap=caps.detour),
     "independence_polynomial": lambda graph, n, caps: invariants.independence_polynomial(
         graph, cap=caps.indep
     ),
@@ -224,7 +284,14 @@ class TestSharedValuesAgainstEnginesAlone:
 
 class TestKeptValuesAreComputedOncePerGraph:
     KEPT = {
-        invariants: ("_resolving_counts", "_class_eccentricities", "_quotient_independence", "_clique_size"),
+        invariants: (
+            "_resolving",
+            "_independence_counts",
+            "_hamilton_connected",
+            "_class_eccentricities",
+            "_quotient_independence",
+            "_clique_size",
+        ),
         graphs: ("_two_per_class",),
     }
 
@@ -259,6 +326,8 @@ class TestKeptValuesAreComputedOncePerGraph:
         assert first == second and first is not second
         for graph in (first, second, first, second):
             invariants.metric_dimension(graph)
+            invariants.independence_polynomial(graph)
+            invariants.detour_polynomial(graph)
             invariants.eccentricities(graph)
             invariants.independence_number(graph)
             invariants.clique_number(graph)
@@ -274,6 +343,10 @@ class TestKeptValuesAreComputedOncePerGraph:
             invariants.resolving_polynomial(graph, cap=3)
         with pytest.raises(CapacityError):
             invariants.chromatic_number(graph, cap=3)
+        with pytest.raises(CapacityError):
+            invariants.independence_polynomial(graph, cap=3)
+        with pytest.raises(CapacityError):
+            invariants.vertex_cover_polynomial(graph, cap=3)
         assert calls == dict.fromkeys(calls, 0)
 
 
