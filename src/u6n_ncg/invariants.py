@@ -12,12 +12,15 @@ the distinct masks of vertices that tell two left-out members apart, in
 one sweep that counts resolving sets by size for the resolving
 polynomial and for β, which is its first nonzero count; independence
 counts recurse on the twin quotient, one vertex per class. Longest paths
-are first settled on a twin quotient of at most six classes: when
-spanning trees and Tutte's b-matching condition show every two vertices
-joined by a path through all V of them, every detour distance is V - 1,
-at a cost independent of the class sizes; otherwise a DP advances T-bit
-integers, T = prod(|C_i| + 1). The caps of the resolving, independence
-and chromatic engines count twin classes, and the detour and metric caps
+are first settled on a twin quotient of at most six classes: when every
+two vertices are joined by a path through all V of them, every detour
+distance is V - 1 and the detour polynomial is one term, at a cost
+independent of the class sizes. Ore's degree condition (Ore, 1963) shows
+this with one check per pair of classes; a graph that fails it is decided
+by spanning trees and Tutte's b-matching condition. Where the quotient
+test does not settle it, a DP advances T-bit integers,
+T = prod(|C_i| + 1). The caps of the resolving, independence and
+chromatic engines count twin classes, and the detour and metric caps
 count vertices, the detour cap bounding only that DP; without twins
 m = V and the cost is 2^V. One weighted branch and bound finds maximum
 independent sets: α runs it on the twin quotient weighted by class
@@ -40,6 +43,7 @@ cap first; the quotient test's class bound stays outside the kept verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .graphs import Graph, _bits, twin_classes
 from .polynomials import IntPolynomial
@@ -232,6 +236,14 @@ def _hamilton_connected(graph: Graph) -> bool:
     """Whether every two distinct vertices are joined by a path through all
     V of them, decided on the twin quotient; read through graph._memo.
 
+    First Ore's degree condition: if deg u + deg v > V for every two
+    distinct non-adjacent vertices, the graph is Hamilton-connected (O. Ore,
+    "Hamiltonian connected graphs", J. Math. Pures Appl. 42, 1963). Twins
+    share their degree, so the pairs checked are two members of a class of
+    at least two and a member of each of two non-adjacent classes. The
+    condition is only sufficient; a graph that fails it is decided exactly
+    by spanning trees and Tutte sets, as follows.
+
     Such a path from class s to class t walks the quotient, entering class
     i exactly |C_i| times; with x_e the uses of edge e, the walk is an
     Euler trail of the multigraph x, so x is connected and
@@ -245,6 +257,15 @@ def _hamilton_connected(graph: Graph) -> bool:
     Combinatorial Optimization, ch. 31). Only the degree sequence of T
     matters, so the work depends on the quotient alone."""
     quotient, sizes = graph._twin_quotient
+    m = len(sizes)
+    degree = [graph.adj[c[0]].bit_count() for c in twin_classes(graph)]
+    if all(
+        degree[a] + degree[w] > graph.vertex_count
+        for a in range(m)
+        for w in range(a if sizes[a] > 1 else a + 1, m)
+        if not quotient.adj[a] >> w & 1
+    ):
+        return True
     trees = _tree_degrees(quotient)
     tutte = _tutte_sets(quotient)
 
@@ -260,7 +281,6 @@ def _hamilton_connected(graph: Graph) -> bool:
                 return False
         return True
 
-    m = len(sizes)
     for s in range(m):
         for t in range(s if sizes[s] > 1 else s + 1, m):
             b = [2 * size for size in sizes]
@@ -277,25 +297,20 @@ def _hamilton_connected(graph: Graph) -> bool:
 
 def _class_detours(graph: Graph, cap: int) -> list[list[int]]:
     """D between members of twin classes a and w, two distinct ones when
-    a == w (0 for a class of one).
+    a == w (0 for a class of one), by a DP under the cap on vertices.
 
-    When the twin quotient has at most _QUOTIENT_CLASSES classes and every
-    two vertices are joined by a path through all V of them, D is V - 1
-    everywhere, at a cost independent of the class sizes. Otherwise a DP
-    answers, under the cap on vertices. Twins are never adjacent and
-    classes join all-or-none, so a class sequence is a path exactly when
-    consecutive classes are joined and no class is used more often than
-    it has members. Count vectors (k_1..k_m), k_i <= |C_i|, are numbered
-    in mixed radix, and bit c of ends[a][w] is set when some path starts
-    in class a, ends in class w and has count vector c. A layer adds one
-    vertex to every path at once: a step into class x keeps the states
-    with k_x < |C_x| and adds stride[x] to the index.
+    Twins are never adjacent and classes join all-or-none, so a class
+    sequence is a path exactly when consecutive classes are joined and no
+    class is used more often than it has members. Count vectors
+    (k_1..k_m), k_i <= |C_i|, are numbered in mixed radix, and bit c of
+    ends[a][w] is set when some path starts in class a, ends in class w
+    and has count vector c. A layer adds one vertex to every path at once:
+    a step into class x keeps the states with k_x < |C_x| and adds
+    stride[x] to the index.
     """
     quotient, sizes = graph._twin_quotient
     m = len(sizes)
     v_count = graph.vertex_count
-    if m <= _QUOTIENT_CLASSES and graph._memo(_hamilton_connected):
-        return [[v_count - 1 if a != w or sizes[a] > 1 else 0 for w in range(m)] for a in range(m)]
     _check_cap("detour_polynomial", v_count, cap, "vertices")
     if not is_connected(graph):
         raise DisconnectedGraphError("detour distance requires a connected graph")
@@ -329,8 +344,17 @@ def _class_detours(graph: Graph, cap: int) -> list[list[int]]:
 
 
 def detour_polynomial(graph: Graph, cap: int = DEFAULT_CAPS.detour) -> IntPolynomial:
-    """Sum of x^D(u, v) over unordered pairs of distinct vertices: C(|C_a|, 2)
-    pairs inside class a and |C_a| * |C_w| between classes a and w."""
+    """Sum of x^D(u, v) over unordered pairs of distinct vertices.
+
+    When the twin quotient has at most _QUOTIENT_CLASSES classes and every
+    two vertices are joined by a path through all V of them, it is the one
+    term C(V, 2) * x^(V - 1), at a cost independent of the class sizes.
+    The class bound is tested here, outside the kept verdict. Otherwise it
+    adds up the DP's class-pair values: C(|C_a|, 2) pairs inside class a
+    and |C_a| * |C_w| between classes a and w."""
+    v_count = graph.vertex_count
+    if len(twin_classes(graph)) <= _QUOTIENT_CLASSES and graph._memo(_hamilton_connected):
+        return IntPolynomial.monomial(v_count - 1, comb(v_count, 2)) if v_count > 1 else IntPolynomial()
     best = _class_detours(graph, cap)
     sizes = graph._twin_quotient[1]
     terms = []

@@ -27,6 +27,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 VERIFY = "tests/test_verify.py"
 KEPT = VERIFY + "::TestKeptValuesAreComputedOncePerGraph"
+DETOUR = "tests/test_invariants.py::TestDetourOnTheTwinQuotient"
 
 
 @dataclass(frozen=True)
@@ -43,20 +44,42 @@ MUTANTS = (
         "src/u6n_ncg/invariants.py",
         (
             (
-                "    if m <= _QUOTIENT_CLASSES and graph._memo(_hamilton_connected):\n",
+                "    if len(twin_classes(graph)) <= _QUOTIENT_CLASSES and graph._memo(_hamilton_connected):\n",
                 "    if graph._memo(_hamilton_connected):\n",
             ),
             (
-                "    quotient, sizes = graph._twin_quotient\n    trees = _tree_degrees(quotient)\n",
-                "    quotient, sizes = graph._twin_quotient\n"
-                "    if len(sizes) > _QUOTIENT_CLASSES:\n"
-                "        return False\n"
-                "    trees = _tree_degrees(quotient)\n",
+                "    m = len(sizes)\n    degree = [",
+                "    m = len(sizes)\n    if m > _QUOTIENT_CLASSES:\n        return False\n    degree = [",
+            ),
+        ),
+        (DETOUR + "::test_the_dp_runs_on_a_graph_whose_verdict_is_kept",),
+    ),
+    Mutant(
+        "ore-degree-sum-of-v-accepted",
+        "src/u6n_ncg/invariants.py",
+        (
+            (
+                "        degree[a] + degree[w] > graph.vertex_count\n",
+                "        degree[a] + degree[w] >= graph.vertex_count\n",
             ),
         ),
         (
-            "tests/test_invariants.py::TestDetourOnTheTwinQuotient"
-            "::test_the_dp_runs_on_a_graph_whose_verdict_is_kept",
+            DETOUR + "::test_degree_sums_of_exactly_v_are_not_enough[2]",
+            DETOUR + "::test_degree_sums_of_exactly_v_are_not_enough[3]",
+        ),
+    ),
+    Mutant(
+        "ore-same-class-pairs-dropped",
+        "src/u6n_ncg/invariants.py",
+        (
+            (
+                "        for w in range(a if sizes[a] > 1 else a + 1, m)\n",
+                "        for w in range(a + 1, m)\n",
+            ),
+        ),
+        (
+            DETOUR + "::test_degree_sums_of_exactly_v_are_not_enough[2]",
+            DETOUR + "::test_degree_sums_of_exactly_v_are_not_enough[3]",
         ),
     ),
     Mutant(

@@ -76,6 +76,11 @@ def cycle_graph(k):
     return Graph.from_edges([f"c{i}" for i in range(k)], edges)
 
 
+def complete_bipartite(k):
+    """K_{k,k}: vertices 0..k-1 joined to k..2k-1."""
+    return Graph.from_edges([f"b{i}" for i in range(2 * k)], [(i, k + j) for i in range(k) for j in range(k)])
+
+
 K2 = complete_graph(2)
 DISCONNECTED = Graph.from_edges(["u", "v", "w"], [(0, 1)])
 
@@ -462,8 +467,8 @@ def naive_detour_matrix(graph):
 
 
 def spread_detours(graph, cap=DEFAULT_CAPS.detour):
-    """All-pairs detour distances: the engine's class-pair values spread
-    over the class members, 0 on the diagonal."""
+    """All-pairs detour distances: the DP's class-pair values spread over
+    the class members, 0 on the diagonal."""
     best = invariants._class_detours(graph, cap)
     index = invariants._class_index(graph)
     return tuple(
@@ -963,7 +968,8 @@ def assert_quotient_test_is_exact(graph):
 
 class TestDetourOnTheTwinQuotient:
     """Every pair at detour distance V - 1 is decided on the twin quotient:
-    spanning trees and Tutte's b-matching condition, at a cost independent
+    Ore's degree condition first, then spanning trees and Tutte's
+    b-matching condition for a graph that fails it, at a cost independent
     of the class sizes."""
 
     @given(twin_blowups())
@@ -998,11 +1004,19 @@ class TestDetourOnTheTwinQuotient:
             with pytest.raises(CapacityError):
                 detour_polynomial(graph)
 
-    @pytest.mark.parametrize("n", [*range(4, 11), 40, 1000])
+    @pytest.mark.parametrize("n", [*range(1, 11), 40, 1000])
     def test_closed_forms_at_default_caps(self, n):
+        # the class of 2n twins has degree 3n, and 6n > V = 5n: the degree
+        # condition settles the graph, so neither spanning trees nor Tutte
+        # sets are enumerated
+        def refused(quotient):
+            raise AssertionError("the degree condition should settle this graph")
+
         graph = ncg(n)
-        assert detour_polynomial(graph) == closed_forms.cf_detour_polynomial(n)
-        assert detour_index(graph) == closed_forms.cf_detour_index(n)
+        with patch.object(invariants, "_tree_degrees", refused):
+            with patch.object(invariants, "_tutte_sets", refused):
+                assert detour_polynomial(graph) == closed_forms.cf_detour_polynomial(n)
+                assert detour_index(graph) == closed_forms.cf_detour_index(n)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
     def test_dp_agrees_on_non_commuting_graphs(self, n):
@@ -1019,6 +1033,37 @@ class TestDetourOnTheTwinQuotient:
         with patch.object(invariants, "_QUOTIENT_CLASSES", -1):
             with pytest.raises(CapacityError, match=message):
                 detour_polynomial(graph)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_degree_sums_of_exactly_v_are_not_enough(self, k):
+        # K_{k,k}: two non-adjacent vertices of one side have degree sum
+        # 2k = V, one short of Ore's condition, and no path through all
+        # vertices joins them, since its ends lie on opposite sides
+        graph = complete_bipartite(k)
+        assert {row.bit_count() for row in graph.adj} == {k}
+        assert 2 * k == graph.vertex_count
+        assert not _hamilton_connected(graph)
+        assert detour_polynomial(graph) == dp_detour_polynomial(graph)
+
+    def test_the_enumeration_accepts_what_the_degrees_leave(self):
+        # the wheel W5, a hub on C5: two rim vertices apart have degree sum
+        # 3 + 3 = V, so Ore's condition fails, yet every two vertices are
+        # joined by a path through all six
+        graph = Graph.from_edges(
+            [f"w{i}" for i in range(6)],
+            [(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)],
+        )
+        assert len(twin_classes(graph)) == graph.vertex_count == 6
+        real, enumerated = invariants._tree_degrees, []
+
+        def counted(quotient):
+            enumerated.append(quotient)
+            return real(quotient)
+
+        with patch.object(invariants, "_tree_degrees", counted):
+            assert _hamilton_connected(graph)
+        assert len(enumerated) == 1
+        assert detour_polynomial(graph) == dp_detour_polynomial(graph) == IntPolynomial.monomial(5, 15)
 
     def test_the_dp_refuses_what_the_quotient_leaves(self):
         # a star of 20 leaves: one leaf class of 20 twins, which a path
