@@ -208,10 +208,10 @@ def _cmd_verify(args) -> int:
     u6n_order(last)  # refuse an over-limit n before computing any report
     # each report is written as soon as it is computed and then dropped, so
     # a range holds one report at a time; a JSON range is the array that
-    # json.dumps(..., indent=2) writes
+    # json.dumps(..., indent=2) writes, even of one report, and --n an object
     if args.format == "text":
         head, sep, tail, render = "", "\n\n", "\n", VerificationReport.to_text
-    elif first == last:
+    elif args.n is not None:
         head, sep, tail, render = "", "", "\n", lambda report: report_to_json([report])
     else:
         head, sep, tail = "[\n  ", ",\n  ", "\n]\n"

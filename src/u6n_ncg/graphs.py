@@ -235,7 +235,8 @@ def is_complete_multipartite(graph: Graph) -> tuple[tuple[int, ...], ...] | None
 
 def _parse_pattern(pattern: str) -> tuple[str, int]:
     kind, _, tail = pattern.partition("_")
-    if kind not in ("cycle", "path") or not tail.isdigit():
+    # str.isdigit alone accepts non-ASCII digits, which int() reads or refuses
+    if kind not in ("cycle", "path") or not (tail.isascii() and tail.isdigit()):
         raise ValueError(f"unknown pattern {pattern!r}; expected 'path_k' or 'cycle_k'")
     k = int(tail)
     if k > MAX_PATTERN_ORDER:
@@ -292,6 +293,11 @@ def _copies_at(adj, closed, kind, k, m):
                     yield (m, *left, *right)
 
 
+# the only paths and cycles with false twins of their own: the ends of P3
+# and the opposite corners of C4
+_TWINNED_PATTERNS = (("path", 3), ("cycle", 4))
+
+
 def _two_per_class(graph: Graph) -> tuple[tuple[int, ...], Graph]:
     """The two smallest members of each class of false twins, ascending,
     and the subgraph they induce (the graph itself if that is all)."""
@@ -305,17 +311,30 @@ def find_induced(graph: Graph, pattern: str) -> tuple[int, ...] | None:
     """First vertex subset (lexicographic, as a sorted tuple) whose induced
     subgraph is the requested path or cycle, or None if there is none.
 
-    A copy holds at most two members of a class of false twins, since a
-    third would give the twins' common neighbour degree 3, and swapping a
-    member for a smaller unused twin is an automorphism that lowers the
-    sorted tuple. So the first copy keeps to the two smallest members of
-    each class, and the search runs on those. Each kept vertex m in
-    ascending order is tried as the smallest vertex of a copy, whose
-    induced paths are grown on the vertices above m. The first m with a
-    copy gives the answer: the smallest of its copies.
+    False twins u, w of the graph (N(u) = N(w)) stay false twins in every
+    induced subgraph that holds both. P_k for k != 3 and C_k for k != 4
+    have no two vertices with equal neighbourhoods, so a copy of one of
+    them holds at most one member of each twin class. Swapping a member
+    for the smallest of its class is then an automorphism that never
+    raises the sorted tuple, so the first copy lies on the class minima:
+    the search runs on the kept twin quotient, and each of its vertices
+    maps back to the first member of its class. P3 and C4 may hold two
+    twins but never three (the twins' common neighbour would get degree
+    3), and swapping a member for a smaller twin outside the copy lowers
+    the sorted tuple, so their first copy keeps to the two smallest
+    members of each class, and their search runs on the subgraph those
+    induce. Each
+    vertex m of the search graph in ascending order is tried as the
+    smallest vertex of a copy, whose induced paths are grown on the
+    vertices above m. The first m with a copy gives the answer: the
+    smallest of its copies.
     """
     kind, k = _parse_pattern(pattern)
-    kept, graph = graph._memo(_two_per_class)
+    if (kind, k) in _TWINNED_PATTERNS:
+        kept, graph = graph._memo(_two_per_class)
+    else:
+        kept = tuple(c[0] for c in twin_classes(graph))
+        graph = graph._twin_quotient[0]
     adj = graph.adj
     closed = [row | (1 << u) for u, row in enumerate(adj)]
     for m in range(graph.vertex_count):

@@ -28,8 +28,10 @@ the three resolving entries share the resolving sweep; the independence
 and cover entries the independence polynomial; the three detour entries
 the quotient's detour verdict; the eccentricities and the two
 eccentricity polynomials the class eccentricities; α and τ the weighted
-α of the twin quotient; ω and χ the quotient's clique size; and the C5
-and P4 entries the subgraph on two members of each twin class.
+α of the twin quotient; and ω and χ the quotient's clique size. The C5
+and P4 entries search the twin quotient itself, which the graph keeps
+with its twin classes: neither pattern has twins of its own, so a first
+copy lies on the class minima (see find_induced).
 `regular_omega123` reads each degree within Ω1–Ω3 as one masked popcount
 of the vertex's row.
 

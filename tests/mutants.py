@@ -28,6 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 VERIFY = "tests/test_verify.py"
 KEPT = VERIFY + "::TestKeptValuesAreComputedOncePerGraph"
 DETOUR = "tests/test_invariants.py::TestDetourOnTheTwinQuotient"
+INDUCED = "tests/test_graphs.py::TestFindInduced"
 
 
 @dataclass(frozen=True)
@@ -94,6 +95,48 @@ MUTANTS = (
         (
             KEPT + "::test_equal_graphs_never_share_a_value",
             KEPT + "::test_two_reports_compute_each_twice",
+        ),
+    ),
+    Mutant(
+        "p3-searched-on-the-twin-quotient",
+        "src/u6n_ncg/graphs.py",
+        (
+            (
+                '_TWINNED_PATTERNS = (("path", 3), ("cycle", 4))\n',
+                '_TWINNED_PATTERNS = (("cycle", 4),)\n',
+            ),
+        ),
+        (
+            INDUCED + "::test_first_p3_holds_two_twins",
+            INDUCED + "::test_matches_subset_sweep_on_an_interleaved_blowup[path_3]",
+        ),
+    ),
+    Mutant(
+        "c4-searched-on-the-twin-quotient",
+        "src/u6n_ncg/graphs.py",
+        (
+            (
+                '_TWINNED_PATTERNS = (("path", 3), ("cycle", 4))\n',
+                '_TWINNED_PATTERNS = (("path", 3),)\n',
+            ),
+        ),
+        (
+            INDUCED + "::test_first_c4_holds_two_twins_of_each_class",
+            INDUCED + "::test_matches_subset_sweep_on_an_interleaved_blowup[cycle_4]",
+        ),
+    ),
+    Mutant(
+        "quotient-vertex-mapped-to-the-last-of-its-class",
+        "src/u6n_ncg/graphs.py",
+        (
+            (
+                "        kept = tuple(c[0] for c in twin_classes(graph))\n",
+                "        kept = tuple(c[-1] for c in twin_classes(graph))\n",
+            ),
+        ),
+        (
+            INDUCED + "::test_matches_subset_sweep_on_an_interleaved_blowup[path_2]",
+            INDUCED + "::test_matches_subset_sweep_on_an_interleaved_blowup[cycle_5]",
         ),
     ),
     Mutant(

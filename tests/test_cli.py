@@ -77,8 +77,12 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("fmt", ["json", "text"])
     @pytest.mark.parametrize(
         "span, options, caps",
-        [("1:3", [], DEFAULT_CAPS), ("1:6", ["--caps", "metric=3"], Caps(metric=3))],
-        ids=["1:3", "1:6-metric=3"],
+        [
+            ("1:3", [], DEFAULT_CAPS),
+            ("1:6", ["--caps", "metric=3"], Caps(metric=3)),
+            ("2:2", [], DEFAULT_CAPS),
+        ],
+        ids=["1:3", "1:6-metric=3", "2:2"],
     )
     def test_range_is_every_report_in_one_document(self, capsys, fmt, span, options, caps):
         code, out, err = run(capsys, "verify", "--n-range", span, *options, "--format", fmt)

@@ -202,6 +202,18 @@ def multipartite_by_pairs(graph):
 
 PATTERNS = [f"path_{k}" for k in range(1, 9)] + [f"cycle_{k}" for k in range(3, 9)]
 
+# C5 with each vertex b replaced by the false twins of class b, their
+# labels interleaved
+C5_BLOWUP_CLASSES = (2, 2, 1, 0, 3, 0, 4, 1, 0, 4)
+C5_BLOWUP = Graph.from_edges(
+    [f"v{i}" for i in range(len(C5_BLOWUP_CLASSES))],
+    [
+        (a, b)
+        for a, b in combinations(range(len(C5_BLOWUP_CLASSES)), 2)
+        if (C5_BLOWUP_CLASSES[a] - C5_BLOWUP_CLASSES[b]) % 5 in (1, 4)
+    ],
+)
+
 
 class TestConstruction:
     def test_n1_vertices_and_edges(self):
@@ -452,6 +464,27 @@ class TestFindInduced:
             find_induced(TRIANGLE, "path_0")
         assert str(info.value) == "paths need at least 1 vertex"
 
+    # a superscript two, which int() refuses, and an Arabic-Indic three,
+    # which int() reads as 3: str.isdigit accepts both
+    @pytest.mark.parametrize("pattern", ["path_\u00b2", "cycle_\u0663"])
+    def test_order_is_ascii_digits(self, pattern):
+        with pytest.raises(ValueError, match="unknown pattern"):
+            find_induced(TRIANGLE, pattern)
+
+    def test_first_p3_holds_two_twins(self):
+        # the leaves 1, 2, 3 of the star are false twins
+        star = Graph.from_edges(["c", "x", "y", "z"], [(0, 1), (0, 2), (0, 3)])
+        assert find_induced(star, "path_3") == (0, 1, 2)
+
+    def test_first_c4_holds_two_twins_of_each_class(self):
+        # K2,2 with parts {0, 2} and {1, 3}
+        k22 = Graph.from_edges(["a", "b", "c", "d"], [(0, 1), (1, 2), (2, 3), (0, 3)])
+        assert find_induced(k22, "cycle_4") == (0, 1, 2, 3)
+
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    def test_matches_subset_sweep_on_an_interleaved_blowup(self, pattern):
+        assert find_induced(C5_BLOWUP, pattern) == sweep_induced(C5_BLOWUP, pattern)
+
     @given(random_graphs())
     @settings(max_examples=150, deadline=None)
     def test_matches_subset_sweep(self, graph):
@@ -463,6 +496,17 @@ class TestFindInduced:
     def test_matches_subset_sweep_with_twins(self, graph):
         for pattern in PATTERNS:
             assert find_induced(graph, pattern) == sweep_induced(graph, pattern), pattern
+
+    @given(twin_blowups())
+    @settings(max_examples=150, deadline=None)
+    def test_twin_free_patterns_hold_one_member_per_class(self, graph):
+        classes = twin_classes(graph)
+        class_of = {u: i for i, c in enumerate(classes) for u in c}
+        for pattern in [p for p in PATTERNS if p not in ("path_3", "cycle_4")]:
+            combo = find_induced(graph, pattern)
+            if combo is not None:
+                assert len({class_of[u] for u in combo}) == len(combo), pattern
+                assert set(combo) <= {c[0] for c in classes}, pattern
 
 
 class TestRegularity:
