@@ -14,30 +14,27 @@ A FiniteGroup stores its table as one flat `bytes` object, `cells`, in two
 planes: first the high byte of every entry, then the low byte of every
 entry, each plane row-major. With i = x * order + y, entry x*y is
 cells[i] << 8 | cells[order * order + i]; the table takes 2 * order^2
-bytes, 72n^2 for U(6n). Every routine works on whole rows and strided
-columns of a plane with C-level slicing and big-int arithmetic, never
-entry by entry. Commutation is read from one primitive, the commutation
-row of x: byte y is 1 when x*y != y*x, one byte per element. The rows of
-every element are computed once per group, on its first commutation
-query, and equal rows are held as one object: elements with one
-centralizer share one row, so U(6n) holds 5 distinct rows at every n.
-The center, the centralizers and the non-commuting graph all derive from
-these rows.
+bytes, 72n^2 for U(6n). Routines read whole rows and strided columns of a
+plane with C-level slicing and big-int arithmetic. Commutation is read
+from one primitive, the commutation row of x: byte y is 1 when x*y !=
+y*x. The center, the centralizers and the non-commuting graph all derive
+from these rows.
 
-The relation x*y != y*x is symmetric, so the rows are computed from the
-upper triangle of the table only and each entry is read once. The pass
-works a block of _BLOCK_ROWS consecutive rows at a time, after the
-blocked transpose of Frigo, Leiserson, Prokop and Ramachandran
-("Cache-oblivious algorithms", FOCS 1999). For rows x0..x1-1, lanes x0 to
-the end of each row are compared with columns x0..x1-1 over table rows
-x0 to the end. The columns are strided slices, read _CHUNK_ROWS table
-rows at a time with every column of the block taken from one chunk
-before the next, so the strided reads of a chunk stay within a few
-hundred memory pages instead of sweeping the whole plane once per
-column. Each block becomes one strip of 0/1 flags in one pass of big-int
-and byte operations. The lanes left of x0 are lanes x0..x1-1 of the rows
-already built, cut once per distinct row, so no strip outlives its block
-and the pass holds little beyond the buffers of one block.
+The rows of every element are computed once per group, on its first
+commutation query, and equal rows are held as one object, so U(6n) holds 5
+distinct rows at every n. The pass rests on the group axioms, which
+group_from_table checks and u6n_group meets by construction:
+
+- For z in the center Z, (x*z)*y = (x*y)*z and y*(x*z) = (y*x)*z, so x*z
+  commutes with y exactly when x does: the row of x is the row of every
+  element of its coset xZ.
+- Z is the set of elements that commute with each member of a generating
+  set S. In a finite group, closing {1} under right multiplication by S
+  gives the subgroup S generates; no inverses are needed.
+
+So the pass finds S greedily and computes by definition only the rows of
+S and of one element per coset of Z: O(order * (|S| + order / |Z|))
+table entries, at most 8 rows of U(6n), every row of a centerless group.
 """
 
 from __future__ import annotations
@@ -64,12 +61,28 @@ _DENSE_TABLE_LIMIT = 6000 * 6000
 # a byte of a commutation row: 0 stays 0, any difference becomes 1
 _NONZERO = bytes(1) + b"\x01" * 255
 
-# Tile of the commutation pass: rows per block (one strip of the upper
-# triangle), and table rows per chunk of the block's strided column reads.
-# Chosen from timings at n = 150 and n = 1000 (block rows 64 and 96 were
-# within noise of each other, 128 slower); neither changes any result.
-_BLOCK_ROWS = 96
-_CHUNK_ROWS = 512
+
+def _commutation_row(cells: bytes, order: int, x: int) -> bytes:
+    """The row of x by definition: row x of each plane XORed as a big int
+    with strided column x; a lane that differs in either plane becomes 1."""
+    size = order * order
+    differs = 0
+    for plane in (0, size):
+        row = cells[plane + x * order : plane + (x + 1) * order]
+        column = cells[plane + x : plane + size : order]
+        differs |= int.from_bytes(row, "big") ^ int.from_bytes(column, "big")
+    return differs.to_bytes(order, "big").translate(_NONZERO)
+
+
+def _column(cells: bytes, order: int, s: int) -> array:
+    """Column s of the table: entry y is y*s, joined from both planes."""
+    size = order * order
+    packed = bytearray(2 * order)  # high and low byte of each entry in turn
+    packed[0::2], packed[1::2] = cells[s:size:order], cells[size + s :: order]
+    column = array("H", packed)
+    if sys.byteorder == "little":
+        column.byteswap()
+    return column
 
 
 def _label(a_exp: int, b_exp: int) -> str:
@@ -112,8 +125,9 @@ class FiniteGroup:
     `cells` is the table in two row-major planes, the high bytes of all
     entries and then their low bytes: with i = x * order + y, x*y is
     cells[i] << 8 | cells[order * order + i]. Immutable; all methods are
-    pure lookups or scans over the cells. A group is its table: U(6n) from
-    u6n_group equals the same table loaded with group_from_table.
+    pure lookups or scans over the cells. The cells must be a group table,
+    as the commutation rows rest on the group axioms. A group is its table:
+    U(6n) from u6n_group equals the same table loaded with group_from_table.
     """
 
     labels: tuple[str, ...]
@@ -137,59 +151,45 @@ class FiniteGroup:
     @cached_property
     def _commutation_rows(self) -> tuple[bytes, ...]:
         """The commutation row of every element, computed on the first
-        commutation query and kept.
+        commutation query and kept; the cells must be a group table.
 
-        The flags F[x][y] = [x*y != y*x] are symmetric for any table, so
-        the pass computes only the upper triangle, a strip per block of
-        _BLOCK_ROWS rows x0..x1-1 (fewer in the last block). The row side
-        of the strip is lanes x0..order-1 of each row of the block, one
-        slice per row of each plane. The column side is columns x0..x1-1
-        over table rows x0..order-1, strided slices of step `order` read
-        in chunks of _CHUNK_ROWS table rows: every column of the block
-        takes its piece of one chunk before any column moves to the next,
-        and each column's pieces are then joined in order. The two sides
-        are XORed as big ints, the high plane and the low plane apart; a
-        lane that differs in either is nonzero, and one translate turns
-        the strip into 0/1 flags, order - x0 lanes per row. So each table
-        entry goes through int.from_bytes once.
-
-        Lanes y < x0 of row x are F[y][x], lane x of row y, and every row
-        y < x0 is complete when block x0 is reached. So lanes x0..x1-1 are
-        cut once from each distinct row built so far and joined in element
-        order, F[y][x0..x1-1] for every y < x0, and each row of the block
-        takes its lanes y < x0 from them with one strided slice. Nothing
-        of a strip outlives its block. Equal rows are interned, so each
-        distinct row is held and cut once. No plane is ever copied
-        whole."""
-        cells, order = self.cells, self.order
-        planes = (0, order * order)  # offsets of the high and the low plane
+        An element outside the subgroup built so far joins S, and the
+        subgroup is closed again under each generator's column. The center
+        is the lanes that are 0 in every generator's row. Each element x
+        still without a row, in index order, gives its row to every x*z, z
+        in the center, read from row x of both planes."""
+        cells, order, identity = self.cells, self.order, self.identity
+        size = order * order
+        member = bytearray(order)
+        member[identity] = 1
+        members = [identity]
+        generators: dict[int, bytes] = {}  # each generator and its row
+        columns: list[array] = []
+        differs = 0  # the lanes where some generator's row is 1
+        for s in range(order):
+            if member[s]:
+                continue
+            row = generators[s] = _commutation_row(cells, order, s)
+            differs |= int.from_bytes(row, "big")
+            columns.append(_column(cells, order, s))
+            grown: list[int] = []
+            for h in chain(members, grown):  # grown lengthens while it is read
+                for column in columns:
+                    y = column[h]
+                    if not member[y]:
+                        member[y] = 1
+                        grown.append(y)
+            members += grown
+        center = [z for z, flag in enumerate(differs.to_bytes(order, "big")) if not flag]
         interned: dict[bytes, bytes] = {}
-        rows = []
-        for x0 in range(0, order, _BLOCK_ROWS):
-            x1 = min(x0 + _BLOCK_ROWS, order)
-            width = order - x0
-            chunks = [
-                (y * order, min(y + _CHUNK_ROWS, order) * order)
-                for y in range(x0, order, _CHUNK_ROWS)
-            ]
-            differs = 0
-            for plane in planes:
-                pieces = [
-                    [cells[plane + y0 + c : plane + y1 : order] for c in range(x0, x1)]
-                    for y0, y1 in chunks
-                ]
-                # zip(*pieces) regroups the chunk-major pieces column by column
-                columns = b"".join(chain.from_iterable(zip(*pieces)))
-                del pieces  # not held through the big ints below
-                row_starts = range(plane + x0 * order + x0, plane + x1 * order, order)
-                block = b"".join([cells[at : at + width] for at in row_starts])
-                differs |= int.from_bytes(block, "big") ^ int.from_bytes(columns, "big")
-            strip = differs.to_bytes((x1 - x0) * width, "big").translate(_NONZERO)
-            lanes = {row: row[x0:x1] for row in interned}
-            left = b"".join(map(lanes.__getitem__, rows))  # x0 rows of x1 - x0 lanes
-            for x, at in zip(range(x0, x1), range(0, len(strip), width)):
-                row = left[x - x0 :: x1 - x0] + strip[at : at + width]
-                rows.append(interned.setdefault(row, row))
+        rows: list[bytes | None] = [None] * order
+        for x in range(order):
+            if rows[x] is None:
+                row = generators[x] if x in generators else _commutation_row(cells, order, x)
+                row = interned.setdefault(row, row)
+                at = x * order
+                for z in center:
+                    rows[cells[at + z] << 8 | cells[size + at + z]] = row
         return tuple(rows)
 
     def non_commuting_row(self, x: int) -> bytes:

@@ -29,6 +29,9 @@ VERIFY = "tests/test_verify.py"
 KEPT = VERIFY + "::TestKeptValuesAreComputedOncePerGraph"
 DETOUR = "tests/test_invariants.py::TestDetourOnTheTwinQuotient"
 INDUCED = "tests/test_graphs.py::TestFindInduced"
+GROUPS = "tests/test_groups.py"
+ROWS = GROUPS + "::TestTiledCommutationPass"
+COSETS = GROUPS + "::TestCenterCosetPass"
 
 
 @dataclass(frozen=True)
@@ -180,6 +183,49 @@ MUTANTS = (
             VERIFY + "::TestStatuses::test_n2_all_match",
             VERIFY + "::TestSharedValuesAgainstEnginesAlone::test_default_caps[2]",
         ),
+    ),
+    Mutant(
+        "center-read-from-the-first-generator-alone",
+        "src/u6n_ncg/groups.py",
+        (
+            (
+                '            differs |= int.from_bytes(row, "big")\n',
+                '            differs |= int.from_bytes(row, "big") if len(generators) == 1 else 0\n',
+            ),
+        ),
+        (
+            ROWS + "::test_u6n_matches_row_by_row[2]",
+            GROUPS + "::TestCenterAndCentralizers::test_center_is_even_powers_of_a[3]",
+        ),
+    ),
+    Mutant(
+        "coset-products-read-from-the-low-plane",
+        "src/u6n_ncg/groups.py",
+        (
+            (
+                "                    rows[cells[at + z] << 8 | cells[size + at + z]] = row\n",
+                "                    rows[cells[size + at + z]] = row\n",
+            ),
+        ),
+        (
+            ROWS + "::test_u6n_matches_row_by_row[43]",
+            ROWS + "::test_wide_orders_match_scans[u6n43]",
+        ),
+    ),
+    Mutant(
+        "generator-search-stopped-after-one",
+        "src/u6n_ncg/groups.py",
+        (("            if member[s]:\n", "            if member[s] or generators:\n"),),
+        (
+            ROWS + "::test_u6n_matches_row_by_row[1]",
+            COSETS + "::test_u6n_computes_a_row_per_generator_and_coset",
+        ),
+    ),
+    Mutant(
+        "definitional-row-from-the-low-plane",
+        "src/u6n_ncg/groups.py",
+        (("    for plane in (0, size):\n", "    for plane in (size,):\n"),),
+        (COSETS + "::test_products_apart_in_the_high_byte_only",),
     ),
 )
 

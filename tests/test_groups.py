@@ -4,7 +4,7 @@ import tracemalloc
 from functools import cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from u6n_ncg import groups
@@ -383,7 +383,7 @@ class TestCommutationRowsAgainstScans:
             u6n_group(1).non_commuting_row(6)
 
 
-# -- the row-at-a-time pass, kept as the oracle for the triangle pass -------
+# -- the row-at-a-time pass, kept as the oracle for the coset pass ---------
 
 def row_by_row_commutation(g):
     """Every commutation row from its own pass: row x of each plane of the
@@ -418,9 +418,14 @@ def dihedral_table(m):
 def relabelled(table, seed):
     """The table with its elements renumbered by a seeded permutation, so
     the identity and the classes of equal rows land at scattered indices."""
-    order = len(table)
-    perm = list(range(order))
+    perm = list(range(len(table)))
     random.Random(seed).shuffle(perm)
+    return permuted(table, perm)
+
+
+def permuted(table, perm):
+    """The table with element x renumbered perm[x]."""
+    order = len(table)
     out = [[0] * order for _ in range(order)]
     for x in range(order):
         for y in range(order):
@@ -428,9 +433,9 @@ def relabelled(table, seed):
     return out
 
 
-# Orders past 256, where the high byte of a cell is nonzero, none a
-# multiple of the block or chunk size: 258 and 342 (U(6n)), 300 (dihedral,
-# loaded) and 258 again with every index moved (loaded).
+# Orders past 256, where the high byte of a cell is nonzero: 258 and 342
+# (U(6n)), 300 (dihedral, loaded) and 258 again with every index moved
+# (loaded).
 @cache
 def wide_group(name):
     if name == "dihedral150":
@@ -447,12 +452,6 @@ WIDE_GROUPS = ["u6n43", "u6n57", "dihedral150", "relabelled43"]
 
 
 class TestTiledCommutationPass:
-    def test_tile_sizes_do_not_divide_the_wide_orders(self):
-        for name in WIDE_GROUPS:
-            order = wide_group(name)[0].order
-            assert order > 256
-            assert order % groups._BLOCK_ROWS and order % groups._CHUNK_ROWS
-
     @pytest.mark.parametrize("name", WIDE_GROUPS)
     def test_wide_orders_match_scans(self, name):
         g, table = wide_group(name)
@@ -478,70 +477,96 @@ class TestTiledCommutationPass:
         rows = wide_group(name)[0]._commutation_rows
         assert len({id(r) for r in rows}) == len(set(rows))
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 6, 16, 42, 43, 64, 128])
+    @pytest.mark.parametrize("n", [*range(1, 61), 64, 128, 150, 300])
     def test_u6n_matches_row_by_row(self, n):
-        # orders 6..96 fit in one block; 384 and 768 are whole blocks, and
-        # 768 is more than one chunk; 252 and 258 end on a short block
+        # from n = 43 (order 258) on, element indices take two bytes
         g = u6n_group(n)
         assert g._commutation_rows == row_by_row_commutation(g)
 
-    @pytest.mark.parametrize("block, chunk", [(1, 1), (2, 3), (5, 7), (7, 5), (32, 1), (1, 256)])
-    def test_any_tile_gives_the_same_rows(self, monkeypatch, block, chunk):
-        # small tiles cut every small group into many short blocks and chunks
-        monkeypatch.setattr(groups, "_BLOCK_ROWS", block)
-        monkeypatch.setattr(groups, "_CHUNK_ROWS", chunk)
-        cases = [(u6n_group(n), double_loop_u6n_table(n)) for n in (1, 2, 3, 7)]
-        cases += [(group_from_table(labels, table), table) for labels, table in TABLE_GROUPS]
-        for g, table in cases:
-            assert g._commutation_rows == row_by_row_commutation(g)
-            assert_lookups_match_scans(g, table)
-            rows = g._commutation_rows
-            assert len({id(r) for r in rows}) == len(set(rows))
+
+def cyclic_table(k):
+    return [[(i + j) % k for j in range(k)] for i in range(k)]
 
 
-@st.composite
-def arbitrary_cells(draw):
-    """A tile, an order and random planar cells of that order, group or not.
-    Orders include one whole block, one row past it and any number of
-    blocks plus a one-row last block. Entries come from a few values, so
-    that many pairs commute and many rows repeat: 0, 1, 256 and 257, so
-    that two values may differ in one plane only."""
-    block, chunk = draw(st.integers(1, 12)), draw(st.integers(1, 12))
-    order = draw(
-        st.one_of(
-            st.integers(1, 70),
-            st.integers(1, 70 // block).map(lambda k: k * block),
-            st.integers(1, 69 // block).map(lambda k: k * block + 1),
-        )
-    )
-    values = draw(st.lists(st.sampled_from([0, 1, 256, 257]), min_size=1, max_size=4))
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    entries = [rng.choice(values) for _ in range(order * order)]
+def direct_product_table(left, right):
+    """The table of left x right, with (a, b) at index a * len(right) + b."""
+    width = len(right)
+    return [
+        [left[a][c] * width + right[b][d] for c in range(len(left)) for d in range(width)]
+        for a in range(len(left))
+        for b in range(width)
+    ]
+
+
+def dihedral_center_size(m):
+    """|Z(D_m)|, with m = 0 standing for the trivial group: D_1 = C_2 and
+    D_2 = C_2 x C_2 are abelian, and past that r^(m/2) is central when m is
+    even and nothing but 1 is central when m is odd."""
+    return {0: 1, 1: 2, 2: 4}.get(m, 2 - m % 2)
+
+
+def table_group(table):
+    """A FiniteGroup on the table, built without validation (which takes
+    order^3 steps up to order 200): each table given here is a group by
+    construction."""
+    entries = [v for row in table for v in row]
     cells = bytes(v >> 8 for v in entries) + bytes(v & 0xFF for v in entries)
-    return block, chunk, FiniteGroup(tuple(f"g{i}" for i in range(order)), cells, 0)
+    labels = tuple(f"g{i}" for i in range(len(table)))
+    return FiniteGroup(labels, cells, groups._find_identity(table))
 
 
-class TestTrianglePass:
-    @settings(max_examples=300, deadline=None)
-    @given(arbitrary_cells())
-    def test_arbitrary_cells_match_row_by_row(self, case):
-        # the triangle needs no group axiom, only that equality is symmetric
-        block, chunk, g = case
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(groups, "_BLOCK_ROWS", block)
-            patch.setattr(groups, "_CHUNK_ROWS", chunk)
-            rows = g._commutation_rows
+class TestCenterCosetPass:
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 19), st.integers(0, 2**32 - 1))
+    @example(1, 7, 0)  # a trivial center
+    @example(5, 0, 1)  # C_5: abelian, a single coset
+    @example(3, 4, 2)  # a center of 6 in 24
+    @example(2, 75, 3)  # order 300: the high byte of a cell is nonzero
+    def test_relabelled_products_match_row_by_row(self, k, m, seed):
+        # C_k x D_m (D_0 the trivial group) with its elements renumbered, so
+        # the identity and the center sit at scattered indices
+        dihedral = dihedral_table(m) if m else [[0]]
+        g = table_group(relabelled(direct_product_table(cyclic_table(k), dihedral), seed))
+        rows = g._commutation_rows
         assert rows == row_by_row_commutation(g)
         assert all(rows[x][y] == rows[y][x] for x in range(g.order) for y in range(x))
         assert len({id(r) for r in rows}) == len(set(rows))
+        assert len(g.center()) == k * dihedral_center_size(m)
 
+    def test_products_apart_in_the_high_byte_only(self):
+        # in D_150, r*s = s r^-1 is index 299 and s*r = s r is 151; with 151
+        # and 43 swapped the two products differ by 256, in the high byte
+        # alone, so r and s commute by the low plane but not by the table
+        r, s = 1, 150
+        swap = list(range(300))
+        swap[43], swap[151] = 151, 43
+        g = table_group(permuted(dihedral_table(150), swap))
+        assert (g.mul(r, s), g.mul(s, r)) == (299, 43)
+        rows = g._commutation_rows
+        assert rows[r][s] == rows[s][r] == 1
+        assert rows == row_by_row_commutation(g)
+
+    def test_u6n_computes_a_row_per_generator_and_coset(self, monkeypatch):
+        # the generators b and a, and 900 / 150 = 6 cosets of the center:
+        # at most 8 rows are computed by definition, the rest handed on
+        computed = []
+        by_definition = groups._commutation_row
+
+        def counted(cells, order, x):
+            computed.append(x)
+            return by_definition(cells, order, x)
+
+        monkeypatch.setattr(groups, "_commutation_row", counted)
+        g = u6n_group(150)
+        assert g._commutation_rows == row_by_row_commutation(g)
+        assert len(computed) <= 2 + 900 // 150
+
+
+class TestTrianglePass:
     @pytest.mark.parametrize("n, planes", [(300, 1), (1000, 1 / 4)])
     def test_row_pass_peak_memory(self, n, planes):
-        # no plane (order^2 bytes) is ever copied whole, and no strip
-        # outlives its block: the lanes left of a block are cut from the
-        # distinct rows already built, so at n = 1000 the pass peaks near
-        # 0.12 order^2, the buffers of one block; a pass that held every
-        # strip's lanes until their block came would peak near 0.36 order^2
+        # no plane (order^2 bytes) is ever copied whole: the pass holds a
+        # few rows and columns of order bytes each, and the rows it hands on
         g = u6n_group(n)
         tracemalloc.start()
         try:
