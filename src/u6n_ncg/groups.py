@@ -34,24 +34,19 @@ group_from_table checks and u6n_group meets by construction:
 
 So the pass finds S greedily and computes by definition only the rows of
 S and of one element per coset of Z: O(order * (|S| + order / |Z|))
-table entries, at most 8 rows of U(6n), every row of a centerless group.
+table entries, 6 rows of U(6n), every row of a centerless group.
 """
 
 from __future__ import annotations
 
 import json
-import random
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, product
-from typing import Iterable, Sequence
-
-# Tables at most this large are checked for associativity exhaustively;
-# larger ones get a fixed-seed random sample of triples.
-_EXHAUSTIVE_ASSOC_LIMIT = 200
-_ASSOC_SAMPLES = 100_000
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 # u6n_group and group_from_table refuse a table with more entries than this:
 # order 6000 (n = 1000) still builds, as 72 MB of cells. Every group's order
@@ -83,6 +78,32 @@ def _column(cells: bytes, order: int, s: int) -> array:
     if sys.byteorder == "little":
         column.byteswap()
     return column
+
+
+def _generators(
+    order: int, identity: int, column: Callable[[int], Sequence[int]]
+) -> Iterator[int]:
+    """A generating set S, yielded greedily in index order: each element
+    outside the set built so far joins S, and the set is closed again under
+    right multiplication by each s in S, whose column(s) maps h to h*s.
+    Every element is then a generator or a product of generators."""
+    member = bytearray(order)
+    member[identity] = 1
+    members = [identity]
+    columns: list[Sequence[int]] = []
+    for s in range(order):
+        if member[s]:
+            continue
+        yield s
+        columns.append(column(s))
+        grown: list[int] = []
+        for h in chain(members, grown):  # grown lengthens while it is read
+            for c in columns:
+                y = c[h]
+                if not member[y]:
+                    member[y] = 1
+                    grown.append(y)
+        members += grown
 
 
 def _label(a_exp: int, b_exp: int) -> str:
@@ -153,33 +174,19 @@ class FiniteGroup:
         """The commutation row of every element, computed on the first
         commutation query and kept; the cells must be a group table.
 
-        An element outside the subgroup built so far joins S, and the
-        subgroup is closed again under each generator's column. The center
-        is the lanes that are 0 in every generator's row. Each element x
-        still without a row, in index order, gives its row to every x*z, z
-        in the center, read from row x of both planes."""
-        cells, order, identity = self.cells, self.order, self.identity
+        The center is the lanes that are 0 in the row of every generator
+        _generators finds. Each element x still without a row, in index
+        order, gives its row to every x*z, z in the center, read from row x
+        of both planes."""
+        cells, order = self.cells, self.order
         size = order * order
-        member = bytearray(order)
-        member[identity] = 1
-        members = [identity]
-        generators: dict[int, bytes] = {}  # each generator and its row
-        columns: list[array] = []
+        generators = {  # each generator and its row
+            s: _commutation_row(cells, order, s)
+            for s in _generators(order, self.identity, partial(_column, cells, order))
+        }
         differs = 0  # the lanes where some generator's row is 1
-        for s in range(order):
-            if member[s]:
-                continue
-            row = generators[s] = _commutation_row(cells, order, s)
+        for row in generators.values():
             differs |= int.from_bytes(row, "big")
-            columns.append(_column(cells, order, s))
-            grown: list[int] = []
-            for h in chain(members, grown):  # grown lengthens while it is read
-                for column in columns:
-                    y = column[h]
-                    if not member[y]:
-                        member[y] = 1
-                        grown.append(y)
-            members += grown
         center = [z for z, flag in enumerate(differs.to_bytes(order, "big")) if not flag]
         interned: dict[bytes, bytes] = {}
         rows: list[bytes | None] = [None] * order
@@ -223,11 +230,15 @@ def _find_identity(table: Sequence[Sequence[int]]) -> int | None:
 
 
 def _validate_table(labels: Sequence[str], table: Sequence[Sequence[int]]) -> int:
-    """Check all group axioms, returning the identity index.
-
-    Raises ValueError naming the offending row/entry/triple. Associativity
-    is exhaustive up to order 200 and sampled (fixed seed, reproducible)
-    beyond that.
+    """Check every group axiom, exactly at every order, and return the
+    identity index; raise ValueError naming the offending row, entry or
+    triple. Associativity is Light's test on the row pass's generators S:
+    the a with (x*a)*y = x*(a*y) for all x, y are closed under products, as
+    (x*(ab))*y = ((xa)*b)*y = (xa)*(b*y) = x*(a*(b*y)) = x*((ab)*y), so it
+    is enough that each s in S is one: row x*s must equal row x read at row
+    s. Inverses come first, as 1 in every row, which makes a finite monoid a
+    group; then each s that passes doubles the group built before it, so
+    no table costs more than log2(order) + 1 generators of order^2 entries.
     """
     order = len(labels)
     if order == 0:
@@ -239,40 +250,28 @@ def _validate_table(labels: Sequence[str], table: Sequence[Sequence[int]]) -> in
     for i, row in enumerate(table):
         if len(row) != order:
             raise ValueError(f"row {i} ({labels[i]!r}) has {len(row)} entries, expected {order}")
-        for j, entry in enumerate(row):
-            if not isinstance(entry, int) or isinstance(entry, bool) or not 0 <= entry < order:
-                raise ValueError(
-                    f"closure fails at ({labels[i]!r}, {labels[j]!r}): entry {entry!r}"
-                )
+        if {*map(type, row)} != {int} or min(row) < 0 or max(row) >= order:
+            for label, v in zip(labels, row):  # names the entry; int subclasses pass
+                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < order:
+                    raise ValueError(f"closure fails at ({labels[i]!r}, {label!r}): entry {v!r}")
 
     identity = _find_identity(table)
     if identity is None:
         raise ValueError("no two-sided identity element found")
 
-    if order <= _EXHAUSTIVE_ASSOC_LIMIT:
-        triples: Iterable[tuple[int, int, int]] = (
-            (x, y, z) for x in range(order) for y in range(order) for z in range(order)
-        )
-    else:
-        rng = random.Random(0xA55)
-        triples = (
-            (rng.randrange(order), rng.randrange(order), rng.randrange(order))
-            for _ in range(_ASSOC_SAMPLES)
-        )
-    for x, y, z in triples:
-        if table[table[x][y]][z] != table[x][table[y][z]]:
-            raise ValueError(
-                "associativity fails at "
-                f"({labels[x]!r}, {labels[y]!r}, {labels[z]!r}): "
-                f"({labels[x]}*{labels[y]})*{labels[z]} = {labels[table[table[x][y]][z]]} "
-                f"but {labels[x]}*({labels[y]}*{labels[z]}) = {labels[table[x][table[y][z]]]}"
-            )
-
-    for x in range(order):
-        if not any(
-            table[x][y] == identity and table[y][x] == identity for y in range(order)
-        ):
+    for x, row in enumerate(table):
+        if identity not in row:
             raise ValueError(f"element {labels[x]!r} has no two-sided inverse")
+    for s in _generators(order, identity, lambda s: [row[s] for row in table]):
+        gather = itemgetter(*table[s])
+        for x, row in enumerate(table):
+            if gather(row) != tuple(table[xs := row[s]]):  # rows may be lists or tuples
+                y = next(y for y in range(order) if table[xs][y] != row[table[s][y]])
+                a, b, c = labels[x], labels[s], labels[y]
+                raise ValueError(
+                    f"associativity fails at ({a!r}, {b!r}, {c!r}): ({a}*{b})*{c} = "
+                    f"{labels[table[xs][y]]} but {a}*({b}*{c}) = {labels[row[table[s][y]]]}"
+                )
     return identity
 
 
@@ -286,12 +285,14 @@ def _planes(entries: Iterable[int]) -> tuple[bytes, bytes]:
 
 
 def group_from_table(labels: Sequence[str], table: Sequence[Sequence[int]]) -> FiniteGroup:
-    """Validate a Cayley table (closure, identity, associativity, inverses)
-    and wrap it as a FiniteGroup. The identity may sit at any index.
+    """Validate a Cayley table (closure, identity, associativity, inverses),
+    exactly at every order, and wrap it as a FiniteGroup. The identity may
+    sit at any index.
 
-    Entries are checked as given, so a float or bool entry is rejected
-    rather than coerced to an int. A table of more than _DENSE_TABLE_LIMIT
-    entries is refused before it is validated or packed.
+    Rows, lists or tuples, are read as given, not copied, and a float or
+    bool entry is rejected rather than coerced to an int. A table of more
+    than _DENSE_TABLE_LIMIT entries is refused before it is validated or
+    packed.
     """
     if not isinstance(labels, (list, tuple)):
         raise ValueError(f"labels must be a list, got {type(labels).__name__}")
@@ -303,9 +304,8 @@ def group_from_table(labels: Sequence[str], table: Sequence[Sequence[int]]) -> F
     if entries > _DENSE_TABLE_LIMIT:
         raise ValueError(f"table has {entries} entries, over the limit of {_DENSE_TABLE_LIMIT}")
     labels = tuple(str(s) for s in labels)
-    table_t = tuple(tuple(row) for row in table)
-    identity = _validate_table(labels, table_t)
-    cells = b"".join(_planes(chain.from_iterable(table_t)))
+    identity = _validate_table(labels, table)
+    cells = b"".join(_planes(chain.from_iterable(table)))
     return FiniteGroup(labels=labels, cells=cells, identity=identity)
 
 

@@ -32,6 +32,7 @@ INDUCED = "tests/test_graphs.py::TestFindInduced"
 GROUPS = "tests/test_groups.py"
 ROWS = GROUPS + "::TestTiledCommutationPass"
 COSETS = GROUPS + "::TestCenterCosetPass"
+LIGHT = GROUPS + "::TestLightsAssociativityTest"
 
 
 @dataclass(frozen=True)
@@ -189,8 +190,8 @@ MUTANTS = (
         "src/u6n_ncg/groups.py",
         (
             (
-                '            differs |= int.from_bytes(row, "big")\n',
-                '            differs |= int.from_bytes(row, "big") if len(generators) == 1 else 0\n',
+                "        for row in generators.values():\n",
+                "        for row in list(generators.values())[:1]:\n",
             ),
         ),
         (
@@ -215,7 +216,7 @@ MUTANTS = (
     Mutant(
         "generator-search-stopped-after-one",
         "src/u6n_ncg/groups.py",
-        (("            if member[s]:\n", "            if member[s] or generators:\n"),),
+        (("        if member[s]:\n", "        if member[s] or columns:\n"),),
         (
             ROWS + "::test_u6n_matches_row_by_row[1]",
             COSETS + "::test_u6n_computes_a_row_per_generator_and_coset",
@@ -226,6 +227,35 @@ MUTANTS = (
         "src/u6n_ncg/groups.py",
         (("    for plane in (0, size):\n", "    for plane in (size,):\n"),),
         (COSETS + "::test_products_apart_in_the_high_byte_only",),
+    ),
+    Mutant(
+        "associativity-checked-on-the-first-generator-only",
+        "src/u6n_ncg/groups.py",
+        (
+            (
+                "    for s in _generators(order, identity, lambda s: [row[s] for row in table]):\n",
+                "    for s in [*_generators(order, identity, lambda s: [row[s] for row in table])][:1]:\n",
+            ),
+        ),
+        (LIGHT + "::test_a_generator_in_the_nucleus_found_first",),
+    ),
+    Mutant(
+        "inverses-checked-after-associativity",
+        "src/u6n_ncg/groups.py",
+        (
+            (
+                "    for x, row in enumerate(table):\n        if identity not in row:\n"
+                '            raise ValueError(f"element {labels[x]!r} has no two-sided inverse")\n',
+                "",
+            ),
+            (
+                "    return identity\n",
+                "    for x, row in enumerate(table):\n        if identity not in row:\n"
+                '            raise ValueError(f"element {labels[x]!r} has no two-sided inverse")\n'
+                "    return identity\n",
+            ),
+        ),
+        (LIGHT + "::test_generators_drawn_stay_within_log2_order[left-zero]",),
     ),
 )
 

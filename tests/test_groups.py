@@ -1,7 +1,9 @@
 import json
 import random
+import re
 import tracemalloc
 from functools import cache
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -506,9 +508,8 @@ def dihedral_center_size(m):
 
 
 def table_group(table):
-    """A FiniteGroup on the table, built without validation (which takes
-    order^3 steps up to order 200): each table given here is a group by
-    construction."""
+    """A FiniteGroup on the table, built without validation: each table
+    given here is a group by construction."""
     entries = [v for row in table for v in row]
     cells = bytes(v >> 8 for v in entries) + bytes(v & 0xFF for v in entries)
     labels = tuple(f"g{i}" for i in range(len(table)))
@@ -547,8 +548,8 @@ class TestCenterCosetPass:
         assert rows == row_by_row_commutation(g)
 
     def test_u6n_computes_a_row_per_generator_and_coset(self, monkeypatch):
-        # the generators b and a, and 900 / 150 = 6 cosets of the center:
-        # at most 8 rows are computed by definition, the rest handed on
+        # the generators b and a lie in two of the 900 / 150 = 6 cosets of
+        # the center: 6 rows are computed by definition, the rest handed on
         computed = []
         by_definition = groups._commutation_row
 
@@ -559,7 +560,7 @@ class TestCenterCosetPass:
         monkeypatch.setattr(groups, "_commutation_row", counted)
         g = u6n_group(150)
         assert g._commutation_rows == row_by_row_commutation(g)
-        assert len(computed) <= 2 + 900 // 150
+        assert len(computed) == 6
 
 
 class TestTrianglePass:
@@ -612,3 +613,255 @@ class TestTableSizeLimit:
             tracemalloc.stop()
         assert peak < 16_000_000
         assert len(g.cells) == 2 * 1800 * 1800
+
+
+# -- the all-triples loop, kept as the oracle for Light's test -------------
+
+def failing_triple(table):
+    """The first (x, y, z) in index order with (x*y)*z != x*(y*z), or None:
+    order^3 products."""
+    for x, y, z in product(range(len(table)), repeat=3):
+        if table[table[x][y]][z] != table[x][table[y][z]]:
+            return x, y, z
+    return None
+
+
+def has_inverses(table, identity):
+    """Whether every x has a y with x*y = y*x = identity."""
+    order = len(table)
+    return all(
+        any(table[x][y] == identity == table[y][x] for y in range(order)) for x in range(order)
+    )
+
+
+def validated(table):
+    """The identity _validate_table returns for the table, or its error;
+    element i is labelled gi."""
+    try:
+        return groups._validate_table([f"g{i}" for i in range(len(table))], table)
+    except ValueError as error:
+        return error
+
+
+def assert_refused_at_a_failing_triple(verdict, table):
+    """The verdict is an associativity refusal, and the triple it names
+    fails in the table."""
+    match = re.fullmatch(r"associativity fails at \('g(\d+)', 'g(\d+)', 'g(\d+)'\): .*", str(verdict))
+    assert isinstance(verdict, ValueError) and match, verdict
+    x, s, y = map(int, match.groups())
+    assert table[table[x][s]][y] != table[x][table[s][y]]
+
+
+def assert_verdict_agrees_with_the_oracles(table):
+    """A row without the identity is refused first, then a failing triple;
+    what is left is accepted, and each of its elements has an inverse."""
+    verdict = validated(table)
+    identity = groups._find_identity(table)
+    if any(identity not in row for row in table):
+        assert isinstance(verdict, ValueError) and "no two-sided inverse" in str(verdict)
+    elif failing_triple(table) is not None:
+        assert_refused_at_a_failing_triple(verdict, table)
+    else:
+        assert verdict == identity and has_inverses(table, identity)
+
+
+def intercalate_swapped_cyclic_table(half, x, y):
+    """C_2half with the 2x2 Latin subsquare of rows x, x + half and columns
+    y, y + half swapped: a Latin square, and with 0 < x, y < half the
+    identity 0 is kept, so the table is a loop."""
+    table = cyclic_table(2 * half)
+    for r in (x, x + half):
+        table[r][y], table[r][y + half] = table[r][y + half], table[r][y]
+    return table
+
+
+@st.composite
+def magmas_with_identity(draw):
+    """Order 1 to 6, a two-sided identity at a drawn index, every other
+    entry drawn, and sometimes the identity planted in every row: seldom
+    Latin, seldom associative."""
+    order = draw(st.integers(1, 6))
+    identity = draw(st.integers(0, order - 1))
+    table = [[draw(st.integers(0, order - 1)) for _ in range(order)] for _ in range(order)]
+    others = [x for x in range(order) if x != identity]
+    if others and draw(st.booleans()):
+        for x in others:
+            table[x][draw(st.sampled_from(others))] = identity
+    for x in range(order):
+        table[identity][x] = table[x][identity] = x
+    return table
+
+
+@st.composite
+def loops(draw):
+    """A Latin square of order 1 to 6 with a two-sided identity, filled cell
+    by cell in a drawn order of values, backtracking at a dead end, then
+    renumbered: mostly not associative past order 4."""
+    order = draw(st.integers(1, 6))
+    rng = draw(st.randoms(use_true_random=False))
+    table = [[x if y == 0 else y if x == 0 else None for y in range(order)] for x in range(order)]
+    cells = [(x, y) for x in range(1, order) for y in range(1, order)]
+
+    def fill(i):
+        if i == len(cells):
+            return True
+        x, y = cells[i]
+        free = [v for v in range(order) if v not in table[x] and v not in (r[y] for r in table)]
+        rng.shuffle(free)
+        for table[x][y] in free:
+            if fill(i + 1):
+                return True
+        table[x][y] = None
+        return False
+
+    assert fill(0)
+    return permuted(table, draw(st.permutations(range(order))))
+
+
+# associative tables with an identity: groups, and monoids that are not
+ASSOCIATIVE_TABLES = [
+    *(cyclic_table(k) for k in range(1, 7)),
+    direct_product_table(cyclic_table(2), cyclic_table(2)),
+    dihedral_table(3),
+    *([[max(x, y) for y in range(k)] for x in range(k)] for k in range(2, 7)),
+    *([[min(x + y, k - 1) for y in range(k)] for x in range(k)] for k in range(2, 7)),
+    direct_product_table(cyclic_table(2), [[max(x, y) for y in range(3)] for x in range(3)]),
+]
+
+
+@st.composite
+def near_monoids(draw):
+    """A renumbered associative table, sometimes with one entry off the
+    identity's row and column redrawn."""
+    base = draw(st.sampled_from(ASSOCIATIVE_TABLES))
+    order = len(base)
+    table = permuted(base, draw(st.permutations(range(order))))
+    identity = groups._find_identity(table)
+    others = [x for x in range(order) if x != identity]
+    if others and draw(st.booleans()):
+        x, y = draw(st.sampled_from(others)), draw(st.sampled_from(others))
+        table[x][y] = draw(st.integers(0, order - 1))
+    return table
+
+
+class TestLightsAssociativityTest:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(magmas_with_identity(), loops(), near_monoids()))
+    @example(NONASSOC_TABLE)
+    @example([[0, 1], [1, 1]])  # a monoid, not a group
+    def test_agrees_with_all_triples(self, table):
+        assert_verdict_agrees_with_the_oracles(table)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_agrees_with_all_triples_on_every_magma_with_identity_0(self, order):
+        free = (order - 1) ** 2
+        for entries in product(range(order), repeat=free):
+            table = [list(range(order))]
+            for x in range(1, order):
+                table.append([x, *entries[(x - 1) * (order - 1) : x * (order - 1)]])
+            assert_verdict_agrees_with_the_oracles(table)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(101, 200), st.data())
+    def test_intercalate_swapped_cyclic_tables_refused(self, half, data):
+        # orders 202 to 400; the witness is found here, among the products
+        # that read a swapped entry, not taken from the refusal
+        x = data.draw(st.integers(1, half - 1))
+        y = data.draw(st.integers(1, half - 1))
+        table = intercalate_swapped_cyclic_table(half, x, y)
+        witness = next(
+            (
+                (a, b, c)
+                for a in (x, x + half)
+                for b in (y, y + half)
+                for c in range(2 * half)
+                if table[table[a][b]][c] != table[a][table[b][c]]
+            ),
+            None,
+        )
+        assert witness is not None
+        labels = [f"g{i}" for i in range(2 * half)]
+        with pytest.raises(ValueError, match="associativity fails") as info:
+            group_from_table(labels, table)
+        assert_refused_at_a_failing_triple(info.value, table)
+
+    def test_c2000_loop_refused(self):
+        # 1*2 and 1*1002 swapped, and 1001*2 and 1001*1002: a loop whose
+        # faulty products are too few for a sample of triples to meet
+        table = intercalate_swapped_cyclic_table(1000, 1, 2)
+        with pytest.raises(ValueError, match="associativity fails") as info:
+            group_from_table([f"g{i}" for i in range(2000)], table)
+        assert_refused_at_a_failing_triple(info.value, table)
+
+    def test_a_generator_in_the_nucleus_found_first(self):
+        # C_2 x NONASSOC_TABLE with (c, l) at c + 2l: the greedy search takes
+        # the C_2 generator 1 first, and it passes Light's test alone
+        table = direct_product_table(NONASSOC_TABLE, cyclic_table(2))
+        assert next(groups._generators(10, 0, lambda s: [row[s] for row in table])) == 1
+        assert all(
+            table[table[x][1]][y] == table[x][table[1][y]] for x in range(10) for y in range(10)
+        )
+        with pytest.raises(ValueError, match="associativity fails") as info:
+            group_from_table([f"g{i}" for i in range(10)], table)
+        assert_refused_at_a_failing_triple(info.value, table)
+
+    @pytest.mark.parametrize("kinds", [(list,), (tuple,), (list, tuple)], ids=repr)
+    def test_rows_read_as_given(self, kinds):
+        def shaped(table):
+            return [kinds[x % len(kinds)](row) for x, row in enumerate(table)]
+
+        labels = [f"g{i}" for i in range(10)]
+        assert group_from_table(labels, shaped(dihedral_table(5))) == table_group(
+            dihedral_table(5)
+        )
+        with pytest.raises(ValueError, match="associativity fails at .*'g1', 'g1', 'g2'"):
+            group_from_table(labels[:5], shaped(NONASSOC_TABLE))
+
+    def test_validator_and_row_pass_share_one_generator_search(self, monkeypatch):
+        found = []
+        search = groups._generators
+
+        def recorded(*args):
+            found.append([])
+            for s in search(*args):
+                found[-1].append(s)
+                yield s
+
+        monkeypatch.setattr(groups, "_generators", recorded)
+        g = group_from_table(list(u6n_group(4).labels), double_loop_u6n_table(4))
+        assert g._commutation_rows == row_by_row_commutation(g)
+        assert found == [[1, 3], [1, 3]]  # b, then a
+
+    @pytest.mark.parametrize(
+        "product, drawn",
+        [
+            # 1 in every row, every other element a greedy generator, and
+            # the first of them fails Light's test
+            (lambda x, y: 0, [1]),
+            # a left-zero monoid: associative, every other element a greedy
+            # generator, and 1 in no other row, so the search never starts
+            (lambda x, y: x, []),
+        ],
+        ids=["products-are-1", "left-zero"],
+    )
+    def test_generators_drawn_stay_within_log2_order(self, monkeypatch, product, drawn):
+        # a table that is not a group may have a greedy generating set of
+        # nearly every element; the validator draws from it only while
+        # each generator passes, and then the group built doubles
+        order = 512
+        table = [
+            [x if y == 0 else y if x == 0 else product(x, y) for y in range(order)]
+            for x in range(order)
+        ]
+        found = []
+        search = groups._generators
+
+        def counted(*args):
+            for s in search(*args):
+                found.append(s)
+                assert len(found) <= 9  # log2(512) passing, then one more
+                yield s
+
+        monkeypatch.setattr(groups, "_generators", counted)
+        assert isinstance(validated(table), ValueError)
+        assert found == drawn
