@@ -31,7 +31,7 @@ from . import closed_forms, invariants
 from .graphs import export_chunks, non_commuting_graph
 from .groups import group_from_json, u6n_group, u6n_order
 from .invariants import Caps, DEFAULT_CAPS
-from .verify import VerificationReport, report_to_json, verify_all
+from .verify import VerificationReport, verify_all
 
 # Each entry looks its engine up when called, so that a rebound module
 # attribute (a test's monkeypatch, a tracer's span) is the one that runs.
@@ -212,7 +212,7 @@ def _cmd_verify(args) -> int:
     if args.format == "text":
         head, sep, tail, render = "", "\n\n", "\n", VerificationReport.to_text
     elif args.n is not None:
-        head, sep, tail, render = "", "", "\n", lambda report: report_to_json([report])
+        head, sep, tail, render = "", "", "\n", VerificationReport.to_json
     else:
         head, sep, tail = "[\n  ", ",\n  ", "\n]\n"
         render = functools.partial(VerificationReport.to_json, level=1)

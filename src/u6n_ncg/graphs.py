@@ -30,6 +30,8 @@ _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _MARKED = b"\x02\x0323"
 # ASCII binary digits to the bytes 0/1, a selector for itertools.compress
 _SELECTOR = bytes.maketrans(b"01", b"\x00\x01")
+# a vertex selector to the marks of _restrict_rows: 2 at each central lane
+_CENTRAL = bytes.maketrans(b"\x00\x01", b"\x02\x00")
 
 
 def _bits(mask: int):
@@ -145,7 +147,8 @@ class Graph:
         return bool((self.adj[u] >> v) & 1)
 
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
+        """Half the degree sum, a class of false twins at a time."""
+        return sum(len(c) * self.adj[c[0]].bit_count() for c in self._twin_classes) // 2
 
     def induced_subgraph(self, vertices: Iterable[int]) -> "Graph":
         """Subgraph on the given vertices (kept in ascending order)."""
@@ -203,13 +206,12 @@ def non_commuting_graph(g: FiniteGroup) -> Graph:
     row of the v-th of them with the central lanes deleted."""
     rows = g._commutation_rows
     is_vertex = {row: 1 in row for row in set(rows)}  # each distinct row once
-    vertices = [x for x, row in enumerate(rows) if is_vertex[row]]
-    if not vertices:
+    selector = bytes(map(is_vertex.__getitem__, rows))  # 1 at each vertex
+    if 1 not in selector:
         raise ValueError("abelian group: the non-commuting graph has no vertices")
     # a central element commutes with everything, so its lane is 0 in every row
-    marks = bytes(0 if is_vertex[row] else 2 for row in rows)
-    adj = _restrict_rows((rows[x] for x in vertices), marks)
-    return Graph(labels=tuple(g.labels[x] for x in vertices), adj=adj)
+    adj = _restrict_rows(compress(rows, selector), selector.translate(_CENTRAL))
+    return Graph(labels=tuple(compress(g.labels, selector)), adj=adj)
 
 
 def twin_classes(graph: Graph) -> tuple[tuple[int, ...], ...]:

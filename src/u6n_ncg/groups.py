@@ -6,6 +6,11 @@ and the product obeys
 
     (a^i b^k)(a^j b^l) = a^((i+j) mod 2n) b^(((-1)^j k + l) mod 3).
 
+The table is built a row at a time from a lemma: a^2 is central and
+a^2 x has index x + 6 (mod 6n), so (a^2 x) y = x (a^2 y) makes row x + 6
+the row of x rotated left by 6 entries. Row 6t + r is row r rotated left
+by 6t, and u6n_group joins every row as a slice of one of six rows.
+
 Everything here is computed from the multiplication table by definition;
 no closed-form shortcuts, so these routines stay honest inputs for the
 verification pipeline.
@@ -44,9 +49,9 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain, product
+from itertools import chain, compress, product
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 # u6n_group and group_from_table refuse a table with more entries than this:
 # order 6000 (n = 1000) still builds, as 72 MB of cells. Every group's order
@@ -55,6 +60,8 @@ _DENSE_TABLE_LIMIT = 6000 * 6000
 
 # a byte of a commutation row: 0 stays 0, any difference becomes 1
 _NONZERO = bytes(1) + b"\x01" * 255
+# a lane of commutation rows OR-ed: 1 where it is 0 in every row, else 0
+_COMMUTES = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 def _commutation_row(cells: bytes, order: int, x: int) -> bytes:
@@ -187,7 +194,7 @@ class FiniteGroup:
         differs = 0  # the lanes where some generator's row is 1
         for row in generators.values():
             differs |= int.from_bytes(row, "big")
-        center = [z for z, flag in enumerate(differs.to_bytes(order, "big")) if not flag]
+        center = [*compress(range(order), differs.to_bytes(order, "big").translate(_COMMUTES))]
         interned: dict[bytes, bytes] = {}
         rows: list[bytes | None] = [None] * order
         for x in range(order):
@@ -275,13 +282,20 @@ def _validate_table(labels: Sequence[str], table: Sequence[Sequence[int]]) -> in
     return identity
 
 
-def _planes(entries: Iterable[int]) -> tuple[bytes, bytes]:
-    """The high bytes and the low bytes of the entries, each in order."""
-    packed = array("H", entries)
-    if sys.byteorder == "little":
-        packed.byteswap()
-    cells = packed.tobytes()  # big-endian: high byte first
-    return cells[0::2], cells[1::2]
+def _cells(table: Sequence[Sequence[int]]) -> bytes:
+    """The two planes of the table's entries: the high bytes of all
+    entries, row after row, then their low bytes. Each row, a list or a
+    tuple, converts to an array("H") at C speed, and the planes grow a row
+    at a time, so the entries are never held whole in a third buffer."""
+    high, low = bytearray(), bytearray()
+    for row in table:
+        entries = array("H", row)
+        if sys.byteorder == "little":
+            entries.byteswap()
+        both = entries.tobytes()  # big-endian: high byte first
+        high += both[0::2]
+        low += both[1::2]
+    return b"".join((high, low))
 
 
 def group_from_table(labels: Sequence[str], table: Sequence[Sequence[int]]) -> FiniteGroup:
@@ -305,8 +319,7 @@ def group_from_table(labels: Sequence[str], table: Sequence[Sequence[int]]) -> F
         raise ValueError(f"table has {entries} entries, over the limit of {_DENSE_TABLE_LIMIT}")
     labels = tuple(str(s) for s in labels)
     identity = _validate_table(labels, table)
-    cells = b"".join(_planes(chain.from_iterable(table)))
-    return FiniteGroup(labels=labels, cells=cells, identity=identity)
+    return FiniteGroup(labels=labels, cells=_cells(table), identity=identity)
 
 
 def group_from_json(text: str) -> FiniteGroup:
@@ -342,33 +355,32 @@ def u6n_group(n: int) -> FiniteGroup:
     built.
     """
     order = u6n_order(n)
-    two_n = 2 * n
     # the labels _label gives, a-parts joined with b-parts
-    a_parts = ["", "a", *(f"a^{i}" for i in range(2, two_n))]
+    a_parts = ["", "a", *(f"a^{i}" for i in range(2, 2 * n))]
     labels = list(map("".join, product(a_parts, ("", "b", "b^2"))))
     labels[0] = "1"
-    # Row x = 3i + k (x = a^i b^k) maps y = 3j + l to
-    # 3 * ((i + j) mod 2n) + ((-1)^j k + l) mod 3. As 2n is even,
-    # (-1)^(i+j) = (-1)^i (-1)^j, so row 3i + k is row (-1)^i k mod 3 (the
-    # row of b^((-1)^i k)) rotated left by 3i entries. Each plane of those
-    # three rows is held twice over, so that every rotation is one slice,
-    # and both planes of the cells are joined from the slices at once,
-    # without copying any row first.
-    # In base row k, the entries y = 3j + l with j of one parity p step by
-    # 6 and map to 3j + ((-1)^p k + l) mod 3: one range each.
-    doubled = []  # [high plane, low plane] of each base row, held twice over
-    for k in range(3):
-        row = array("H", bytes(2 * order))
-        for p, sign in ((0, 1), (1, -1)):
-            for l in range(3):
-                row[3 * p + l :: 6] = array("H", range(3 * p + (sign * k + l) % 3, order, 6))
-        doubled.append([memoryview(plane * 2) for plane in _planes(row)])
-    cells = b"".join(
-        [
-            doubled[(k if i % 2 == 0 else -k) % 3][plane][3 * i : 3 * i + order]
-            for plane in (0, 1)
-            for i in range(two_n)
-            for k in range(3)
-        ]
+    # Row 6t + r is row r rotated left by 6t (the module docstring's
+    # lemma). Row 3 + k, of a b^k = b^(-k) a, is row -k mod 3 rotated left
+    # by 3, as a y has index y + 3. Each plane of rows 0-5 is held twice
+    # over, rows 3-5 as rows 0, 2 and 1 from entry 3 on, so that every
+    # rotation is one slice, and both planes of the cells are joined from
+    # the slices at once. In row k < 3, the entries y = 3j + l with j of
+    # one parity p step by 6 and map to 3j + ((-1)^p k + l) mod 3: one
+    # strided slice of the identity row's plane each.
+    blocks = range(order // 256 + 1)
+    identity_planes = (
+        b"".join([bytes((high,)) * 256 for high in blocks])[:order],
+        (bytes(range(256)) * len(blocks))[:order],
     )
+    planes = ([], [])  # rows 0-5 of the high plane and of the low plane
+    for rows, plane in zip(planes, identity_planes):
+        for k in range(3):
+            row = bytearray(order)
+            for p, sign in ((0, 1), (1, -1)):
+                for l in range(3):
+                    row[3 * p + l :: 6] = plane[3 * p + (sign * k + l) % 3 :: 6]
+            rows.append(memoryview(row * 2))
+        rows += [rows[0][3:], rows[2][3:], rows[1][3:]]
+    spans = [slice(6 * t, 6 * t + order) for t in range(n)]
+    cells = b"".join([row[span] for rows in planes for span in spans for row in rows])
     return FiniteGroup(labels=tuple(labels), cells=cells, identity=0)

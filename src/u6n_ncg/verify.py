@@ -365,9 +365,8 @@ def verify_all(n: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
 
 
 def report_to_json(reports: list[VerificationReport]) -> str:
-    """One report object for a single n, an array for a range."""
-    if len(reports) == 1:
-        return reports[0].to_json()
+    """The array json.dumps(..., indent=2) writes for the reports, of one
+    report too; VerificationReport.to_json writes a report alone."""
     if not reports:
         return "[]"
     return "[\n  " + ",\n  ".join(r.to_json(level=1) for r in reports) + "\n]"

@@ -33,6 +33,8 @@ GROUPS = "tests/test_groups.py"
 ROWS = GROUPS + "::TestTiledCommutationPass"
 COSETS = GROUPS + "::TestCenterCosetPass"
 LIGHT = GROUPS + "::TestLightsAssociativityTest"
+SCANS = GROUPS + "::TestCommutationRowsAgainstScans"
+PAIRS = "tests/test_graphs.py::TestConstructionAgainstPairLoop"
 
 
 @dataclass(frozen=True)
@@ -256,6 +258,60 @@ MUTANTS = (
             ),
         ),
         (LIGHT + "::test_generators_drawn_stay_within_log2_order[left-zero]",),
+    ),
+    Mutant(
+        "u6n-rows-rotated-by-3-not-6",
+        "src/u6n_ncg/groups.py",
+        (
+            (
+                "    spans = [slice(6 * t, 6 * t + order) for t in range(n)]\n",
+                "    spans = [slice(3 * t, 3 * t + order) for t in range(n)]\n",
+            ),
+        ),
+        (
+            SCANS + "::test_cells_match_double_loop[2]",
+            GROUPS + "::TestU6nConstruction::test_table_agrees_with_free_reduction[2]",
+        ),
+    ),
+    Mutant(
+        "loaded-planes-packed-low-first",
+        "src/u6n_ncg/groups.py",
+        (('    return b"".join((high, low))\n', '    return b"".join((low, high))\n'),),
+        (
+            ROWS + "::test_loaded_tables_round_trip[dihedral150]",
+            ROWS + "::test_loaded_tables_round_trip[relabelled43]",
+        ),
+    ),
+    Mutant(
+        "selector-marks-keep-the-central-lanes",
+        "src/u6n_ncg/graphs.py",
+        (
+            (
+                '_CENTRAL = bytes.maketrans(b"\\x00\\x01", b"\\x02\\x00")\n',
+                '_CENTRAL = bytes.maketrans(b"\\x00\\x01", b"\\x00\\x00")\n',
+            ),
+        ),
+        (
+            PAIRS + "::test_relabelled_u6n[2]",
+            PAIRS + "::test_table_groups[labels4-table4]",
+        ),
+    ),
+    Mutant(
+        "restricted-rows-read-without-reversing-their-digits",
+        "src/u6n_ncg/graphs.py",
+        (
+            (
+                "        bitsets[row] = int(marked.translate(_DIGITS, _MARKED)[::-1], 2)\n",
+                "        bitsets[row] = int(marked.translate(_DIGITS, _MARKED), 2)\n",
+            ),
+        ),
+        (PAIRS + "::test_u6n[2]", PAIRS + "::test_relabelled_u6n[2]"),
+    ),
+    Mutant(
+        "class-pairs-checked-without-the-loop-test",
+        "src/u6n_ncg/graphs.py",
+        (("        if a & mask_a:\n            return False\n", ""),),
+        ("tests/test_graphs.py::TestConstruction::test_validation_rejects_loops_and_asymmetry",),
     ),
 )
 

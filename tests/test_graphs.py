@@ -23,6 +23,8 @@ from u6n_ncg.graphs import (
 from u6n_ncg.closed_forms import cf_omega_classes
 from u6n_ncg.groups import group_from_table, u6n_group
 
+from test_groups import TABLE_GROUPS, double_loop_u6n_table, relabelled
+
 TRIANGLE = Graph.from_edges(["x", "y", "z"], [(0, 1), (1, 2), (0, 2)])
 PATH4 = Graph.from_edges(["p0", "p1", "p2", "p3"], [(0, 1), (1, 2), (2, 3)])
 
@@ -297,6 +299,12 @@ class TestDegrees:
         graph = ncg(n)
         total = sum(graph.degree(v) for v in range(graph.vertex_count))
         assert total == 2 * graph.edge_count()
+
+    @given(st.one_of(random_graphs(), twin_blowups()))
+    @settings(max_examples=200, deadline=None)
+    def test_edge_count_matches_edge_pairs(self, graph):
+        # counted a class of twins at a time, against every pair
+        assert graph.edge_count() == len(edge_pairs(graph))
 
 
 class TestInducedSubgraph:
@@ -679,6 +687,25 @@ class TestConstructionAgainstPairLoop:
         table = [[g1.mul(x, y) for y in range(g1.order)] for x in range(g1.order)]
         g = group_from_table(list(g1.labels), table)
         assert non_commuting_graph(g) == pair_loop_non_commuting_graph(g)
+
+    @pytest.mark.parametrize("n", [*range(1, 13), 43])
+    def test_relabelled_u6n(self, n):
+        # the center and the vertices at scattered indices, which the
+        # vertex selector picks out in index order
+        table = relabelled(double_loop_u6n_table(n), seed=n)
+        g = group_from_table([f"g{x}" for x in range(6 * n)], table)
+        assert sorted(g.center()) != list(range(0, 6 * n, 6))
+        assert non_commuting_graph(g) == pair_loop_non_commuting_graph(g)
+
+    @pytest.mark.parametrize("labels, table", TABLE_GROUPS)
+    def test_table_groups(self, labels, table):
+        g = group_from_table(labels, table)
+        expected = pair_loop_non_commuting_graph(g)
+        if expected.vertex_count:
+            assert non_commuting_graph(g) == expected
+        else:
+            with pytest.raises(ValueError, match="abelian"):
+                non_commuting_graph(g)
 
     @given(loopless_rows())
     @settings(max_examples=200, deadline=None)

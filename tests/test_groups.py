@@ -355,7 +355,9 @@ def assert_lookups_match_scans(g, t):
 
 
 class TestCommutationRowsAgainstScans:
-    @pytest.mark.parametrize("n", [*range(1, 14), 32, 57])
+    # n = 43 (order 258) is the first with a nonzero high byte, and n = 150
+    # (order 900) the largest the benchmark builds
+    @pytest.mark.parametrize("n", [*range(1, 14), 32, 43, 57, 150])
     def test_cells_match_double_loop(self, n):
         # the high bytes of every entry, rows in order, then the low bytes
         entries = [v for row in double_loop_u6n_table(n) for v in row]
@@ -814,6 +816,10 @@ class TestLightsAssociativityTest:
         assert group_from_table(labels, shaped(dihedral_table(5))) == table_group(
             dihedral_table(5)
         )
+        # packed row by row, past order 256 too, into the cells of the table
+        wide = [f"g{i}" for i in range(300)]
+        g = group_from_table(wide, shaped(dihedral_table(150)))
+        assert g.cells == table_group(dihedral_table(150)).cells
         with pytest.raises(ValueError, match="associativity fails at .*'g1', 'g1', 'g2'"):
             group_from_table(labels[:5], shaped(NONASSOC_TABLE))
 

@@ -467,4 +467,7 @@ class TestRenderer:
         reports = [verify_all(n) for n in (1, 2)]
         objs = [r.to_json_obj() for r in reports]
         assert verify.report_to_json(reports) == json.dumps(objs, indent=2)
-        assert verify.report_to_json(reports[:1]) == json.dumps(objs[0], indent=2)
+        # a list of one report is an array too; the report alone is an object
+        assert verify.report_to_json(reports[:1]) == json.dumps(objs[:1], indent=2)
+        assert verify.report_to_json([]) == json.dumps([], indent=2)
+        assert reports[0].to_json() == json.dumps(objs[0], indent=2)
