@@ -404,17 +404,8 @@ def export_chunks(graph: Graph, fmt: str) -> Iterator[str]:
     return _EXPORT_FORMATS[fmt](graph)
 
 
-def to_dot(graph: Graph) -> str:
-    """Deterministic DOT text: vertices in index order, edges lexicographic."""
-    return "".join(_dot_chunks(graph))
-
-
-def to_json(graph: Graph) -> str:
-    """The text json.dumps writes, with its default separators, for the
-    vertices (id and label) in index order and the edges [u, v], u < v,
-    lexicographic."""
-    return "".join(_json_chunks(graph))
-
-
 def export_graph(graph: Graph, fmt: str) -> str:
+    """Deterministic DOT or JSON text: vertices in index order, edges u < v
+    lexicographic. The JSON is what json.dumps writes, with its default
+    separators, for the vertices (id and label) and the edges [u, v]."""
     return "".join(export_chunks(graph, fmt))

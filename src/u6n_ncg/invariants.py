@@ -12,13 +12,12 @@ the distinct masks of vertices that tell two left-out members apart, in
 one sweep that counts resolving sets by size for the resolving
 polynomial and for β, which is its first nonzero count; independence
 counts recurse on the twin quotient, one vertex per class. Longest paths
-are first settled on a twin quotient of at most six classes: when every
-two vertices are joined by a path through all V of them, every detour
+are first settled by Ore's degree condition (Ore, 1963), one check per
+pair of classes of the twin quotient: a graph that passes it has every
+two vertices joined by a path through all V of them, so every detour
 distance is V - 1 and the detour polynomial is one term, at a cost
-independent of the class sizes. Ore's degree condition (Ore, 1963) shows
-this with one check per pair of classes; a graph that fails it is decided
-by spanning trees and Tutte's b-matching condition. Where the quotient
-test does not settle it, a DP advances T-bit integers,
+independent of the class sizes. The condition is only sufficient; every
+other graph is answered by a DP that advances T-bit integers,
 T = prod(|C_i| + 1). The caps of the resolving, independence and
 chromatic engines count twin classes, and the detour and metric caps
 count vertices, the detour cap bounding only that DP; without twins
@@ -33,11 +32,10 @@ distance 2.
 A value that engines read is computed once per graph and kept with it
 (Graph._memo): the resolving polynomial and sequence (β, the resolving
 polynomial), the independence polynomial (it, the cover polynomial), the
-quotient's detour verdict (the detour polynomial and index), the class
-eccentricities (the eccentricities, both eccentricity polynomials), the
-weighted α of the twin quotient (α, the vertex cover number) and the
-quotient's clique size (ω, χ's lower bound). Each engine checks its own
-cap first; the quotient test's class bound stays outside the kept verdict.
+Ore verdict (the detour polynomial and index), the class eccentricities
+(the eccentricities, both eccentricity polynomials), the weighted α of
+the twin quotient (α, the vertex cover number) and the quotient's clique
+size (ω, χ's lower bound). Each engine checks its own cap first.
 """
 
 from __future__ import annotations
@@ -56,8 +54,9 @@ class Caps:
     """Limits for the exponential searches. The detour and metric caps
     count vertices; the others count classes of false twins, m, which is
     the vertex count V of a graph without twins. The detour cap bounds
-    only the DP that answers when the twin quotient does not show every
-    detour distance to be V - 1, so it does not refuse Γ(U(6n)).
+    only the DP that answers a graph failing Ore's condition, whatever its
+    number of twin classes; Γ(U(6n)) passes it, so the cap never refuses
+    Γ(U(6n)).
 
     A class cap bounds the number of search states, not their size. The
     resolving sweep tests 2^m class patterns against at most V masks, and
@@ -176,123 +175,24 @@ def eccentric_connectivity_polynomial(graph: Graph) -> IntPolynomial:
 
 # -- longest simple paths ----------------------------------------------
 
-# The quotient test enumerates the spanning trees of the twin quotient and
-# the subsets of its classes, so it runs on at most this many classes; past
-# it the DP answers, under the detour cap.
-_QUOTIENT_CLASSES = 6
-
-
-def _tree_degrees(quotient: Graph) -> set[tuple[int, ...]]:
-    """The degree sequences of the spanning trees of a graph, none if it is
-    disconnected. Every spanning tree grows from vertex 0 by joining one
-    new vertex at a time to the part grown so far, so the (part, degrees)
-    states of one vertex count hold them all."""
-    m = quotient.vertex_count
-    everything = (1 << m) - 1
-    states = {(1, (0,) * m)}
-    for _ in range(m - 1):
-        grown = set()
-        for part, degree in states:
-            for v in _bits(everything & ~part):
-                for u in _bits(quotient.adj[v] & part):
-                    step = list(degree)
-                    step[u] += 1
-                    step[v] += 1
-                    grown.add((part | 1 << v, tuple(step)))
-        states = grown
-    return {degree for _, degree in states}
-
-
-def _tutte_sets(quotient: Graph) -> list[tuple[tuple[int, ...], tuple[int, ...], list]]:
-    """The proper subsets U of the vertices that can fall short in Tutte's
-    condition, each with the vertices that the graph less U leaves
-    isolated and the vertex sets of its other components."""
-    m = quotient.vertex_count
-    everything = (1 << m) - 1
-    sets = []
-    for chosen in range(everything):
-        rest, alone, parts = everything & ~chosen, [], []
-        while rest:
-            seen = frontier = rest & -rest
-            while frontier:
-                reach = 0
-                for v in _bits(frontier):
-                    reach |= quotient.adj[v]
-                frontier = reach & rest & ~seen
-                seen |= frontier
-            rest &= ~seen
-            if seen & (seen - 1):
-                parts.append(tuple(_bits(seen)))
-            else:
-                alone.append(seen.bit_length() - 1)
-        # with one component and nothing isolated, b'(K) and b'(U) have
-        # the same parity, so with b' >= 0 U cannot fall short
-        if alone or len(parts) > 1:
-            sets.append((tuple(_bits(chosen)), tuple(alone), parts))
-    return sets
-
-
-def _hamilton_connected(graph: Graph) -> bool:
-    """Whether every two distinct vertices are joined by a path through all
-    V of them, decided on the twin quotient; read through graph._memo.
-
-    First Ore's degree condition: if deg u + deg v > V for every two
-    distinct non-adjacent vertices, the graph is Hamilton-connected (O. Ore,
-    "Hamiltonian connected graphs", J. Math. Pures Appl. 42, 1963). Twins
-    share their degree, so the pairs checked are two members of a class of
-    at least two and a member of each of two non-adjacent classes. The
-    condition is only sufficient; a graph that fails it is decided exactly
-    by spanning trees and Tutte sets, as follows.
-
-    Such a path from class s to class t walks the quotient, entering class
-    i exactly |C_i| times; with x_e the uses of edge e, the walk is an
-    Euler trail of the multigraph x, so x is connected and
-    deg_x = b = 2|C| - [s] - [t]. Conversely such an x lifts to a path,
-    twins being interchangeable. A connected x holds a spanning tree T,
-    and the rest of x is any perfect uncapacitated (b - deg_T)-matching of
-    the quotient. A perfect b'-matching exists exactly when for every set
-    U of classes b'(U) plus the sum of floor(b'(K) / 2) over the
-    components K of the quotient less U that have an edge is at least
-    b'(V) / 2 (Tutte, "The factors of graphs", 1952; Schrijver,
-    Combinatorial Optimization, ch. 31). Only the degree sequence of T
-    matters, so the work depends on the quotient alone."""
+def _ore_condition(graph: Graph) -> bool:
+    """Whether deg u + deg v > V for every two distinct non-adjacent
+    vertices, checked on the twin quotient; read through graph._memo. A
+    graph that passes has every two distinct vertices joined by a path
+    through all V of them (O. Ore, "Hamiltonian connected graphs", J. Math.
+    Pures Appl. 42, 1963). The condition is only sufficient: a graph that
+    fails it may still be Hamilton-connected. Twins share their degree, so
+    the pairs checked are two members of a class of at least two and a
+    member of each of two non-adjacent classes, O(m^2) pairs in all."""
     quotient, sizes = graph._twin_quotient
     m = len(sizes)
     degree = [graph.adj[c[0]].bit_count() for c in twin_classes(graph)]
-    if all(
+    return all(
         degree[a] + degree[w] > graph.vertex_count
         for a in range(m)
         for w in range(a if sizes[a] > 1 else a + 1, m)
         if not quotient.adj[a] >> w & 1
-    ):
-        return True
-    trees = _tree_degrees(quotient)
-    tutte = _tutte_sets(quotient)
-
-    def perfect(spare: list[int]) -> bool:
-        # b'(U) + sum floor(b'(K) / 2) >= b'(V) / 2, with b'(V) even, reads
-        # b'(isolated) + #(components K with b'(K) odd) <= b'(U)
-        at = spare.__getitem__
-        for chosen, alone, parts in tutte:
-            short = sum(map(at, alone)) - sum(map(at, chosen))
-            for part in parts:
-                short += sum(map(at, part)) & 1
-            if short > 0:
-                return False
-        return True
-
-    for s in range(m):
-        for t in range(s if sizes[s] > 1 else s + 1, m):
-            b = [2 * size for size in sizes]
-            b[s] -= 1
-            b[t] -= 1
-            if not any(
-                all(d <= c for d, c in zip(degree, b))
-                and perfect([c - d for d, c in zip(degree, b)])
-                for degree in trees
-            ):
-                return False
-    return True
+    )
 
 
 def _class_detours(graph: Graph, cap: int) -> list[list[int]]:
@@ -346,14 +246,13 @@ def _class_detours(graph: Graph, cap: int) -> list[list[int]]:
 def detour_polynomial(graph: Graph, cap: int = DEFAULT_CAPS.detour) -> IntPolynomial:
     """Sum of x^D(u, v) over unordered pairs of distinct vertices.
 
-    When the twin quotient has at most _QUOTIENT_CLASSES classes and every
-    two vertices are joined by a path through all V of them, it is the one
-    term C(V, 2) * x^(V - 1), at a cost independent of the class sizes.
-    The class bound is tested here, outside the kept verdict. Otherwise it
-    adds up the DP's class-pair values: C(|C_a|, 2) pairs inside class a
-    and |C_a| * |C_w| between classes a and w."""
+    When the graph passes Ore's condition, every two vertices are joined by
+    a path through all V of them, and it is the one term C(V, 2) * x^(V - 1),
+    at a cost independent of the class sizes. Otherwise it adds up the DP's
+    class-pair values, under the cap on vertices: C(|C_a|, 2) pairs inside
+    class a and |C_a| * |C_w| between classes a and w."""
     v_count = graph.vertex_count
-    if len(twin_classes(graph)) <= _QUOTIENT_CLASSES and graph._memo(_hamilton_connected):
+    if graph._memo(_ore_condition):
         return IntPolynomial.monomial(v_count - 1, comb(v_count, 2)) if v_count > 1 else IntPolynomial()
     best = _class_detours(graph, cap)
     sizes = graph._twin_quotient[1]

@@ -26,9 +26,9 @@ rest on one intermediate share it, since the graph computes it once and
 keeps it (`Graph._memo`), each engine checking its own cap first: β and
 the three resolving entries share the resolving sweep; the independence
 and cover entries the independence polynomial; the three detour entries
-the quotient's detour verdict; the eccentricities and the two
-eccentricity polynomials the class eccentricities; α and τ the weighted
-α of the twin quotient; and ω and χ the quotient's clique size. The C5
+Ore's detour verdict; the eccentricities and the two eccentricity
+polynomials the class eccentricities; α and τ the weighted α of the twin
+quotient; and ω and χ the quotient's clique size. The C5
 and P4 entries search the twin quotient itself, which the graph keeps
 with its twin classes: neither pattern has twins of its own, so a first
 copy lies on the class minima (see find_induced).
@@ -362,14 +362,6 @@ def verify_all(n: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
     )
 
     return VerificationReport(n=n, entries=tuple(entries))
-
-
-def report_to_json(reports: list[VerificationReport]) -> str:
-    """The array json.dumps(..., indent=2) writes for the reports, of one
-    report too; VerificationReport.to_json writes a report alone."""
-    if not reports:
-        return "[]"
-    return "[\n  " + ",\n  ".join(r.to_json(level=1) for r in reports) + "\n]"
 
 
 def _json_text(value, indent: str) -> str:

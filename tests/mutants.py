@@ -47,21 +47,6 @@ class Mutant:
 
 MUTANTS = (
     Mutant(
-        "detour-class-bound-inside-the-kept-verdict",
-        "src/u6n_ncg/invariants.py",
-        (
-            (
-                "    if len(twin_classes(graph)) <= _QUOTIENT_CLASSES and graph._memo(_hamilton_connected):\n",
-                "    if graph._memo(_hamilton_connected):\n",
-            ),
-            (
-                "    m = len(sizes)\n    degree = [",
-                "    m = len(sizes)\n    if m > _QUOTIENT_CLASSES:\n        return False\n    degree = [",
-            ),
-        ),
-        (DETOUR + "::test_the_dp_runs_on_a_graph_whose_verdict_is_kept",),
-    ),
-    Mutant(
         "ore-degree-sum-of-v-accepted",
         "src/u6n_ncg/invariants.py",
         (
@@ -87,6 +72,21 @@ MUTANTS = (
         (
             DETOUR + "::test_degree_sums_of_exactly_v_are_not_enough[2]",
             DETOUR + "::test_degree_sums_of_exactly_v_are_not_enough[3]",
+        ),
+    ),
+    Mutant(
+        "detour-dp-lets-a-class-take-one-vertex-more",
+        "src/u6n_ncg/invariants.py",
+        (
+            ("        total *= size + 1\n", "        total *= size + 2\n"),
+            (
+                "        bits, width = (1 << step * size) - 1, step * (size + 1)\n",
+                "        bits, width = (1 << step * (size + 1)) - 1, step * (size + 2)\n",
+            ),
+        ),
+        (
+            DETOUR + "::test_planted_twin_blowups",
+            DETOUR + "::test_random_graphs",
         ),
     ),
     Mutant(

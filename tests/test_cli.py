@@ -130,8 +130,8 @@ class TestVerifyCommand:
 
     def test_caps_override(self, capsys):
         # n = 2: the resolving cap counts its 4 twin classes, the metric cap
-        # its 10 vertices; the detour cap bounds only the DP, which the twin
-        # quotient leaves out here
+        # its 10 vertices; the detour cap bounds only the DP, which Ore's
+        # condition leaves out here
         caps = "detour=1,resolving=3,metric=9"
         code, out, _ = run(capsys, "verify", "--n", "2", "--caps", caps, "--format", "json")
         assert code == 0

@@ -32,7 +32,7 @@ from u6n_ncg.invariants import (
     vertex_cover_number,
     vertex_cover_polynomial,
     _disagreement_masks,
-    _hamilton_connected,
+    _ore_condition,
 )
 from u6n_ncg.polynomials import IntPolynomial
 
@@ -924,6 +924,14 @@ class TestClosedFormsPastTheOracles:
         assert detour_polynomial(graph, cap=big) == IntPolynomial.monomial(5 * n - 1, comb(v, 2))
 
 
+def blowup(sizes, joined):
+    """Class i an independent set of sizes[i] twins, numbered in class
+    order; classes a < b joined all-or-none, when (a, b) is in joined."""
+    owner = [c for c, size in enumerate(sizes) for _ in range(size)]
+    edges = [(a, b) for a, b in combinations(range(len(owner)), 2) if (owner[a], owner[b]) in joined]
+    return Graph.from_edges([f"v{i}" for i in range(len(owner))], edges)
+
+
 @st.composite
 def dense_blowups(draw, max_vertices):
     """A base graph on 2-5 vertices keeping each edge with probability 3/4,
@@ -938,67 +946,83 @@ def dense_blowups(draw, max_vertices):
         extra = draw(st.integers(min_value=0, max_value=min(5, room)))
         sizes.append(1 + extra)
         room -= extra
-    owner = [b for b, size in enumerate(sizes) for _ in range(size)]
-    edges = [(a, b) for a, b in combinations(range(len(owner)), 2) if (owner[a], owner[b]) in kept]
-    return Graph.from_edges([f"v{i}" for i in range(len(owner))], edges)
+    return blowup(sizes, kept)
 
 
 def dp_detour_polynomial(graph, cap=10**6):
-    """The detour polynomial with the quotient test switched off, so that
+    """The detour polynomial with Ore's verdict forced to False, so that
     the DP over count vectors answers every pair."""
-    with patch.object(invariants, "_QUOTIENT_CLASSES", -1):
+    with patch.object(invariants, "_ore_condition", lambda graph: False):
         return detour_polynomial(graph, cap=cap)
 
 
-def assert_quotient_test_is_exact(graph):
-    """The quotient test accepts exactly when every two distinct vertices
-    are at detour distance V - 1; the 2^V subset DP is the oracle."""
-    accepted = _hamilton_connected(graph)
+def assert_ore_verdict_is_sound(graph):
+    """Ore's condition is sufficient only: when it accepts, every two
+    distinct vertices are at detour distance V - 1, and a graph it rejects
+    may be at V - 1 too. Either way detour_polynomial gives the distances
+    of the 2^V subset DP, the oracle."""
+    accepted = _ore_condition(graph)
     if not is_connected(graph):
         assert not accepted
         return
     v = graph.vertex_count
     matrix = subset_detour_matrix(graph)
-    spanning = all(matrix[u][w] == v - 1 for u in range(v) for w in range(u + 1, v))
-    assert accepted == spanning
+    if accepted:
+        assert all(matrix[u][w] == v - 1 for u in range(v) for w in range(u + 1, v))
     assert detour_polynomial(graph) == IntPolynomial.from_terms(
         (matrix[u][w], 1) for u in range(v) for w in range(u + 1, v)
     )
 
 
+@st.composite
+def dense_many_class_blowups(draw):
+    """7-9 classes of 1-3 twins, 16-18 vertices in all, each class pair
+    joined with probability 7/8: dense enough that most pass Ore's
+    condition."""
+    v = draw(st.integers(min_value=16, max_value=18))
+    m = draw(st.integers(min_value=7, max_value=9))
+    sizes, room = [], v
+    for left in reversed(range(m)):  # the classes after this one
+        size = draw(st.integers(min_value=max(1, room - 3 * left), max_value=min(3, room - left)))
+        sizes.append(size)
+        room -= size
+    keep = st.sampled_from((True,) * 7 + (False,))
+    return blowup(sizes, {p for p in combinations(range(m), 2) if draw(keep)})
+
+
 class TestDetourOnTheTwinQuotient:
-    """Every pair at detour distance V - 1 is decided on the twin quotient:
-    Ore's degree condition first, then spanning trees and Tutte's
-    b-matching condition for a graph that fails it, at a cost independent
-    of the class sizes."""
+    """Every pair at detour distance V - 1 is shown by Ore's degree
+    condition, one check per pair of twin classes, at a cost independent
+    of the class sizes; every graph that fails it goes to the DP over
+    count vectors, under the cap on vertices."""
 
     @given(twin_blowups())
     @settings(max_examples=100, deadline=None)
     def test_planted_twin_blowups(self, graph):
-        assert_quotient_test_is_exact(graph)
+        assert_ore_verdict_is_sound(graph)
 
     @given(random_graphs(max_vertices=8))
     @settings(max_examples=100, deadline=None)
     def test_random_graphs(self, graph):
-        assert_quotient_test_is_exact(graph)
+        assert_ore_verdict_is_sound(graph)
 
     @given(dense_blowups(max_vertices=12))
     @settings(max_examples=100, deadline=None)
     def test_dense_twin_blowups(self, graph):
-        assert_quotient_test_is_exact(graph)
+        assert_ore_verdict_is_sound(graph)
 
     @pytest.mark.parametrize("v", [0, 1, 2, 3])
     def test_one_class_of_twins(self, v):
         # no edges: a single vertex has no pairs, more are disconnected
         graph = Graph.from_edges([f"v{i}" for i in range(v)], [])
-        assert _hamilton_connected(graph) == (v <= 1)
+        assert _ore_condition(graph) == (v <= 1)
 
     @given(dense_blowups(max_vertices=30))
     @settings(max_examples=100, deadline=None)
     def test_past_the_cap_against_the_dp(self, graph):
         # up to 5 classes of up to 6 twins: V crosses the detour cap of 15
         assume(is_connected(graph))
-        if _hamilton_connected(graph):
+        if _ore_condition(graph):
             assert detour_polynomial(graph) == dp_detour_polynomial(graph)
         elif graph.vertex_count > DEFAULT_CAPS.detour:
             with pytest.raises(CapacityError):
@@ -1006,33 +1030,19 @@ class TestDetourOnTheTwinQuotient:
 
     @pytest.mark.parametrize("n", [*range(1, 11), 40, 1000])
     def test_closed_forms_at_default_caps(self, n):
-        # the class of 2n twins has degree 3n, and 6n > V = 5n: the degree
-        # condition settles the graph, so neither spanning trees nor Tutte
-        # sets are enumerated
-        def refused(quotient):
-            raise AssertionError("the degree condition should settle this graph")
+        # the class of 2n twins has degree 3n, and 6n > V = 5n: Ore's
+        # condition settles the graph, so the DP never runs
+        def refused(graph, cap):
+            raise AssertionError("Ore's condition should settle this graph")
 
         graph = ncg(n)
-        with patch.object(invariants, "_tree_degrees", refused):
-            with patch.object(invariants, "_tutte_sets", refused):
-                assert detour_polynomial(graph) == closed_forms.cf_detour_polynomial(n)
-                assert detour_index(graph) == closed_forms.cf_detour_index(n)
+        with patch.object(invariants, "_class_detours", refused):
+            assert detour_polynomial(graph) == closed_forms.cf_detour_polynomial(n)
+            assert detour_index(graph) == closed_forms.cf_detour_index(n)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
     def test_dp_agrees_on_non_commuting_graphs(self, n):
         assert dp_detour_polynomial(ncg(n)) == closed_forms.cf_detour_polynomial(n)
-
-    def test_the_dp_runs_on_a_graph_whose_verdict_is_kept(self):
-        # the class bound is tested before the kept verdict is read, so
-        # switching the quotient test off reaches the DP and its cap even
-        # on a graph whose verdict is already kept
-        graph = ncg(4)
-        assert graph.vertex_count == 20
-        assert detour_polynomial(graph) == closed_forms.cf_detour_polynomial(4)
-        message = "^detour_polynomial handles at most 15 vertices, got 20$"
-        with patch.object(invariants, "_QUOTIENT_CLASSES", -1):
-            with pytest.raises(CapacityError, match=message):
-                detour_polynomial(graph)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_degree_sums_of_exactly_v_are_not_enough(self, k):
@@ -1042,40 +1052,68 @@ class TestDetourOnTheTwinQuotient:
         graph = complete_bipartite(k)
         assert {row.bit_count() for row in graph.adj} == {k}
         assert 2 * k == graph.vertex_count
-        assert not _hamilton_connected(graph)
+        assert not _ore_condition(graph)
         assert detour_polynomial(graph) == dp_detour_polynomial(graph)
 
-    def test_the_enumeration_accepts_what_the_degrees_leave(self):
+    def test_the_dp_answers_what_ore_rejects(self):
         # the wheel W5, a hub on C5: two rim vertices apart have degree sum
         # 3 + 3 = V, so Ore's condition fails, yet every two vertices are
-        # joined by a path through all six
+        # joined by a path through all six, which the DP finds
         graph = Graph.from_edges(
             [f"w{i}" for i in range(6)],
             [(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)],
         )
         assert len(twin_classes(graph)) == graph.vertex_count == 6
-        real, enumerated = invariants._tree_degrees, []
-
-        def counted(quotient):
-            enumerated.append(quotient)
-            return real(quotient)
-
-        with patch.object(invariants, "_tree_degrees", counted):
-            assert _hamilton_connected(graph)
-        assert len(enumerated) == 1
-        assert detour_polynomial(graph) == dp_detour_polynomial(graph) == IntPolynomial.monomial(5, 15)
+        assert not _ore_condition(graph)
+        assert detour_polynomial(graph) == IntPolynomial.monomial(5, 15)
 
     def test_the_dp_refuses_what_the_quotient_leaves(self):
         # a star of 20 leaves: one leaf class of 20 twins, which a path
         # through the centre cannot cover, so the DP and its cap decide
         graph = Graph.from_edges([f"s{i}" for i in range(21)], [(0, i) for i in range(1, 21)])
-        assert not _hamilton_connected(graph)
+        assert not _ore_condition(graph)
         message = "^detour_polynomial handles at most 15 vertices, got 21$"
         with pytest.raises(CapacityError, match=message):
             detour_polynomial(graph)
         # 20 centre-leaf pairs at 1, C(20, 2) leaf pairs at 2
         expected = IntPolynomial.from_terms([(1, 20), (2, comb(20, 2))])
         assert detour_polynomial(graph, cap=21) == dp_detour_polynomial(graph) == expected
+
+
+class TestOreSettlesAnyNumberOfClasses:
+    """Ore's condition runs at every number of twin classes, so a graph
+    past the detour cap that passes it is answered without the DP; one
+    that fails it goes to the DP and its cap, even when every pair is at
+    V - 1."""
+
+    def test_k16_past_the_cap(self):
+        # 16 classes of one vertex, each of degree 15: 30 > 16
+        graph = complete_graph(16)
+        expected = IntPolynomial.monomial(15, comb(16, 2))
+        assert detour_polynomial(graph) == expected
+        assert dp_detour_polynomial(graph, cap=16) == expected
+
+    @given(dense_many_class_blowups())
+    @settings(max_examples=40, deadline=None)
+    def test_many_classes_past_the_cap(self, graph):
+        assume(len(twin_classes(graph)) > 6 and _ore_condition(graph))
+        v = graph.vertex_count
+        expected = IntPolynomial.monomial(v - 1, comb(v, 2))
+        assert detour_polynomial(graph) == expected
+        assert dp_detour_polynomial(graph, cap=v) == expected
+
+    def test_a_hamilton_connected_graph_that_fails_ore_is_refused(self):
+        # classes A, B, C, D of 4, 5, 3 and 4 twins: B is joined to A, C and
+        # D, and A to D, so C hangs off B alone. Two members of C have
+        # degree 5 + 5 <= V = 16 and fail Ore's condition, yet every two
+        # vertices are joined by a path through all 16
+        graph = blowup((4, 5, 3, 4), {(0, 1), (1, 2), (1, 3), (0, 3)})
+        assert len(twin_classes(graph)) == 4
+        assert not _ore_condition(graph)
+        message = "^detour_polynomial handles at most 15 vertices, got 16$"
+        with pytest.raises(CapacityError, match=message):
+            detour_polynomial(graph)
+        assert detour_polynomial(graph, cap=16) == IntPolynomial.monomial(15, comb(16, 2))
 
 
 # -- full-graph searches, kept as oracles for the twin-quotient ones ------
