@@ -115,8 +115,7 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument(
         "--caps",
-        help="override the caps (detour and metric count vertices, the others twin classes; "
-        "the detour cap bounds only the DP that answers graphs failing Ore's condition), e.g. "
+        help="override the caps (metric counts vertices, the others twin classes), e.g. "
         + ",".join(f"{f.name}={getattr(DEFAULT_CAPS, f.name)}" for f in dataclasses.fields(Caps)),
     )
     return parser

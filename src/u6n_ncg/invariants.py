@@ -8,7 +8,7 @@ cap raises CapacityError instead of silently approximating.
 Independent sets, covers, resolving sets and longest paths work on the
 classes C_1..C_m of false twins (equal neighbourhoods): resolving sets
 test 2^m class patterns, each class whole or one member short, against
-the distinct masks of vertices that tell two left-out members apart, in
+the distinct masks of classes that tell two left-out members apart, in
 one sweep that counts resolving sets by size for the resolving
 polynomial and for β, which is its first nonzero count; independence
 counts recurse on the twin quotient, one vertex per class. Longest paths
@@ -18,24 +18,29 @@ two vertices joined by a path through all V of them, so every detour
 distance is V - 1 and the detour polynomial is one term, at a cost
 independent of the class sizes. The condition is only sufficient; every
 other graph is answered by a DP that advances T-bit integers,
-T = prod(|C_i| + 1). The caps of the resolving, independence and
-chromatic engines count twin classes, and the detour and metric caps
-count vertices, the detour cap bounding only that DP; without twins
-m = V and the cost is 2^V. One weighted branch and bound finds maximum
-independent sets: α runs it on the twin quotient weighted by class
-sizes, and ω is α of the quotient's complement with unit weights. χ is
-one DSATUR branch and bound on the twin quotient, which stops at ω.
-Eccentricities take one BFS per class on the twin quotient: two classes
-are as far apart as there, and two members of one class are at
-distance 2.
+T = prod(|C_i| + 1), under a cap on vertices that the detour engines
+take as an argument. The caps of the resolving, independence and
+chromatic engines count twin classes, and the metric cap counts
+vertices; without twins m = V and the cost is 2^V. One weighted branch
+and bound finds maximum independent sets: α runs it on the twin
+quotient weighted by class sizes, and ω is α of the quotient's
+complement with unit weights. χ is one DSATUR branch and bound on the
+twin quotient, which stops at ω.
+The engines take their distances from one pass, the BFS layers of the
+twin quotient from each class: two classes are as far apart as there,
+and two members of one class are at distance 2. The eccentricities and
+the resolving masks read it, and the detour DP its verdict on
+connectivity; only distance_matrix, eccentricity and is_connected run a
+BFS on the graph itself.
 
 A value that engines read is computed once per graph and kept with it
 (Graph._memo): the resolving polynomial and sequence (β, the resolving
 polynomial), the independence polynomial (it, the cover polynomial), the
-Ore verdict (the detour polynomial and index), the class eccentricities
-(the eccentricities, both eccentricity polynomials), the weighted α of
-the twin quotient (α, the vertex cover number) and the quotient's clique
-size (ω, χ's lower bound). Each engine checks its own cap first.
+Ore verdict (the detour polynomial and index), the class layers (the
+resolving sweep, the eccentricities, both eccentricity polynomials), the
+weighted α of the twin quotient (α, the vertex cover number) and the
+quotient's clique size (ω, χ's lower bound). Each engine checks its own
+cap first.
 """
 
 from __future__ import annotations
@@ -51,12 +56,9 @@ UNREACHABLE = -1
 
 @dataclass(frozen=True)
 class Caps:
-    """Limits for the exponential searches. The detour and metric caps
-    count vertices; the others count classes of false twins, m, which is
-    the vertex count V of a graph without twins. The detour cap bounds
-    only the DP that answers a graph failing Ore's condition, whatever its
-    number of twin classes; Γ(U(6n)) passes it, so the cap never refuses
-    Γ(U(6n)).
+    """Limits for the exponential searches. The metric cap counts
+    vertices; the others count classes of false twins, m, which is the
+    vertex count V of a graph without twins.
 
     A class cap bounds the number of search states, not their size. The
     resolving sweep tests 2^m class patterns against at most V masks, and
@@ -65,7 +67,6 @@ class Caps:
     its cost grows with about 2^m products of integers of V^2 / 8 bytes
     (3 MB at V = 5000)."""
 
-    detour: int = 15
     resolving: int = 16
     chromatic: int = 40
     indep: int = 24
@@ -136,41 +137,45 @@ def _class_index(graph: Graph) -> list[int]:
     return index
 
 
-def _class_eccentricities(graph: Graph) -> tuple[int, ...]:
-    """Eccentricity of each class of false twins, from one BFS per class on
-    the twin quotient; read through graph._memo. Members of two classes
-    are as far apart as the classes in the quotient, since a shortest path
-    never enters one class twice; two members of one class are at
-    distance 2 through any neighbour."""
+def _class_layers(graph: Graph) -> tuple[tuple[int, ...], ...]:
+    """The BFS layers of the twin quotient from each class, as masks of
+    classes; read through graph._memo. Members of two classes are as far
+    apart as the classes in the quotient, since a shortest path never
+    enters one class twice; two members of one class are at distance 2
+    through any neighbour. Refuses a disconnected graph."""
     quotient, sizes = graph._twin_quotient
     everything = (1 << quotient.vertex_count) - 1
-    eccs = []
-    for q, size in enumerate(sizes):
-        layers = _bfs_layers(quotient, q)
+    layers = tuple(tuple(_bfs_layers(quotient, q)) for q in range(len(sizes)))
+    for rows, size in zip(layers, sizes):
         # a class of twins without neighbours is cut off from its own members
-        if sum(layers) != everything or (size > 1 and len(layers) == 1):
-            raise DisconnectedGraphError("eccentricity requires a connected graph")
-        eccs.append(max(len(layers) - 1, 2 if size > 1 else 0))
-    return tuple(eccs)
+        if sum(rows) != everything or (size > 1 and len(rows) == 1):
+            raise DisconnectedGraphError("distances require a connected graph")
+    return layers
+
+
+def _class_eccentricities(graph: Graph) -> list[int]:
+    """Eccentricity of each twin class: its last layer, or 2 between twins."""
+    layers, sizes = graph._memo(_class_layers), graph._twin_quotient[1]
+    return [max(len(rows) - 1, 2 if size > 1 else 0) for rows, size in zip(layers, sizes)]
 
 
 def eccentricities(graph: Graph) -> tuple[int, ...]:
     """Eccentricity of every vertex; twins share theirs."""
-    eccs = graph._memo(_class_eccentricities)
+    eccs = _class_eccentricities(graph)
     return tuple(eccs[i] for i in _class_index(graph))
 
 
 def total_eccentricity_polynomial(graph: Graph) -> IntPolynomial:
     """Sum of x^ecc(v) over all vertices, a class of twins at a time."""
     sizes = graph._twin_quotient[1]
-    return IntPolynomial.from_terms(zip(graph._memo(_class_eccentricities), sizes))
+    return IntPolynomial.from_terms(zip(_class_eccentricities(graph), sizes))
 
 
 def eccentric_connectivity_polynomial(graph: Graph) -> IntPolynomial:
     """Sum of deg(v) * x^ecc(v) over all vertices, a class of twins at a
     time: twins share their degree."""
     degrees = (len(c) * graph.adj[c[0]].bit_count() for c in twin_classes(graph))
-    return IntPolynomial.from_terms(zip(graph._memo(_class_eccentricities), degrees))
+    return IntPolynomial.from_terms(zip(_class_eccentricities(graph), degrees))
 
 
 # -- longest simple paths ----------------------------------------------
@@ -195,6 +200,9 @@ def _ore_condition(graph: Graph) -> bool:
     )
 
 
+_DETOUR_CAP = 15  # vertices; Γ(U(6n)) passes Ore's condition, so never reaches the DP
+
+
 def _class_detours(graph: Graph, cap: int) -> list[list[int]]:
     """D between members of twin classes a and w, two distinct ones when
     a == w (0 for a class of one), by a DP under the cap on vertices.
@@ -212,8 +220,7 @@ def _class_detours(graph: Graph, cap: int) -> list[list[int]]:
     m = len(sizes)
     v_count = graph.vertex_count
     _check_cap("detour_polynomial", v_count, cap, "vertices")
-    if not is_connected(graph):
-        raise DisconnectedGraphError("detour distance requires a connected graph")
+    graph._memo(_class_layers)  # refuses a disconnected graph
 
     stride, total = [], 1
     for size in sizes:
@@ -243,7 +250,7 @@ def _class_detours(graph: Graph, cap: int) -> list[list[int]]:
     return best
 
 
-def detour_polynomial(graph: Graph, cap: int = DEFAULT_CAPS.detour) -> IntPolynomial:
+def detour_polynomial(graph: Graph, cap: int = _DETOUR_CAP) -> IntPolynomial:
     """Sum of x^D(u, v) over unordered pairs of distinct vertices.
 
     When the graph passes Ore's condition, every two vertices are joined by
@@ -263,7 +270,7 @@ def detour_polynomial(graph: Graph, cap: int = DEFAULT_CAPS.detour) -> IntPolyno
     return IntPolynomial.from_terms(terms)
 
 
-def detour_index(graph: Graph, cap: int = DEFAULT_CAPS.detour) -> int:
+def detour_index(graph: Graph, cap: int = _DETOUR_CAP) -> int:
     return detour_polynomial(graph, cap=cap).derivative_at_one()
 
 
@@ -474,54 +481,54 @@ class ResolvingSequence:
     counts: tuple[int, ...]
 
 
-def _pattern_tables(classes):
+def _pattern_tables(sizes):
     """The class patterns as low and high tables over the two halves of
     the classes, entries (rep, size, weight). A pattern takes each class
-    whole (its first member in rep) or leaves out one member, so size
+    whole (bit k of rep for class k) or leaves out one member, so size
     counts the chosen vertices and weight the vertex sets of that pattern,
     one per choice of the members left out."""
-    mid = (len(classes) + 1) // 2
+    mid = (len(sizes) + 1) // 2
     tables = []
-    for half in (classes[:mid], classes[mid:]):
+    for start, half in ((0, sizes[:mid]), (mid, sizes[mid:])):
         table = [(0, 0, 1)]
-        for members in half:
-            size, first = len(members), 1 << members[0]
+        for k, size in enumerate(half, start):
             table = [(r, s + size - 1, w * size) for r, s, w in table] + [
-                (r | first, s + size, w) for r, s, w in table
+                (r | 1 << k, s + size, w) for r, s, w in table
             ]
         tables.append(table)
     return tables
 
 
 def _disagreement_masks(graph: Graph) -> list[int]:
-    """The distinct masks that a class pattern must meet to resolve the
-    graph, sparsest first so a non-resolving one fails early; every mask
-    holds first members of classes only.
+    """The distinct masks of classes that a class pattern must meet to
+    resolve the graph, sparsest first so a non-resolving one fails early.
 
     A resolving set leaves out at most one member of each class of false
     twins, since only twins tell twins apart, and swapping twins is an
-    automorphism, so the member left out may be the first. Two left-out
-    firsts are told apart by the vertices whose distances to them differ.
-    If one of those is not a first it is always chosen; otherwise the
-    pattern must take one of those firsts, the pair's own two included.
+    automorphism, so the member left out may be the first. The left-out
+    firsts of classes i and j are told apart by themselves and by every
+    class at different distances from the two. A twin is always chosen,
+    so a pair that a twin tells apart needs no mask; otherwise the pattern
+    must take the first of a class in the mask.
     """
-    v_count = graph.vertex_count
-    everything = (1 << v_count) - 1
-    firsts = [members[0] for members in twin_classes(graph)]
-    others = everything ^ sum(1 << u for u in firsts)
-    layers = [_bfs_layers(graph, u) for u in firsts]
-    if any(sum(layer) != everything for layer in layers):
-        raise DisconnectedGraphError("resolving sets require a connected graph")
+    layers, sizes = graph._memo(_class_layers), graph._twin_quotient[1]
+    everything = (1 << len(sizes)) - 1
+    twinned = sum(1 << k for k, size in enumerate(sizes) if size > 1)
     masks = set()
-    # a pair agrees on w exactly when w lies in the same layer for both
-    for i in range(len(firsts)):
-        for j in range(i + 1, len(firsts)):
+    for i, rows in enumerate(layers):
+        at_two = rows[2] if len(rows) > 2 else 0
+        for j in range(i + 1, len(layers)):
+            # a pair agrees on class k exactly when k lies in the same layer for both
             same = 0
-            for a, b in zip(layers[i], layers[j]):
+            for a, b in zip(rows, layers[j]):
                 same |= a & b
             mask = everything ^ same
-            if not mask & others:
-                masks.add(mask)
+            pair = 1 << i | 1 << j
+            # a twin tells the pair apart where its class does, and a twin
+            # of i or j unless i and j are at distance 2
+            if mask & twinned & ~pair or (twinned & pair and not at_two >> j & 1):
+                continue
+            masks.add(mask)
     return sorted(masks, key=lambda m: (m.bit_count(), m))
 
 
@@ -537,7 +544,7 @@ def _resolving(graph: Graph) -> tuple[IntPolynomial, ResolvingSequence]:
     Every class pattern is tested; the masks its high part meets are
     dropped before the low parts."""
     masks = _disagreement_masks(graph)
-    low, high = _pattern_tables(twin_classes(graph))
+    low, high = _pattern_tables(graph._twin_quotient[1])
     counts = [0] * (graph.vertex_count + 1)
     for rep_h, size_h, weight_h in high:
         rest = [mask for mask in masks if not mask & rep_h]

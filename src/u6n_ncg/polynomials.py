@@ -169,36 +169,29 @@ class IntPolynomial:
         return [[exp, str(coeff)] for exp, coeff in self.terms()]
 
 
-# a word-size prime; an integer root of a polynomial is a root modulo it
-_FILTER_PRIME = 2**61 - 1
-
-
 def integer_roots(poly: IntPolynomial) -> tuple[int, ...]:
     """All integer roots of a nonzero polynomial, ascending.
 
     Once x^k is factored out, a nonzero integer root divides the lowest
     coefficient, so the candidates are 0 (when k > 0) and plus or minus
     each divisor of that coefficient, read off its factorisation. The
-    quotient is evaluated at every candidate at once, a term at a time,
-    modulo _FILTER_PRIME; a candidate is dropped where it is nonzero
-    there, and the survivors are evaluated exactly, so the answer stays
-    exact.
+    quotient by x^k is evaluated exactly at every candidate at once, by
+    Horner's rule a term at a time.
     """
     if not poly:
         raise ValueError("the zero polynomial vanishes everywhere")
     terms = poly.terms()
     low_exp, trailing = terms[0]
     candidates = [r for d in _divisors(abs(trailing)) for r in (d, -d)]
-    p = _FILTER_PRIME
-    powers = {1: candidates}  # gap -> each candidate to that power, mod p
+    powers = {1: candidates}  # gap -> each candidate to that power
     (prev, top), *rest = reversed(terms)
-    values = [top % p] * len(candidates)
+    values = [top] * len(candidates)
     for exp, coeff in rest:
-        gap, coeff, prev = prev - exp, coeff % p, exp
+        gap, prev = prev - exp, exp
         if gap not in powers:
-            powers[gap] = [pow(r, gap, p) for r in candidates]
-        values = [(v * f + coeff) % p for v, f in zip(values, powers[gap])]
-    roots = [r for r, v in zip(candidates, values) if not v and not poly.evaluate(r)]
+            powers[gap] = [r**gap for r in candidates]
+        values = [v * f + coeff for v, f in zip(values, powers[gap])]
+    roots = [r for r, v in zip(candidates, values) if not v]
     if low_exp:
         roots.append(0)
     return tuple(sorted(roots))

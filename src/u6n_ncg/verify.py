@@ -26,9 +26,9 @@ rest on one intermediate share it, since the graph computes it once and
 keeps it (`Graph._memo`), each engine checking its own cap first: β and
 the three resolving entries share the resolving sweep; the independence
 and cover entries the independence polynomial; the three detour entries
-Ore's detour verdict; the eccentricities and the two eccentricity
-polynomials the class eccentricities; α and τ the weighted α of the twin
-quotient; and ω and χ the quotient's clique size. The C5
+Ore's detour verdict; the resolving sweep, the eccentricities and the
+two eccentricity polynomials the class layers; α and τ the weighted α
+of the twin quotient; and ω and χ the quotient's clique size. The C5
 and P4 entries search the twin quotient itself, which the graph keeps
 with its twin classes: neither pattern has twins of its own, so a first
 copy lies on the class minima (see find_induced).
@@ -313,17 +313,17 @@ def verify_all(n: int, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
     add(
         "detour_distances",
         (5 * n - 1,),
-        lambda: tuple(e for e, _ in invariants.detour_polynomial(graph, cap=caps.detour).terms()),
+        lambda: tuple(e for e, _ in invariants.detour_polynomial(graph).terms()),
     )
     add(
         "detour_polynomial",
         closed_forms.cf_detour_polynomial(n),
-        lambda: invariants.detour_polynomial(graph, cap=caps.detour),
+        lambda: invariants.detour_polynomial(graph),
     )
     add(
         "detour_index",
         closed_forms.cf_detour_index(n),
-        lambda: invariants.detour_index(graph, cap=caps.detour),
+        lambda: invariants.detour_index(graph),
     )
 
     # eccentricities; the closed forms apply only from n = 2, and all three

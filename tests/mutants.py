@@ -35,6 +35,7 @@ COSETS = GROUPS + "::TestCenterCosetPass"
 LIGHT = GROUPS + "::TestLightsAssociativityTest"
 SCANS = GROUPS + "::TestCommutationRowsAgainstScans"
 PAIRS = "tests/test_graphs.py::TestConstructionAgainstPairLoop"
+ENGINES = "tests/test_invariants.py::TestTwinClassEnginesAgainstSubsetOracles"
 
 
 @dataclass(frozen=True)
@@ -88,6 +89,56 @@ MUTANTS = (
             DETOUR + "::test_planted_twin_blowups",
             DETOUR + "::test_random_graphs",
         ),
+    ),
+    Mutant(
+        "resolving-masks-without-the-twin-rule",
+        "src/u6n_ncg/invariants.py",
+        (
+            (
+                "            if mask & twinned & ~pair or (twinned & pair and not at_two >> j & 1):\n"
+                "                continue\n",
+                "",
+            ),
+        ),
+        (
+            ENGINES + "::test_class_masks_match_the_full_graph_bfs_on_ncg[2]",
+            ENGINES + "::test_non_commuting_graphs[2]",
+        ),
+    ),
+    Mutant(
+        "resolving-masks-blind-to-the-twins-of-the-pair",
+        "src/u6n_ncg/invariants.py",
+        (
+            (
+                "            if mask & twinned & ~pair or (twinned & pair and not at_two >> j & 1):\n",
+                "            if mask & twinned & ~pair:\n",
+            ),
+        ),
+        (
+            ENGINES + "::test_class_masks_match_the_full_graph_bfs",
+            ENGINES + "::test_planted_twin_blowups",
+        ),
+    ),
+    Mutant(
+        "class-layers-admit-twins-without-neighbours",
+        "src/u6n_ncg/invariants.py",
+        (
+            (
+                "        if sum(rows) != everything or (size > 1 and len(rows) == 1):\n",
+                "        if sum(rows) != everything:\n",
+            ),
+        ),
+        (
+            ENGINES + "::test_one_class_of_twins_without_neighbours_is_disconnected[metric_dimension-2]",
+            ENGINES + "::test_one_class_of_twins_without_neighbours_is_disconnected[eccentricities-3]",
+            ENGINES + "::test_one_class_of_twins_without_neighbours_is_disconnected[detour_polynomial-2]",
+        ),
+    ),
+    Mutant(
+        "pattern-bits-of-the-high-half-set-for-low-classes",
+        "src/u6n_ncg/invariants.py",
+        (("        for k, size in enumerate(half, start):\n", "        for k, size in enumerate(half):\n"),),
+        (ENGINES + "::test_random_graphs", ENGINES + "::test_planted_twin_blowups"),
     ),
     Mutant(
         "memo-kept-by-graph-value",

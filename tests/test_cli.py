@@ -130,9 +130,8 @@ class TestVerifyCommand:
 
     def test_caps_override(self, capsys):
         # n = 2: the resolving cap counts its 4 twin classes, the metric cap
-        # its 10 vertices; the detour cap bounds only the DP, which Ore's
-        # condition leaves out here
-        caps = "detour=1,resolving=3,metric=9"
+        # its 10 vertices; Ore's condition settles detour with no cap
+        caps = "resolving=3,metric=9"
         code, out, _ = run(capsys, "verify", "--n", "2", "--caps", caps, "--format", "json")
         assert code == 0
         report = json.loads(out)
@@ -194,6 +193,12 @@ class TestVerifyCommand:
         assert code == 1
         assert "bogus" in err
 
+    def test_detour_is_no_cap(self, capsys):
+        # Ore's condition settles detour at every n, so no cap bounds it
+        code, out, err = run(capsys, "verify", "--n", "2", "--caps", "detour=15")
+        assert (code, out) == (1, "")
+        assert err.startswith("u6n-ncg: error: unknown cap override 'detour=15'")
+
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "verify", "--n-range", "3")
         assert code == 1
@@ -209,7 +214,7 @@ class TestVerifyCommand:
         "caps, message",
         [
             ("metric=-5", "cap override 'metric=-5' is negative"),
-            ("resolving=4,detour=-1", "cap override 'detour=-1' is negative"),
+            ("resolving=4,indep=-1", "cap override 'indep=-1' is negative"),
             ("resolving=1,resolving=16", "cap override 'resolving=16' sets resolving a second time"),
             ("metric=20, metric=20", "cap override ' metric=20' sets metric a second time"),
         ],
@@ -219,7 +224,7 @@ class TestVerifyCommand:
         assert (code, out) == (1, "")
         assert err == f"u6n-ncg: error: {message}\n"
 
-    @pytest.mark.parametrize("caps", ["metric=x", "resolving=4,detour=1.5", "metric="])
+    @pytest.mark.parametrize("caps", ["metric=x", "resolving=4,indep=1.5", "metric="])
     def test_non_integer_cap_refused(self, capsys, caps):
         item = caps.split(",")[-1]
         code, out, err = run(capsys, "verify", "--n", "1", "--caps", caps)

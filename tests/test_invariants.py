@@ -31,6 +31,7 @@ from u6n_ncg.invariants import (
     total_eccentricity_polynomial,
     vertex_cover_number,
     vertex_cover_polynomial,
+    _bfs_layers,
     _disagreement_masks,
     _ore_condition,
 )
@@ -466,7 +467,7 @@ def naive_detour_matrix(graph):
     return best
 
 
-def spread_detours(graph, cap=DEFAULT_CAPS.detour):
+def spread_detours(graph, cap=invariants._DETOUR_CAP):
     """All-pairs detour distances: the DP's class-pair values spread over
     the class members, 0 on the diagonal."""
     best = invariants._class_detours(graph, cap)
@@ -617,6 +618,36 @@ def pair_disagreement_masks(graph):
     return masks
 
 
+def bfs_disagreement_masks(graph):
+    """The resolving masks by a BFS over all V vertices from each class's
+    first member, sparsest first: the vertices whose distances to two
+    firsts differ, kept when all of them are firsts, since any other
+    vertex is always chosen."""
+    v_count = graph.vertex_count
+    everything = (1 << v_count) - 1
+    firsts = [members[0] for members in twin_classes(graph)]
+    others = everything ^ sum(1 << u for u in firsts)
+    layers = [_bfs_layers(graph, u) for u in firsts]
+    if any(sum(layer) != everything for layer in layers):
+        raise DisconnectedGraphError("resolving sets require a connected graph")
+    masks = set()
+    for i in range(len(firsts)):
+        for j in range(i + 1, len(firsts)):
+            same = 0
+            for a, b in zip(layers[i], layers[j]):
+                same |= a & b
+            mask = everything ^ same
+            if not mask & others:
+                masks.add(mask)
+    return sorted(masks, key=lambda m: (m.bit_count(), m))
+
+
+def first_member_masks(graph):
+    """_disagreement_masks with class k's bit moved to its first member."""
+    firsts = [members[0] for members in twin_classes(graph)]
+    return [sum(1 << firsts[k] for k in _bits(mask)) for mask in _disagreement_masks(graph)]
+
+
 def hits_all(subset, masks):
     return all(subset & mask for mask in masks)
 
@@ -757,6 +788,17 @@ class TestTwinClassEnginesAgainstSubsetOracles:
         assert resolving_polynomial(graph)[1].beta == 0
         assert spread_detours(graph) == ((0,),) * v
 
+    @pytest.mark.parametrize("v", [2, 3])
+    @pytest.mark.parametrize(
+        "engine", [metric_dimension, resolving_polynomial, eccentricities, detour_polynomial]
+    )
+    def test_one_class_of_twins_without_neighbours_is_disconnected(self, engine, v):
+        # the twin quotient is one vertex, connected, yet no path joins the twins
+        graph = Graph.from_edges([f"v{i}" for i in range(v)], [])
+        assert len(twin_classes(graph)) == 1
+        with pytest.raises(DisconnectedGraphError):
+            engine(graph)
+
     @pytest.mark.parametrize(
         "engine, cap",
         [
@@ -765,7 +807,7 @@ class TestTwinClassEnginesAgainstSubsetOracles:
             (resolving_polynomial, DEFAULT_CAPS.resolving),
             (metric_dimension, DEFAULT_CAPS.metric),
             (chromatic_number, DEFAULT_CAPS.chromatic),
-            (detour_polynomial, DEFAULT_CAPS.detour),
+            (detour_polynomial, invariants._DETOUR_CAP),
         ],
     )
     def test_one_vertex_over_the_cap_is_refused_before_any_work(self, engine, cap):
@@ -790,14 +832,14 @@ class TestTwinClassEnginesAgainstSubsetOracles:
 
     @given(twin_blowups())
     @settings(max_examples=60, deadline=None)
-    def test_masks_hold_first_members_only(self, graph):
+    def test_class_masks_match_the_full_graph_bfs(self, graph):
         assume(is_connected(graph))
-        firsts = sum(1 << c[0] for c in twin_classes(graph))
-        masks = _disagreement_masks(graph)
-        assert len(set(masks)) == len(masks)
-        assert [m.bit_count() for m in masks] == sorted(m.bit_count() for m in masks)
-        assert all(m & firsts == m for m in masks)
+        assert first_member_masks(graph) == bfs_disagreement_masks(graph)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_class_masks_match_the_full_graph_bfs_on_ncg(self, n):
+        graph = ncg(n)
+        assert first_member_masks(graph) == bfs_disagreement_masks(graph)
 
     @given(twin_blowups(max_vertices=10))
     @settings(max_examples=40, deadline=None)
@@ -1024,7 +1066,7 @@ class TestDetourOnTheTwinQuotient:
         assume(is_connected(graph))
         if _ore_condition(graph):
             assert detour_polynomial(graph) == dp_detour_polynomial(graph)
-        elif graph.vertex_count > DEFAULT_CAPS.detour:
+        elif graph.vertex_count > invariants._DETOUR_CAP:
             with pytest.raises(CapacityError):
                 detour_polynomial(graph)
 

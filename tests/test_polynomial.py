@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from u6n_ncg import closed_forms
-from u6n_ncg.polynomials import _FILTER_PRIME, IntPolynomial, _divisors, integer_roots
+from u6n_ncg.polynomials import IntPolynomial, _divisors, integer_roots
 
 X = IntPolynomial.monomial(1)
 
@@ -149,14 +149,14 @@ class TestEvaluation:
     def test_integer_roots_match_exact_evaluation(self, poly):
         assert integer_roots(poly) == exact_integer_roots(poly)
 
-    def test_survivors_of_the_modular_filter_are_evaluated_exactly(self):
+    def test_candidates_that_vanish_modulo_a_prime_are_no_roots(self):
         # 2^62 = 2 * (2^61 - 1) + 2, so x^62 - 2 vanishes at 2 and -2 modulo
-        # the filter prime, though neither is a root
-        assert _FILTER_PRIME == 2**61 - 1
+        # the prime 2^61 - 1, though neither is a root
         poly = IntPolynomial.from_terms([(62, 1), (0, -2)])
         for r in (2, -2):
-            assert poly.evaluate(r) % _FILTER_PRIME == 0 != poly.evaluate(r)
+            assert poly.evaluate(r) % (2**61 - 1) == 0 != poly.evaluate(r)
         assert integer_roots(poly) == ()
+        assert integer_roots(poly * X * X) == (0,)
 
     @pytest.mark.parametrize("n", [*range(1, 9), 1000])
     def test_resolving_roots_unchanged(self, n):

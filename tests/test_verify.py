@@ -65,10 +65,8 @@ class TestStatuses:
         assert not report.has_mismatch()
 
     def test_n4_all_match(self):
-        # 20 vertices are past the detour cap of 15 vertices, which bounds
-        # only the DP: Ore's condition settles every pair at 5n - 1; the
-        # metric cap of 20 admits them, and the other caps count the 4 twin
-        # classes
+        # Ore's condition settles every pair at 5n - 1; the metric cap of 20
+        # admits the 20 vertices, and the other caps count the 4 twin classes
         report = verify_all(4)
         by_name = entry_map(report)
         assert {e.status for e in report.entries} == {"match"}
@@ -86,7 +84,7 @@ class TestStatuses:
 
     def test_cap_overrides(self):
         # n = 2: 10 vertices in 4 twin classes
-        tight = Caps(detour=1, resolving=3, metric=3, indep=3, chromatic=3)
+        tight = Caps(resolving=3, metric=3, indep=3, chromatic=3)
         report = verify_all(2, caps=tight)
         skipped = {e.name for e in report.entries if e.status == "skipped_cap"}
         assert skipped == {
@@ -98,13 +96,13 @@ class TestStatuses:
             "independence_polynomial",
             "vertex_cover_polynomial",
         }
-        # cap-free entries still run, and so does detour: its cap bounds
-        # only the DP, which Ore's condition leaves out here
+        # cap-free entries still run, detour among them: Ore's condition
+        # settles it
         by_name = entry_map(report)
         assert by_name["edge_count"].status == "match"
         assert by_name["detour_polynomial"].status == "match"
         # a class cap of 4 admits the graph, a metric cap of 10 its vertices
-        exact = Caps(detour=1, resolving=4, metric=10, indep=4, chromatic=4)
+        exact = Caps(resolving=4, metric=10, indep=4, chromatic=4)
         assert {e.status for e in verify_all(2, caps=exact).entries} == {"match"}
 
     def test_corrupted_closed_form_reports_mismatch(self, monkeypatch):
@@ -236,10 +234,10 @@ ALONE = {
         invariants.eccentric_connectivity_polynomial(graph)
     ),
     "detour_distances": lambda graph, n, caps: tuple(
-        e for e, _ in invariants.detour_polynomial(graph, cap=caps.detour).terms()
+        e for e, _ in invariants.detour_polynomial(graph).terms()
     ),
-    "detour_polynomial": lambda graph, n, caps: invariants.detour_polynomial(graph, cap=caps.detour),
-    "detour_index": lambda graph, n, caps: invariants.detour_index(graph, cap=caps.detour),
+    "detour_polynomial": lambda graph, n, caps: invariants.detour_polynomial(graph),
+    "detour_index": lambda graph, n, caps: invariants.detour_index(graph),
     "independence_polynomial": lambda graph, n, caps: invariants.independence_polynomial(
         graph, cap=caps.indep
     ),
@@ -248,7 +246,7 @@ ALONE = {
     ),
 }
 
-SINGLE_CAPS = ["metric=3", "resolving=3", "indep=3", "chromatic=3", "detour=0"]
+SINGLE_CAPS = ["metric=3", "resolving=3", "indep=3", "chromatic=3"]
 
 
 class TestSharedValuesAgainstEnginesAlone:
@@ -289,7 +287,7 @@ class TestKeptValuesAreComputedOncePerGraph:
             "_resolving",
             "_independence_counts",
             "_ore_condition",
-            "_class_eccentricities",
+            "_class_layers",
             "_quotient_independence",
             "_clique_size",
         ),
@@ -367,7 +365,7 @@ class TestDeterminism:
 
     def test_same_entry_names_across_n(self):
         names1 = [e.name for e in verify_all(1).entries]
-        names3 = [e.name for e in verify_all(3, caps=Caps(detour=5, resolving=5)).entries]
+        names3 = [e.name for e in verify_all(3, caps=Caps(resolving=5)).entries]
         assert names1 == names3
 
 
