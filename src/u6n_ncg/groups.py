@@ -15,12 +15,11 @@ Everything here is computed from the multiplication table by definition;
 no closed-form shortcuts, so these routines stay honest inputs for the
 verification pipeline.
 
-A FiniteGroup stores its table as one flat `bytes` object, `cells`, in two
-planes: first the high byte of every entry, then the low byte of every
-entry, each plane row-major. With i = x * order + y, entry x*y is
-cells[i] << 8 | cells[order * order + i]; the table takes 2 * order^2
-bytes, 72n^2 for U(6n). Routines read whole rows and strided columns of a
-plane with C-level slicing and big-int arithmetic. Commutation is read
+A FiniteGroup stores its table as one flat `bytes` object, `cells`: each
+entry is one native unsigned 16-bit integer, row-major, so entry x*y is
+memoryview(cells).cast("H")[x * order + y]; the table takes 2 * order^2
+bytes, 72n^2 for U(6n). Routines read whole rows and strided columns of
+the cells with C-level slicing and big-int arithmetic. Commutation is read
 from one primitive, the commutation row of x: byte y is 1 when x*y !=
 y*x. The center, the centralizers and the non-commuting graph all derive
 from these rows.
@@ -45,17 +44,16 @@ table entries, 6 rows of U(6n), every row of a centerless group.
 from __future__ import annotations
 
 import json
-import sys
 from array import array
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, compress, product
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 # u6n_group and group_from_table refuse a table with more entries than this:
 # order 6000 (n = 1000) still builds, as 72 MB of cells. Every group's order
-# is therefore below 2^16, so a high and a low byte hold any element index.
+# is therefore below 2^16, so one 16-bit entry holds any element index.
 _DENSE_TABLE_LIMIT = 6000 * 6000
 
 # a byte of a commutation row: 0 stays 0, any difference becomes 1
@@ -65,26 +63,15 @@ _COMMUTES = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 def _commutation_row(cells: bytes, order: int, x: int) -> bytes:
-    """The row of x by definition: row x of each plane XORed as a big int
-    with strided column x; a lane that differs in either plane becomes 1."""
-    size = order * order
+    """The row of x by definition: for byte 0 and byte 1 of each entry,
+    row x XORed as a big int with strided column x; a lane that differs in
+    either byte becomes 1."""
     differs = 0
-    for plane in (0, size):
-        row = cells[plane + x * order : plane + (x + 1) * order]
-        column = cells[plane + x : plane + size : order]
+    for byte in (0, 1):
+        row = cells[2 * x * order + byte : 2 * (x + 1) * order : 2]
+        column = cells[2 * x + byte :: 2 * order]
         differs |= int.from_bytes(row, "big") ^ int.from_bytes(column, "big")
     return differs.to_bytes(order, "big").translate(_NONZERO)
-
-
-def _column(cells: bytes, order: int, s: int) -> array:
-    """Column s of the table: entry y is y*s, joined from both planes."""
-    size = order * order
-    packed = bytearray(2 * order)  # high and low byte of each entry in turn
-    packed[0::2], packed[1::2] = cells[s:size:order], cells[size + s :: order]
-    column = array("H", packed)
-    if sys.byteorder == "little":
-        column.byteswap()
-    return column
 
 
 def _generators(
@@ -150,12 +137,12 @@ class U6nElement:
 class FiniteGroup:
     """A finite group as labels plus a multiplication table on indices.
 
-    `cells` is the table in two row-major planes, the high bytes of all
-    entries and then their low bytes: with i = x * order + y, x*y is
-    cells[i] << 8 | cells[order * order + i]. Immutable; all methods are
-    pure lookups or scans over the cells. The cells must be a group table,
-    as the commutation rows rest on the group axioms. A group is its table:
-    U(6n) from u6n_group equals the same table loaded with group_from_table.
+    `cells` is the table row-major, each entry one native unsigned 16-bit
+    integer: x*y is memoryview(cells).cast("H")[x * order + y]. Immutable;
+    all methods are pure lookups or scans over the cells. The cells must be
+    a group table, as the commutation rows rest on the group axioms. A
+    group is its table: U(6n) from u6n_group equals the same table loaded
+    with group_from_table.
     """
 
     labels: tuple[str, ...]
@@ -173,8 +160,7 @@ class FiniteGroup:
     def mul(self, x: int, y: int) -> int:
         self._check_index(x)
         self._check_index(y)
-        at = x * self.order + y
-        return self.cells[at] << 8 | self.cells[self.order * self.order + at]
+        return memoryview(self.cells).cast("H")[x * self.order + y]
 
     @cached_property
     def _commutation_rows(self) -> tuple[bytes, ...]:
@@ -184,12 +170,12 @@ class FiniteGroup:
         The center is the lanes that are 0 in the row of every generator
         _generators finds. Each element x still without a row, in index
         order, gives its row to every x*z, z in the center, read from row x
-        of both planes."""
+        of the cells."""
         cells, order = self.cells, self.order
-        size = order * order
+        entries = memoryview(cells).cast("H")
         generators = {  # each generator and its row
             s: _commutation_row(cells, order, s)
-            for s in _generators(order, self.identity, partial(_column, cells, order))
+            for s in _generators(order, self.identity, lambda s: entries[s::order].tolist())
         }
         differs = 0  # the lanes where some generator's row is 1
         for row in generators.values():
@@ -203,7 +189,7 @@ class FiniteGroup:
                 row = interned.setdefault(row, row)
                 at = x * order
                 for z in center:
-                    rows[cells[at + z] << 8 | cells[size + at + z]] = row
+                    rows[entries[at + z]] = row
         return tuple(rows)
 
     def non_commuting_row(self, x: int) -> bytes:
@@ -283,19 +269,10 @@ def _validate_table(labels: Sequence[str], table: Sequence[Sequence[int]]) -> in
 
 
 def _cells(table: Sequence[Sequence[int]]) -> bytes:
-    """The two planes of the table's entries: the high bytes of all
-    entries, row after row, then their low bytes. Each row, a list or a
-    tuple, converts to an array("H") at C speed, and the planes grow a row
-    at a time, so the entries are never held whole in a third buffer."""
-    high, low = bytearray(), bytearray()
-    for row in table:
-        entries = array("H", row)
-        if sys.byteorder == "little":
-            entries.byteswap()
-        both = entries.tobytes()  # big-endian: high byte first
-        high += both[0::2]
-        low += both[1::2]
-    return b"".join((high, low))
+    """The table's entries as native 16-bit integers, row after row. Each
+    row, a list or a tuple, converts to an array("H") at C speed, so the
+    entries are never held as a second table of ints."""
+    return b"".join([array("H", row).tobytes() for row in table])
 
 
 def group_from_table(labels: Sequence[str], table: Sequence[Sequence[int]]) -> FiniteGroup:
@@ -361,26 +338,21 @@ def u6n_group(n: int) -> FiniteGroup:
     labels[0] = "1"
     # Row 6t + r is row r rotated left by 6t (the module docstring's
     # lemma). Row 3 + k, of a b^k = b^(-k) a, is row -k mod 3 rotated left
-    # by 3, as a y has index y + 3. Each plane of rows 0-5 is held twice
-    # over, rows 3-5 as rows 0, 2 and 1 from entry 3 on, so that every
-    # rotation is one slice, and both planes of the cells are joined from
-    # the slices at once. In row k < 3, the entries y = 3j + l with j of
-    # one parity p step by 6 and map to 3j + ((-1)^p k + l) mod 3: one
-    # strided slice of the identity row's plane each.
-    blocks = range(order // 256 + 1)
-    identity_planes = (
-        b"".join([bytes((high,)) * 256 for high in blocks])[:order],
-        (bytes(range(256)) * len(blocks))[:order],
-    )
-    planes = ([], [])  # rows 0-5 of the high plane and of the low plane
-    for rows, plane in zip(planes, identity_planes):
-        for k in range(3):
-            row = bytearray(order)
-            for p, sign in ((0, 1), (1, -1)):
-                for l in range(3):
-                    row[3 * p + l :: 6] = plane[3 * p + (sign * k + l) % 3 :: 6]
-            rows.append(memoryview(row * 2))
-        rows += [rows[0][3:], rows[2][3:], rows[1][3:]]
+    # by 3, as a y has index y + 3. Rows 0-5 are held twice over, rows 3-5
+    # as rows 0, 2 and 1 from entry 3 on, so that every rotation is one
+    # slice, and the cells are joined from the slices at once. In row
+    # k < 3, the entries y = 3j + l with j of one parity p step by 6 and
+    # map to 3j + ((-1)^p k + l) mod 3: one strided slice of the identity
+    # row each.
+    identity = array("H", [*range(order)])
+    rows = []
+    for k in range(3):
+        row = array("H", identity)
+        for p, sign in ((0, 1), (1, -1)):
+            for l in range(3):
+                row[3 * p + l :: 6] = identity[3 * p + (sign * k + l) % 3 :: 6]
+        rows.append(memoryview(row * 2))
+    rows += [rows[0][3:], rows[2][3:], rows[1][3:]]
     spans = [slice(6 * t, 6 * t + order) for t in range(n)]
-    cells = b"".join([row[span] for rows in planes for span in spans for row in rows])
+    cells = b"".join([row[span] for span in spans for row in rows])
     return FiniteGroup(labels=tuple(labels), cells=cells, identity=0)

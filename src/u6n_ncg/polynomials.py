@@ -9,6 +9,10 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
+# _divisors trial-divides by no number above this, so integer_roots takes
+# well under a second on any coefficient
+_TRIAL_LIMIT = 10**6
+
 
 class IntPolynomial:
     """Immutable polynomial stored as {exponent: coefficient}.
@@ -176,7 +180,8 @@ def integer_roots(poly: IntPolynomial) -> tuple[int, ...]:
     coefficient, so the candidates are 0 (when k > 0) and plus or minus
     each divisor of that coefficient, read off its factorisation. The
     quotient by x^k is evaluated exactly at every candidate at once, by
-    Horner's rule a term at a time.
+    Horner's rule a term at a time. Raises ValueError when the lowest
+    coefficient cannot be factored by trial division up to _TRIAL_LIMIT.
     """
     if not poly:
         raise ValueError("the zero polynomial vanishes everywhere")
@@ -201,15 +206,23 @@ def _divisors(value: int) -> list[int]:
     """The positive divisors of a positive integer, each once. Trial
     division by 2 and the odd numbers factors it, and stops once the
     cofactor left has no divisor up to its square root, so it is prime
-    or 1: 2n^4 at n = 1000 is factored by d = 5."""
+    or 1: 2n^4 at n = 1000 is factored by d = 5. Past _TRIAL_LIMIT it
+    stops anyway, and a cofactor left that could still be composite is
+    refused with ValueError; every value below _TRIAL_LIMIT^2 is
+    factored."""
     divisors, rest, d = [1], value, 2
-    while d * d <= rest:
+    while d * d <= rest and d <= _TRIAL_LIMIT:
         layer = divisors
         while rest % d == 0:
             rest //= d
             layer = [x * d for x in layer]
             divisors = divisors + layer
         d += 1 if d == 2 else 2
+    if d * d <= rest:
+        raise ValueError(
+            f"cannot factor {value}: its cofactor {rest} has no divisor up to "
+            f"{_TRIAL_LIMIT} and may be composite"
+        )
     if rest > 1:
         divisors += [x * rest for x in divisors]
     return divisors

@@ -30,10 +30,12 @@ KEPT = VERIFY + "::TestKeptValuesAreComputedOncePerGraph"
 DETOUR = "tests/test_invariants.py::TestDetourOnTheTwinQuotient"
 INDUCED = "tests/test_graphs.py::TestFindInduced"
 GROUPS = "tests/test_groups.py"
-ROWS = GROUPS + "::TestTiledCommutationPass"
+ROWS = GROUPS + "::TestRowPassAgainstRowByRow"
 COSETS = GROUPS + "::TestCenterCosetPass"
 LIGHT = GROUPS + "::TestLightsAssociativityTest"
 SCANS = GROUPS + "::TestCommutationRowsAgainstScans"
+CERTIFICATE = GROUPS + "::TestCertificate"
+ROOTS = "tests/test_polynomial.py::TestEvaluation"
 PAIRS = "tests/test_graphs.py::TestConstructionAgainstPairLoop"
 ENGINES = "tests/test_invariants.py::TestTwinClassEnginesAgainstSubsetOracles"
 
@@ -253,12 +255,12 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "coset-products-read-from-the-low-plane",
+        "coset-products-read-to-one-byte",
         "src/u6n_ncg/groups.py",
         (
             (
-                "                    rows[cells[at + z] << 8 | cells[size + at + z]] = row\n",
-                "                    rows[cells[size + at + z]] = row\n",
+                "                    rows[entries[at + z]] = row\n",
+                "                    rows[entries[at + z] & 0xFF] = row\n",
             ),
         ),
         (
@@ -276,10 +278,19 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "definitional-row-from-the-low-plane",
+        "definitional-row-from-byte-0-only",
         "src/u6n_ncg/groups.py",
-        (("    for plane in (0, size):\n", "    for plane in (size,):\n"),),
-        (COSETS + "::test_products_apart_in_the_high_byte_only",),
+        (("    for byte in (0, 1):\n", "    for byte in (0,):\n"),),
+        (COSETS + "::test_products_that_differ_in_one_byte_only",),
+    ),
+    Mutant(
+        "definitional-row-from-byte-1-only",
+        "src/u6n_ncg/groups.py",
+        (("    for byte in (0, 1):\n", "    for byte in (1,):\n"),),
+        (
+            COSETS + "::test_products_that_differ_in_one_byte_only",
+            ROWS + "::test_u6n_matches_row_by_row[1]",
+        ),
     ),
     Mutant(
         "associativity-checked-on-the-first-generator-only",
@@ -322,16 +333,39 @@ MUTANTS = (
         (
             SCANS + "::test_cells_match_double_loop[2]",
             GROUPS + "::TestU6nConstruction::test_table_agrees_with_free_reduction[2]",
+            CERTIFICATE + "::test_u6n_table_is_u6n[2]",
         ),
     ),
     Mutant(
-        "loaded-planes-packed-low-first",
+        "loaded-entries-byteswapped",
         "src/u6n_ncg/groups.py",
-        (('    return b"".join((high, low))\n', '    return b"".join((low, high))\n'),),
+        (
+            (
+                '    return b"".join([array("H", row).tobytes() for row in table])\n',
+                '    return b"".join([array("H", [v >> 8 | v << 8 & 0xFF00 for v in row]).tobytes() for row in table])\n',
+            ),
+        ),
         (
             ROWS + "::test_loaded_tables_round_trip[dihedral150]",
             ROWS + "::test_loaded_tables_round_trip[relabelled43]",
         ),
+    ),
+    Mutant(
+        "horner-pass-ignores-the-exponent-gaps",
+        "src/u6n_ncg/polynomials.py",
+        (
+            (
+                "        values = [v * f + coeff for v, f in zip(values, powers[gap])]\n",
+                "        values = [v * f + coeff for v, f in zip(values, powers[1])]\n",
+            ),
+        ),
+        (ROOTS + "::test_candidates_that_vanish_modulo_a_prime_are_no_roots",),
+    ),
+    Mutant(
+        "trial-division-without-its-limit",
+        "src/u6n_ncg/polynomials.py",
+        (("    while d * d <= rest and d <= _TRIAL_LIMIT:\n", "    while d * d <= rest:\n"),),
+        (ROOTS + "::test_a_cofactor_that_may_be_composite_is_refused",),
     ),
     Mutant(
         "selector-marks-keep-the-central-lanes",

@@ -1,7 +1,9 @@
 import json
+import operator
 import random
 import re
 import tracemalloc
+from array import array
 from functools import cache
 from itertools import product
 
@@ -128,6 +130,47 @@ class TestU6nConstruction:
             g.mul(0, 6)
         with pytest.raises(IndexError):
             g.mul(-1, 0)
+
+
+def assert_u6n_certified(g, n):
+    """The table of g is U(6n), by von Dyck's theorem: it is a group of
+    order 6n (_validate_table on zero-copy rows of the 16-bit view), the
+    elements labelled a and b satisfy a^(2n) = b^3 = 1 and a*b = b^2*a, so
+    the group is a quotient of <a, b | a^(2n) = b^3 = 1, a^-1 b a = b^-1>,
+    and each of the 6n labels a^i b^k names the table's product of those
+    powers, so the quotient is onto 6n distinct elements."""
+    order = g.order
+    assert order == 6 * n
+    entries = memoryview(g.cells).cast("H")
+    rows = [entries[x * order : (x + 1) * order] for x in range(order)]
+    assert groups._validate_table(g.labels, rows) == g.identity
+    a, b = g.labels.index("a"), g.labels.index("b")
+    a_powers, b_powers = [g.identity], [g.identity]
+    while len(a_powers) <= 2 * n:
+        a_powers.append(rows[a_powers[-1]][a])
+    while len(b_powers) <= 3:
+        b_powers.append(rows[b_powers[-1]][b])
+    assert a_powers[2 * n] == b_powers[3] == g.identity
+    assert rows[a][b] == rows[b_powers[2]][a]
+    for i, k in product(range(2 * n), range(3)):
+        assert g.labels[rows[a_powers[i]][b_powers[k]]] == groups._label(i, k)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("n", [*range(1, 13), 150])
+    def test_u6n_table_is_u6n(self, n):
+        assert_u6n_certified(u6n_group(n), n)
+
+    def test_other_tables_are_not_certified(self):
+        labels = list(u6n_group(2).labels)
+        # C_12 under the labels of U(12): b has order 12, not 3
+        with pytest.raises(AssertionError):
+            assert_u6n_certified(group_from_table(labels, cyclic_table(12)), 2)
+        # U(12) with the labels of ab and ab^2 swapped: every relation
+        # holds, but the element labelled ab is a b^2
+        labels[4], labels[5] = labels[5], labels[4]
+        with pytest.raises(AssertionError):
+            assert_u6n_certified(group_from_table(labels, double_loop_u6n_table(2)), 2)
 
 
 class TestInverses:
@@ -359,10 +402,9 @@ class TestCommutationRowsAgainstScans:
     # (order 900) the largest the benchmark builds
     @pytest.mark.parametrize("n", [*range(1, 14), 32, 43, 57, 150])
     def test_cells_match_double_loop(self, n):
-        # the high bytes of every entry, rows in order, then the low bytes
-        entries = [v for row in double_loop_u6n_table(n) for v in row]
-        cells = bytes(v >> 8 for v in entries) + bytes(v & 0xFF for v in entries)
-        assert u6n_group(n).cells == cells
+        # every entry, rows in order, read through the 16-bit view
+        entries = memoryview(u6n_group(n).cells).cast("H")
+        assert entries.tolist() == [v for row in double_loop_u6n_table(n) for v in row]
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_u6n(self, n):
@@ -390,19 +432,13 @@ class TestCommutationRowsAgainstScans:
 # -- the row-at-a-time pass, kept as the oracle for the coset pass ---------
 
 def row_by_row_commutation(g):
-    """Every commutation row from its own pass: row x of each plane of the
-    cells against strided column x of that plane, XORed as big ints, the
-    high and the low plane apart."""
-    cells, order = g.cells, g.order
-    size = order * order
-    rows = []
-    for x in range(order):
-        differs = 0
-        for plane in (cells[:size], cells[size:]):
-            row = plane[x * order : (x + 1) * order]
-            differs |= int.from_bytes(row, "big") ^ int.from_bytes(plane[x::order], "big")
-        rows.append(differs.to_bytes(order, "big").translate(groups._NONZERO))
-    return tuple(rows)
+    """Every commutation row from its own pass: row x of the table against
+    column x, entry by entry through the 16-bit view of the cells."""
+    entries, order = memoryview(g.cells).cast("H"), g.order
+    return tuple(
+        bytes(map(operator.ne, entries[x * order : (x + 1) * order], entries[x::order]))
+        for x in range(order)
+    )
 
 
 def dihedral_table(m):
@@ -455,24 +491,21 @@ def wide_group(name):
 WIDE_GROUPS = ["u6n43", "u6n57", "dihedral150", "relabelled43"]
 
 
-class TestTiledCommutationPass:
+class TestRowPassAgainstRowByRow:
     @pytest.mark.parametrize("name", WIDE_GROUPS)
     def test_wide_orders_match_scans(self, name):
         g, table = wide_group(name)
-        assert any(g.cells[: g.order * g.order])  # some high byte is nonzero
+        assert max(memoryview(g.cells).cast("H")) > 255  # some entry needs two bytes
         assert g._commutation_rows == row_by_row_commutation(g)
         assert_lookups_match_scans(g, table)
 
     @pytest.mark.parametrize("name", ["dihedral150", "relabelled43"])
     def test_loaded_tables_round_trip(self, name):
-        # decoded from the planes directly, not through mul, the cells give
+        # decoded through the 16-bit view, not through mul, the cells give
         # back the table, and loading that table again gives the same group
         g, table = wide_group(name)
-        size = g.order * g.order
-        decoded = [
-            [g.cells[i] << 8 | g.cells[size + i] for i in range(x * g.order, (x + 1) * g.order)]
-            for x in range(g.order)
-        ]
+        entries = memoryview(g.cells).cast("H")
+        decoded = [entries[x * g.order : (x + 1) * g.order].tolist() for x in range(g.order)]
         assert decoded == table
         assert group_from_table(list(g.labels), decoded) == g
 
@@ -512,8 +545,7 @@ def dihedral_center_size(m):
 def table_group(table):
     """A FiniteGroup on the table, built without validation: each table
     given here is a group by construction."""
-    entries = [v for row in table for v in row]
-    cells = bytes(v >> 8 for v in entries) + bytes(v & 0xFF for v in entries)
+    cells = array("H", [v for row in table for v in row]).tobytes()
     labels = tuple(f"g{i}" for i in range(len(table)))
     return FiniteGroup(labels, cells, groups._find_identity(table))
 
@@ -536,10 +568,10 @@ class TestCenterCosetPass:
         assert len({id(r) for r in rows}) == len(set(rows))
         assert len(g.center()) == k * dihedral_center_size(m)
 
-    def test_products_apart_in_the_high_byte_only(self):
+    def test_products_that_differ_in_one_byte_only(self):
         # in D_150, r*s = s r^-1 is index 299 and s*r = s r is 151; with 151
         # and 43 swapped the two products differ by 256, in the high byte
-        # alone, so r and s commute by the low plane but not by the table
+        # alone, so r and s commute by the low bytes but not by the table
         r, s = 1, 150
         swap = list(range(300))
         swap[43], swap[151] = 151, 43
@@ -565,11 +597,12 @@ class TestCenterCosetPass:
         assert len(computed) == 6
 
 
-class TestTrianglePass:
-    @pytest.mark.parametrize("n, planes", [(300, 1), (1000, 1 / 4)])
-    def test_row_pass_peak_memory(self, n, planes):
-        # no plane (order^2 bytes) is ever copied whole: the pass holds a
-        # few rows and columns of order bytes each, and the rows it hands on
+class TestRowPassMemory:
+    @pytest.mark.parametrize("n, share", [(300, 1 / 2), (1000, 1 / 8)])
+    def test_row_pass_peak_memory(self, n, share):
+        # the pass copies no large share of the cells (2 order^2 bytes): it
+        # holds a few rows and columns of order bytes each, and the rows it
+        # hands on
         g = u6n_group(n)
         tracemalloc.start()
         try:
@@ -578,7 +611,7 @@ class TestTrianglePass:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - baseline < planes * g.order * g.order
+        assert peak - baseline < share * len(g.cells)
 
 
 class TestTableSizeLimit:

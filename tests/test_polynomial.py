@@ -1,3 +1,4 @@
+import time
 from math import isqrt
 
 import pytest
@@ -174,13 +175,39 @@ class TestEvaluation:
         assert integer_roots(poly) == exact_integer_roots(poly) == (-p, 0, 1)
 
     def test_divisors_match_trial_division(self):
-        for value in [*range(1, 400), 2 * 1000**4, 2**31 - 1, 999_983 * 1_000_003, 2**40, 3**25]:
+        for value in [
+            *range(1, 400),
+            2 * 1000**4,
+            2**31 - 1,
+            999_983 * 1_000_003,
+            999_983**2,  # the largest prime square trial division reaches
+            2**40,
+            3**25,
+        ]:
             expected = set()
             for d in range(1, isqrt(value) + 1):
                 if value % d == 0:
                     expected.update((d, value // d))
             divisors = _divisors(value)
             assert len(divisors) == len(expected) and set(divisors) == expected, value
+
+    def test_a_cofactor_that_may_be_composite_is_refused(self):
+        # 1000003^2 has no divisor up to the trial limit of 10^6
+        with pytest.raises(ValueError, match="may be composite"):
+            _divisors(1_000_003**2)
+        with pytest.raises(ValueError, match="may be composite"):
+            integer_roots(X * X + -(1_000_003**2))
+
+    def test_a_large_semiprime_is_answered_or_refused_within_a_second(self):
+        # trial division up to the square root of this product of two
+        # primes near 10^8 takes seconds
+        value = 100_000_007 * 100_000_037
+        start = time.perf_counter()
+        try:
+            assert integer_roots(X + value) == (-value,)
+        except ValueError as error:
+            assert "may be composite" in str(error)
+        assert time.perf_counter() - start < 1
 
 
 class TestCanonicalStrings:
