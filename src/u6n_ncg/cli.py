@@ -21,11 +21,9 @@ follow the last report.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import os
 import sys
-from pathlib import Path
 
 from . import closed_forms, invariants
 from .graphs import export_chunks, non_commuting_graph
@@ -93,7 +91,7 @@ def _build_parser() -> _Parser:
     p_build = sub.add_parser("build", help="construct a group and print a summary")
     src = p_build.add_mutually_exclusive_group(required=True)
     src.add_argument("--n", type=int, help="build U(6n) for this n")
-    src.add_argument("--table", type=Path, help="load a Cayley-table JSON file")
+    src.add_argument("--table", help="load a Cayley-table JSON file")
 
     p_graph = sub.add_parser("graph", help="one invariant of the non-commuting graph")
     p_graph.add_argument("--n", type=int, required=True)
@@ -116,7 +114,7 @@ def _build_parser() -> _Parser:
     p_verify.add_argument(
         "--caps",
         help="override the caps (metric counts vertices, the others twin classes), e.g. "
-        + ",".join(f"{f.name}={getattr(DEFAULT_CAPS, f.name)}" for f in dataclasses.fields(Caps)),
+        + ",".join(f"{name}={value}" for name, value in zip(Caps._fields, DEFAULT_CAPS)),
     )
     return parser
 
@@ -124,7 +122,7 @@ def _build_parser() -> _Parser:
 def _parse_caps(text: str | None) -> Caps:
     if not text:
         return DEFAULT_CAPS
-    valid = {f.name for f in dataclasses.fields(Caps)}
+    valid = set(Caps._fields)
     overrides = {}
     for item in text.split(","):
         key, sep, value = item.partition("=")
@@ -139,14 +137,16 @@ def _parse_caps(text: str | None) -> Caps:
             raise ValueError(f"cap override {item!r} is not an integer") from None
         if overrides[key] < 0:
             raise ValueError(f"cap override {item!r} is negative")
-    return dataclasses.replace(DEFAULT_CAPS, **overrides)
+    return DEFAULT_CAPS._replace(**overrides)
 
 
 def _cmd_build(args) -> int:
     if args.n is not None:
         group = u6n_group(args.n)
     else:
-        group = group_from_json(args.table.read_text())
+        with open(args.table) as file:  # the encoding of Path.read_text
+            text = file.read()
+        group = group_from_json(text)
     center = sorted(group.center())
     print(f"order: {group.order}")
     print(f"identity: {group.labels[group.identity]}")

@@ -17,7 +17,7 @@ n = 2 instead of bare polynomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .groups import U6nElement
 from .polynomials import IntPolynomial
@@ -25,13 +25,11 @@ from .polynomials import IntPolynomial
 _X = IntPolynomial.monomial(1)
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(namedtuple("Prediction", "value applies")):
     """A closed-form value, and whether the formula claims the n it was
     computed for."""
 
-    value: object
-    applies: bool
+    __slots__ = ()
 
 
 def _check_n(n: int) -> None:

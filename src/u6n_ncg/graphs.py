@@ -11,13 +11,12 @@ one report share it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 from itertools import compress
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, Sequence
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _Value
 
 # Induced-pattern search enumerates induced paths, whose number can grow like
 # V^(k-1), so the pattern order stays small. Only paths and 5-cycles are ever
@@ -74,8 +73,7 @@ def _classes_symmetric(adj: Sequence[int], classes: Sequence[Sequence[int]]) -> 
     return True
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Value):
     """An undirected graph: vertex labels and one adjacency bitset per
     vertex. Construction refuses rows with bits outside the vertex range,
     loops and asymmetric rows.
@@ -87,10 +85,11 @@ class Graph:
     edge by edge for the message that names the first bad vertex or
     asymmetric pair."""
 
-    labels: tuple[str, ...]
-    adj: tuple[int, ...]
+    _fields = ("labels", "adj")
 
-    def __post_init__(self):
+    def __init__(self, labels: tuple[str, ...], adj: tuple[int, ...]):
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "adj", adj)
         v = len(self.labels)
         if len(self.adj) != v:
             raise ValueError(f"{len(self.adj)} adjacency rows for {v} labels")

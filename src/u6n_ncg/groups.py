@@ -45,11 +45,10 @@ from __future__ import annotations
 
 import json
 from array import array
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator, Sequence
 from functools import cached_property
 from itertools import chain, compress, product
-from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from operator import attrgetter, itemgetter
 
 # u6n_group and group_from_table refuse a table with more entries than this:
 # order 6000 (n = 1000) still builds, as 72 MB of cells. Every group's order
@@ -106,18 +105,48 @@ def _label(a_exp: int, b_exp: int) -> str:
     return a + ("", "b", "b^2")[b_exp] or "1"
 
 
-@dataclass(frozen=True)
-class U6nElement:
+class _Value:
+    """Fields set once, by __init__ through object.__setattr__, and named
+    in `_fields`; instances of one class with equal fields are equal and
+    hash alike."""
+
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls._fields)  # the fields as one tuple, read in C
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class U6nElement(_Value):
     """Normal form a^i b^k; the index 3*i + k orders all elements."""
 
-    a_exp: int
-    b_exp: int
+    _fields = ("a_exp", "b_exp")
 
-    def __post_init__(self):
-        if self.a_exp < 0:
-            raise ValueError(f"a exponent must be non-negative, got {self.a_exp}")
-        if self.b_exp not in (0, 1, 2):
-            raise ValueError(f"b exponent must be 0, 1 or 2, got {self.b_exp}")
+    def __init__(self, a_exp: int, b_exp: int):
+        if a_exp < 0:
+            raise ValueError(f"a exponent must be non-negative, got {a_exp}")
+        if b_exp not in (0, 1, 2):
+            raise ValueError(f"b exponent must be 0, 1 or 2, got {b_exp}")
+        object.__setattr__(self, "a_exp", a_exp)
+        object.__setattr__(self, "b_exp", b_exp)
 
     @property
     def index(self) -> int:
@@ -133,8 +162,7 @@ class U6nElement:
         return _label(self.a_exp, self.b_exp)
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(_Value):
     """A finite group as labels plus a multiplication table on indices.
 
     `cells` is the table row-major, each entry one native unsigned 16-bit
@@ -145,9 +173,12 @@ class FiniteGroup:
     with group_from_table.
     """
 
-    labels: tuple[str, ...]
-    cells: bytes
-    identity: int
+    _fields = ("labels", "cells", "identity")
+
+    def __init__(self, labels: tuple[str, ...], cells: bytes, identity: int):
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "identity", identity)
 
     @property
     def order(self) -> int:

@@ -45,7 +45,7 @@ cap first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .graphs import Graph, _bits, twin_classes
@@ -54,8 +54,9 @@ from .polynomials import IntPolynomial
 UNREACHABLE = -1
 
 
-@dataclass(frozen=True)
-class Caps:
+class Caps(
+    namedtuple("Caps", "resolving chromatic indep metric", defaults=(16, 40, 24, 20))
+):
     """Limits for the exponential searches. The metric cap counts
     vertices; the others count classes of false twins, m, which is the
     vertex count V of a graph without twins.
@@ -67,10 +68,7 @@ class Caps:
     its cost grows with about 2^m products of integers of V^2 / 8 bytes
     (3 MB at V = 5000)."""
 
-    resolving: int = 16
-    chromatic: int = 40
-    indep: int = 24
-    metric: int = 20
+    __slots__ = ()
 
 
 DEFAULT_CAPS = Caps()
@@ -472,13 +470,11 @@ def chromatic_number(graph: Graph, cap: int = DEFAULT_CAPS.chromatic) -> int:
 
 # -- resolving sets -----------------------------------------------------
 
-@dataclass(frozen=True)
-class ResolvingSequence:
+class ResolvingSequence(namedtuple("ResolvingSequence", "beta counts")):
     """Resolving-set counts by cardinality, from the metric dimension up
     to the vertex count."""
 
-    beta: int
-    counts: tuple[int, ...]
+    __slots__ = ()
 
 
 def _pattern_tables(sizes):

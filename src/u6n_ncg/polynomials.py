@@ -7,7 +7,7 @@ therefore an honest exact comparison.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 # _divisors trial-divides by no number above this, so integer_roots takes
 # well under a second on any coefficient

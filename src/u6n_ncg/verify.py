@@ -46,7 +46,7 @@ never holds more than one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii
 
 from . import closed_forms, invariants
@@ -56,19 +56,14 @@ from .invariants import Caps, CapacityError, DEFAULT_CAPS
 from .polynomials import IntPolynomial, integer_roots
 
 
-@dataclass(frozen=True)
-class ReportEntry:
-    name: str
-    predicted: object
-    computed: object
-    status: str
-    error: str | None = None
+class ReportEntry(
+    namedtuple("ReportEntry", "name predicted computed status error", defaults=(None,))
+):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    n: int
-    entries: tuple[ReportEntry, ...]
+class VerificationReport(namedtuple("VerificationReport", "n entries")):
+    __slots__ = ()
 
     def has_mismatch(self) -> bool:
         return any(e.status == "mismatch" for e in self.entries)

@@ -38,6 +38,7 @@ CERTIFICATE = GROUPS + "::TestCertificate"
 ROOTS = "tests/test_polynomial.py::TestEvaluation"
 PAIRS = "tests/test_graphs.py::TestConstructionAgainstPairLoop"
 ENGINES = "tests/test_invariants.py::TestTwinClassEnginesAgainstSubsetOracles"
+VALUES = "tests/test_values.py::TestEquality"
 
 
 @dataclass(frozen=True)
@@ -397,6 +398,32 @@ MUTANTS = (
         "src/u6n_ncg/graphs.py",
         (("        if a & mask_a:\n            return False\n", ""),),
         ("tests/test_graphs.py::TestConstruction::test_validation_rejects_loops_and_asymmetry",),
+    ),
+    Mutant(
+        "value-base-compares-without-its-second-field",
+        "src/u6n_ncg/groups.py",
+        (
+            (
+                "        cls._key = attrgetter(*cls._fields)",
+                "        cls._key = attrgetter(*cls._fields[:1], *cls._fields[2:])",
+            ),
+        ),
+        (
+            VALUES + "::test_each_field_tells_values_apart[FiniteGroup]",
+            VALUES + "::test_each_field_tells_values_apart[U6nElement]",
+            VALUES + "::test_each_field_tells_values_apart[Graph]",
+        ),
+    ),
+    Mutant(
+        "report-json-writes-the-prediction-as-computed",
+        "src/u6n_ncg/verify.py",
+        (
+            (
+                "            f'{cell}\"computed\": {_json_text(e.computed, cell)},'\n",
+                "            f'{cell}\"computed\": {_json_text(e.predicted, cell)},'\n",
+            ),
+        ),
+        (VERIFY + "::TestRenderer::test_reports_render_as_json_dumps_does",),
     ),
 )
 

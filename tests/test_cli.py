@@ -429,6 +429,31 @@ class TestBuildCommand:
         assert err.startswith("u6n-ncg: error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            None,  # no file at all
+            "directory",
+            b'{"labels": ["e"], "table": [[0]]}\xff\xfe',  # not UTF-8
+            '{"labels": ["e", "g"], "table": [[0, 1], [1',  # truncated
+            "[" * 100_000 + "]" * 100_000,  # well formed, nested too deeply
+        ],
+        ids=["missing", "directory", "not-utf-8", "truncated", "nested-100000"],
+    )
+    def test_unreadable_table_is_one_error_line(self, capsys, tmp_path, content):
+        path = tmp_path / "table.json"
+        if content == "directory":
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
+            path.write_text(content)
+        code, out, err = run(capsys, "build", "--table", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("u6n-ncg: error: ") and err.count("\n") == 1
+        if content in (None, "directory"):
+            assert err.endswith(f": {str(path)!r}\n")  # the path as given
+
     def test_deeply_nested_json_exits_one(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 200_000)

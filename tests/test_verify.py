@@ -359,8 +359,8 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_reports_are_equal_across_runs(self, n):
-        # a report depends only on n and the caps: the frozen dataclasses
-        # compare whole, every value and status included
+        # a report depends only on n and the caps: reports and entries
+        # are named tuples, compared whole, every value and status included
         assert verify_all(n) == verify_all(n)
 
     def test_same_entry_names_across_n(self):
